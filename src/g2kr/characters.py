@@ -186,10 +186,11 @@ def decompose(c: Character) -> dict[Weight, int]:
     """Write a Weyl-invariant character as a sum of irreducible ones.
 
     Peels repeatedly at the height-maximal support weight.  Raises
-    ValueError if the input is not a nonnegative integer combination of
-    irreducible characters.
+    ValueError if the input is not Weyl-invariant or not a nonnegative
+    integer combination of irreducible characters.
     """
-    assert c.is_weyl_invariant(), "decompose expects a Weyl-invariant character"
+    if not c.is_weyl_invariant():
+        raise ValueError("decompose expects a Weyl-invariant character")
     remaining = dict(c.items())
     out: dict[Weight, int] = {}
     while remaining:

@@ -227,9 +227,6 @@ class BracketTable:
     def basis_vector(self, i: int) -> tuple[int, ...]:
         return tuple(1 if k == i else 0 for k in range(DIM))
 
-    def bracket_basis(self, i: int, j: int) -> tuple[int, ...]:
-        return self.brackets[i][j]
-
     def bracket(self, x, y) -> tuple[int, ...]:
         acc = [0] * DIM
         for i, xi in enumerate(x):

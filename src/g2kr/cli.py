@@ -29,7 +29,6 @@ from .kr import (
 from .weights import Weight, height, is_dominant
 
 FAMILIES = [f.value for f in Family]
-CLASS_FAMILIES = (Family.U1, Family.T2)
 
 
 def _width() -> int:
@@ -274,16 +273,14 @@ def _run_verify(args) -> tuple[str, int]:
         got, negatives = _verify_conjecture(fams, args.max_m)
         checks.extend(got)
     if args.target in ("classes", "all"):
-        if family is not None and family not in CLASS_FAMILIES:
-            # Ladder families have no classes: reject an explicit request,
-            # silently skip within "all".
-            if args.target == "classes":
-                raise ValueError(
-                    f"family {family.value} is ladder-indexed and has no classes"
-                )
-            fams = []
+        # Ladder families have no classes: the library rejects an explicit
+        # request; "all" skips them.
+        if family is None:
+            fams = [f for f in Family if f.quad_indexed]
+        elif family.quad_indexed or args.target == "classes":
+            fams = [family]
         else:
-            fams = [family] if family else list(CLASS_FAMILIES)
+            fams = []
         checks.extend(_verify_classes(fams, args.max_m))
     if args.target in ("chevalley", "all"):
         checks.extend(_verify_chevalley())
@@ -417,8 +414,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

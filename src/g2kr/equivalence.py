@@ -2,12 +2,16 @@
 
 Two quad indices are equivalent when they share the same (weight, grade)
 pair, which happens exactly when they differ by an integer multiple of a
-family-specific shift vector.  The canonical representatives r_{j,k,s}
-below enumerate the classes exactly once, their class sizes have closed
-forms, and `verify_partition` machine-checks all of that for a given m.
-Rebuilding the graded character from representatives weighted by the
-closed-form sizes gives a route to the graded character independent of
-full region enumeration.
+family-specific shift vector.  The region and the shift vector come from
+the family's table in the kr module, the one definition of each region:
+a class is the interval of steps along the shift that the region's
+constraints leave, read off in closed form.  The canonical
+representatives r_{j,k,s} below enumerate the classes exactly once, and
+their sizes are the generating-function coefficients of the same table.
+`verify_partition` machine-checks all of that for a given m by counting
+class members.  Rebuilding the graded character from representatives
+weighted by the coefficients gives a route to the graded character
+independent of full region enumeration.
 """
 
 from __future__ import annotations
@@ -18,67 +22,46 @@ from .kr import (
     Family,
     GradedDecomposition,
     QuadIndex,
+    _dot,
+    _interval,
+    _region,
     enumerate_region,
     in_region,
     wt_gr,
 )
 
-_SHIFTS = {
-    Family.U1: (3, -1, 0, -1),
-    Family.T2: (1, 0, 1, -1),
-}
-
 
 def shift_vector(family: Family) -> QuadIndex:
     """Generator of the equivalence: wt and gr are constant along it."""
-    try:
-        return _SHIFTS[family]
-    except KeyError:
-        raise ValueError(
-            f"family {family.value} is ladder-indexed and has no classes"
-        ) from None
-
-
-def _u1_residues(j: int, k: int) -> tuple[int, int]:
-    # j - 2k = r1 + 3*r4 with 0 <= r1 <= 2.
-    r4, r1 = divmod(j - 2 * k, 3)
-    return r1, r4
+    return _region(family).shift
 
 
 def validate_key(family: Family, m: int, j: int, k: int, s: int) -> None:
     """Raise ValueError naming the violated inequality, if any."""
+    region = _region(family)
     if min(j, k, s) < 0:
         raise ValueError(f"negative class key (j={j}, k={k}, s={s})")
-    if family is Family.U1:
-        m0, m1 = divmod(m, 3)
-        if k > m0:
+    if region.family is Family.U1:
+        if k > m // 3:
             raise ValueError(f"k <= floor(m/3) fails: k={k}, m={m}")
         if not 2 * k <= j <= m - k:
             raise ValueError(f"2k <= j <= m-k fails: j={j}, k={k}, m={m}")
         if s > k:
             raise ValueError(f"s <= k fails: s={s}, k={k}")
-        r1, r4 = _u1_residues(j, k)
-        if r4 + k > m0 + (m1 - 2 * r1) // 3:
-            raise ValueError(
-                "zero-coefficient key (r4 + k <= floor(m/3) + "
-                f"floor((m mod 3 - 2*r1)/3) fails): j={j}, k={k}, m={m}"
-            )
-    elif family is Family.T2:
+    else:
         if j + k > m:
             raise ValueError(f"j + k <= m fails: j={j}, k={k}, m={m}")
         if s > j:
             raise ValueError(f"s <= j fails: s={s}, j={j}")
-    else:
-        raise ValueError(
-            f"family {family.value} is ladder-indexed and has no classes"
-        )
+    if region.coefficient(m, j, k) <= 0:
+        raise ValueError(f"zero-coefficient key: j={j}, k={k}, m={m}")
 
 
 def representative(family: Family, m: int, j: int, k: int, s: int) -> QuadIndex:
     """Canonical region point of the class labelled (j, k, s)."""
     validate_key(family, m, j, k, s)
-    if family is Family.U1:
-        r1, r4 = _u1_residues(j, k)
+    if _region(family).family is Family.U1:
+        r4, r1 = divmod(j - 2 * k, 3)  # j - 2k = r1 + 3*r4, 0 <= r1 <= 2
         return (r1, k + r4 - s, s, r4)
     return (j - s, s, 0, m - j - k)
 
@@ -86,87 +69,47 @@ def representative(family: Family, m: int, j: int, k: int, s: int) -> QuadIndex:
 def class_size_formula(family: Family, m: int, j: int, k: int, s: int) -> int:
     """Closed form for the number of region points in the class."""
     validate_key(family, m, j, k, s)
-    if family is Family.U1:
-        return 1 + (j - 2 * k) // 3 + min(0, (m + k - 2 * j) // 3)
-    return 1 + min(k, m - j - k)
-
-
-def _region_constraints(family: Family, m: int, r) -> list[int]:
-    # The region as a list of affine values, each required >= 0.
-    r1, r2, r3, r4 = r
-    if family is Family.U1:
-        return [r1, r2, r3, r4, r2 - r4, m - 2 * r1 - 3 * r2 - 3 * r3]
-    return [r1, r2, r3, r4, r1 - r3, m - r1 - r2 - r3 - r4]
-
-
-def _shift_interval(family: Family, m: int, r) -> tuple[int, int]:
-    """Closed-form bounds on steps along the shift line keeping r in region."""
-    shift = shift_vector(family)
-    at0 = _region_constraints(family, m, r)
-    at1 = _region_constraints(
-        family, m, tuple(a + d for a, d in zip(r, shift))
-    )
-    lo, hi = None, None
-    for g0, g1 in zip(at0, at1):
-        slope = g1 - g0
-        if slope == 0:
-            assert g0 >= 0
-        elif slope > 0:
-            bound = -(g0 // slope)  # ceil(-g0 / slope)
-            lo = bound if lo is None else max(lo, bound)
-        else:
-            bound = g0 // -slope  # floor(g0 / -slope)
-            hi = bound if hi is None else min(hi, bound)
-    assert lo is not None and hi is not None and lo <= 0 <= hi
-    return lo, hi
+    return _region(family).coefficient(m, j, k)
 
 
 def class_members(family: Family, m: int, r) -> list[QuadIndex]:
     """Region points on the shift line through r, in increasing step order.
 
-    Region membership is affine in the step, hence an interval; the walk
-    in both directions finds the whole class, and the result is asserted
-    against the closed-form interval bounds.
+    Every constraint of the region is affine in the step t along the
+    shift, so the class is the interval of t that the constraints leave.
     """
+    region = _region(family)
     r = tuple(r)
     if not in_region(family, m, r):
-        raise ValueError(f"{r} is not in the {family.value} region for m={m}")
-    shift = shift_vector(family)
-    down = []
-    cur = tuple(a - d for a, d in zip(r, shift))
-    while in_region(family, m, cur):
-        down.append(cur)
-        cur = tuple(a - d for a, d in zip(cur, shift))
-    up = []
-    cur = tuple(a + d for a, d in zip(r, shift))
-    while in_region(family, m, cur):
-        up.append(cur)
-        cur = tuple(a + d for a, d in zip(cur, shift))
-    lo, hi = _shift_interval(family, m, r)
-    assert (len(down), len(up)) == (-lo, hi)
-    return down[::-1] + [r] + up
+        raise ValueError(
+            f"{r} is not in the {region.family.value} region for m={m}"
+        )
+    shift = region.shift
+    steps = _interval(
+        [(_dot(c, r) + d * m, _dot(c, shift)) for c, d in region.constraints]
+    )
+    (r1, r2, r3, r4), (s1, s2, s3, s4) = r, shift
+    return [
+        (r1 + t * s1, r2 + t * s2, r3 + t * s3, r4 + t * s4) for t in steps
+    ]
 
 
 def class_keys(family: Family, m: int) -> Iterator[tuple[int, int, int]]:
     """All valid (j, k, s) keys for the family at this m."""
-    if family is Family.U1:
-        m0, m1 = divmod(m, 3)
-        for k in range(m0 + 1):
-            for j in range(2 * k, m - k + 1):
-                r1, r4 = _u1_residues(j, k)
-                if r4 + k > m0 + (m1 - 2 * r1) // 3:
-                    continue
-                for s in range(k + 1):
-                    yield j, k, s
-    elif family is Family.T2:
-        for j in range(m + 1):
-            for k in range(m - j + 1):
-                for s in range(j + 1):
-                    yield j, k, s
-    else:
-        raise ValueError(
-            f"family {family.value} is ladder-indexed and has no classes"
+    region = _region(family)
+    if region.family is Family.U1:
+        # (j, k, largest s)
+        pairs = (
+            (j, k, k)
+            for k in range(m // 3 + 1)
+            for j in range(2 * k, m - k + 1)
         )
+    else:
+        pairs = ((j, k, j) for j in range(m + 1) for k in range(m - j + 1))
+    for j, k, top in pairs:
+        if region.coefficient(m, j, k) > 0:
+            for s in range(top + 1):
+                yield j, k, s
 
 
 def verify_partition(family: Family, m: int) -> list[str]:

@@ -3,14 +3,17 @@
 Four families, labelled by untwisted/twisted and by the fundamental node:
 U1 and U2 for the current algebra, T1 and T2 for the twisted current
 algebra.  U2 and T1 are "ladders": grade n carries exactly V((m-n)*omega).
-U1 and T2 sum over lattice regions in Z+^4:
+U1 and T2 sum one irreducible V(wt(r)) in grade gr(r) over the lattice
+points r of a region in Z+^4:
 
     U1: wt(r) = (m - r1 - 3r2 - 3r3)*omega1 + (r2 + r3 - r4)*omega2,
-        gr(r) = r1 + r2 + 2r3 + 2r4,
-        over A1 = {r >= 0 : r4 <= r2, 2r1 + 3r2 + 3r3 <= m};
+        gr(r) = r1 + r2 + 2r3 + 2r4;
     T2: wt(r) = (r1 + r2 - r3)*omega1 + (m - r1 - r2 - r4)*omega2,
-        gr(r) = r1 + 2r2 + 2r3 + 3r4,
-        over A2 = {r >= 0 : r3 <= r1, r1 + r2 + r3 + r4 <= m}.
+        gr(r) = r1 + 2r2 + 2r3 + 3r4.
+
+Each region is defined once, in the `_REGIONS` table (affine constraints,
+shift vector, generating-function coefficient); membership, enumeration
+and the equivalence classes are all read off it.
 
 The second form is a generating function whose coefficients count the
 points of equivalence classes inside the region (see the equivalence
@@ -21,10 +24,10 @@ from __future__ import annotations
 
 import logging
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .characters import Character, irreducible_character, weyl_dim
-from .weights import OMEGA1, OMEGA2, Weight, is_dominant
+from .weights import OMEGA1, OMEGA2, Weight
 
 logger = logging.getLogger(__name__)
 
@@ -47,7 +50,77 @@ class Family(Enum):
     @property
     def quad_indexed(self) -> bool:
         """True for the two families summed over a region of Z+^4."""
-        return self in (Family.U1, Family.T2)
+        return self in _REGIONS
+
+
+class _Region(NamedTuple):
+    family: Family
+    #: (c, d) pairs; the region is {r in Z^4 : c.r + d*m >= 0 for each pair}.
+    constraints: tuple[tuple[QuadIndex, int], ...]
+    #: wt and gr are constant along this vector.
+    shift: QuadIndex
+    #: Generating-function coefficient at (m, j, k), before clamping at 0.
+    coefficient: Callable[[int, int, int], int]
+
+
+def _u1_coefficient(m: int, j: int, k: int) -> int:
+    return 1 + (j - 2 * k) // 3 + min(0, (m + k - 2 * j) // 3)
+
+
+def _t2_coefficient(m: int, j: int, k: int) -> int:
+    return 1 + min(k, m - j - k)
+
+
+_NONNEGATIVE = (((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0),
+                ((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0))
+
+_REGIONS = {
+    region.family: region
+    for region in (
+        # U1 sums over the region A1, T2 over A2.
+        _Region(
+            Family.U1,
+            _NONNEGATIVE + (((0, 1, 0, -1), 0), ((-2, -3, -3, 0), 1)),
+            (3, -1, 0, -1),
+            _u1_coefficient,
+        ),
+        _Region(
+            Family.T2,
+            _NONNEGATIVE + (((1, 0, -1, 0), 0), ((-1, -1, -1, -1), 1)),
+            (1, 0, 1, -1),
+            _t2_coefficient,
+        ),
+    )
+}
+
+
+def _region(family) -> _Region:
+    """Table entry of a quad-indexed family, given as a Family or its name."""
+    if not isinstance(family, Family):
+        family = Family(family)
+    region = _REGIONS.get(family)
+    if region is None:
+        raise ValueError(
+            f"family {family.value} is ladder-indexed, not quad-indexed"
+        )
+    return region
+
+
+def _dot(c, r) -> int:
+    c1, c2, c3, c4 = c
+    r1, r2, r3, r4 = r
+    return c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4
+
+
+def _interval(bounds) -> range:
+    """The integers t with v + s*t >= 0 for every (v, s) pair with s != 0.
+
+    Pairs with s == 0 are ignored; at least one s must be positive and
+    one negative.
+    """
+    lo = max(-(v // s) for v, s in bounds if s > 0)
+    hi = min(v // -s for v, s in bounds if s < 0)
+    return range(lo, hi + 1)
 
 
 class GradedDecomposition:
@@ -116,48 +189,47 @@ def wt_gr(family: Family, m: int, r) -> tuple[Weight, int]:
             Weight(r1 + r2 - r3, m - r1 - r2 - r4),
             r1 + 2 * r2 + 2 * r3 + 3 * r4,
         )
-    raise ValueError(
-        f"family {family.value} is ladder-indexed, not quad-indexed"
-    )
+    return wt_gr(_region(family).family, m, r)
 
 
 def enumerate_region(family: Family, m: int) -> list[QuadIndex]:
-    """All quad indices of the family's region, in lexicographic order."""
+    """All quad indices of the family's region, in lexicographic order.
+
+    r_i is bounded by the constraints nonzero at i with no positive later
+    coefficient: the later coordinates are >= 0, so dropping them loosens
+    such a constraint.  Each constraint is exact at its last nonzero
+    coordinate, so the loops give the region and nothing else.
+    """
+    constraints = _region(family).constraints
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
+    bounding = [
+        [(n, c[i]) for n, (c, _) in enumerate(constraints)
+         if c[i] and max(c[i + 1:], default=0) <= 0]
+        for i in range(4)
+    ]
     out: list[QuadIndex] = []
-    if family is Family.U1:
-        for r1 in range(m // 2 + 1):
-            for r2 in range((m - 2 * r1) // 3 + 1):
-                for r3 in range((m - 2 * r1 - 3 * r2) // 3 + 1):
-                    for r4 in range(r2 + 1):
-                        out.append((r1, r2, r3, r4))
-    elif family is Family.T2:
-        for r1 in range(m + 1):
-            for r2 in range(m - r1 + 1):
-                for r3 in range(min(r1, m - r1 - r2) + 1):
-                    for r4 in range(m - r1 - r2 - r3 + 1):
-                        out.append((r1, r2, r3, r4))
-    else:
-        raise ValueError(
-            f"family {family.value} is ladder-indexed, not quad-indexed"
-        )
-    # The defining inequalities force dominance of every indexed weight.
-    assert all(is_dominant(wt_gr(family, m, r)[0]) for r in out)
+    _extend(out, constraints, bounding, (), [d * m for _, d in constraints])
     return out
+
+
+def _extend(out, constraints, bounding, prefix, values) -> None:
+    # Appends the region points that start with prefix; values[n] is
+    # constraint n at the prefix padded with zeros.
+    i = len(prefix)
+    steps = _interval([(values[n], s) for n, s in bounding[i]])
+    if i == 3:
+        out.extend([(*prefix, t) for t in steps])
+    else:
+        for t in steps:
+            row = [v + t * c[i] for v, (c, _) in zip(values, constraints)]
+            _extend(out, constraints, bounding, (*prefix, t), row)
 
 
 def in_region(family: Family, m: int, r) -> bool:
     """Membership test for the family's region."""
-    r1, r2, r3, r4 = r
-    if min(r1, r2, r3, r4) < 0:
-        return False
-    if family is Family.U1:
-        return r4 <= r2 and 2 * r1 + 3 * r2 + 3 * r3 <= m
-    if family is Family.T2:
-        return r3 <= r1 and r1 + r2 + r3 + r4 <= m
-    raise ValueError(
-        f"family {family.value} is ladder-indexed, not quad-indexed"
+    return all(
+        _dot(c, r) + d * m >= 0 for c, d in _region(family).constraints
     )
 
 
@@ -171,6 +243,7 @@ def _ladder(family: Family, m: int) -> GradedDecomposition:
 
 def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
     """Closed-form graded character in the irreducible basis."""
+    family = Family(family)
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if not family.quad_indexed:
@@ -189,14 +262,9 @@ def conjecture_coefficient(family, m, j, k, negatives=None):
     negative pre-clamp value is logged and, when a `negatives` list is
     supplied, recorded as (family, m, j, k, value).
     """
-    if family is Family.U1:
-        raw = 1 + (j - 2 * k) // 3 + min(0, (m + k - 2 * j) // 3)
-    elif family is Family.T2:
-        raw = 1 + min(k, m - j - k)
-    else:
-        raise ValueError(
-            f"family {family.value} has no generating-function coefficient"
-        )
+    region = _region(family)
+    family = region.family
+    raw = region.coefficient(m, j, k)
     if raw < 0:
         logger.warning(
             "negative pre-clamp coefficient %d for %s at m=%d, j=%d, k=%d",
@@ -217,6 +285,7 @@ def conjecture_graded_character(
     U1/T2 it runs over (j, k) and spreads `conjecture_coefficient` copies
     of one irreducible across a band of grades.
     """
+    family = Family(family)
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     if not family.quad_indexed:

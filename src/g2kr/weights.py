@@ -77,7 +77,6 @@ LONG_ROOTS = tuple(r.weight for r in POSITIVE_ROOTS if r.long)
 ALL_ROOTS = tuple(r.weight for r in POSITIVE_ROOTS) + tuple(
     -r.weight for r in POSITIVE_ROOTS
 )
-HIGHEST_ROOT = POSITIVE_ROOTS[-1].weight
 
 
 def to_root_coords(w: Weight) -> tuple[int, int]:

@@ -179,6 +179,12 @@ def test_decompose_rejects_corrupted_input():
         decompose(c)
 
 
+def test_decompose_rejects_non_invariant_input():
+    # an explicit check, so python -O raises the same error
+    with pytest.raises(ValueError, match="Weyl-invariant"):
+        decompose(Character({OMEGA1: 1}))
+
+
 def signed_orbit_sum(w):
     """Sum over the Weyl group of det(g) e(g(w)), for regular dominant w.
 

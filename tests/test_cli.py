@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 
+import g2kr
 from g2kr.cli import main
 
 
@@ -250,6 +254,34 @@ def test_out_file(tmp_path, capsys):
     assert payload["components"] == [
         {"grade": 0, "weight": [1, 0], "mult": 1}
     ]
+
+
+def test_out_file_unwritable_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    code, out, err = run(capsys, "char", "1", "0", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(target) in err
+    assert not target.exists()
+
+
+def test_optimized_run_matches_plain_run():
+    # python -O strips assert statements; no result may depend on them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(g2kr.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    argv = ["-m", "g2kr.cli", "verify", "all", "--max-m", "10",
+            "--format", "json"]
+    plain = subprocess.run([sys.executable, *argv], capture_output=True,
+                           env=env, check=False)
+    optimized = subprocess.run([sys.executable, "-O", *argv],
+                               capture_output=True, env=env, check=False)
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout
+    assert json.loads(plain.stdout)["ok"] is True
 
 
 def test_width_hint(monkeypatch, capsys):

@@ -140,3 +140,18 @@ def test_two_route_equality(family):
         assert rebuild_graded_character(family, m) == kr_graded_character(
             family, m
         )
+
+
+@pytest.mark.parametrize("family", QUAD)
+def test_family_names_accepted(family):
+    name = family.value
+    assert shift_vector(name) == shift_vector(family)
+    assert list(class_keys(name, 6)) == list(class_keys(family, 6))
+    assert representative(name, 6, 3, 1, 1) == (
+        representative(family, 6, 3, 1, 1)
+    )
+    assert class_members(name, 6, (1, 1, 0, 1)) == (
+        class_members(family, 6, (1, 1, 0, 1))
+    )
+    assert verify_partition(name, 6) == []
+    assert rebuild_graded_character(name, 6) == kr_graded_character(family, 6)

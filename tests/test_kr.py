@@ -88,6 +88,47 @@ def test_region_against_brute_force(family, m):
         assert grade >= 0
 
 
+@pytest.mark.parametrize("family", QUAD)
+@pytest.mark.parametrize("m", range(9, 31))
+def test_region_points_in_region_and_dominant(family, m):
+    # test_region_against_brute_force covers m < 9; the enumerator itself
+    # carries no per-point check
+    mine = enumerate_region(family, m)
+    assert mine == sorted(mine)
+    for r in mine:
+        assert in_region(family, m, r)
+        assert is_dominant(wt_gr(family, m, r)[0])
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_family_names_accepted(family):
+    name = family.value
+    assert kr_graded_character(name, 4) == kr_graded_character(family, 4)
+    assert conjecture_graded_character(name, 4) == (
+        conjecture_graded_character(family, 4)
+    )
+    if family.quad_indexed:
+        assert enumerate_region(name, 4) == enumerate_region(family, 4)
+        assert in_region(name, 4, (0, 1, 0, 1))
+        assert wt_gr(name, 4, (0, 1, 0, 1)) == wt_gr(family, 4, (0, 1, 0, 1))
+        assert conjecture_coefficient(name, 4, 1, 1) == (
+            conjecture_coefficient(family, 4, 1, 1)
+        )
+
+
+def test_unknown_family_name_rejected():
+    for call in (
+        lambda: kr_graded_character("u3", 2),
+        lambda: conjecture_graded_character("x", 2),
+        lambda: enumerate_region("x", 2),
+        lambda: in_region("x", 2, (0, 0, 0, 0)),
+        lambda: wt_gr("x", 2, (0, 0, 0, 0)),
+        lambda: conjecture_coefficient("x", 2, 0, 0),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_graded_decomposition_canonical():
     g = GradedDecomposition()
     g.add(0, OMEGA1, 2)
