@@ -2,8 +2,19 @@
 
 Weight multiplicities come from Freudenthal's recursion, dimensions from
 the Weyl product formula.  The two are independent computations and the
-test suite plays them against each other.  Everything is exact integer
-arithmetic; every division in the recursion is asserted to be exact.
+test suite plays them against each other.  Tensor products are decomposed
+by the Brauer-Klimyk rule (Humphreys, Introduction to Lie Algebras and
+Representation Theory, 24): each weight nu of the smaller factor puts
++-mult(nu) on the highest weight obtained by reflecting big + nu + rho
+into the dominant chamber, minus rho.  `decompose(multiply(...))` is an
+independent route to the same result and the tests keep it as the oracle.
+
+Everything is exact integer arithmetic.  Every division is checked to be
+exact, and every multiplicity that must be positive is checked, by an
+explicit ArithmeticError, so the checks hold under `python -O` as well.
+The inner loops run on plain (a, b) int pairs; the Weyl group action
+(`weyl_orbit`, `dominant_chamber`) and the form (`inner`) come from
+`weights`.
 """
 
 from __future__ import annotations
@@ -11,16 +22,16 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .weights import (
+    OMEGA1,
+    OMEGA2,
     POSITIVE_ROOTS,
     RHO,
     Weight,
-    dominant_representative,
+    dominant_chamber,
     height,
     in_root_cone,
     inner,
-    is_dominant,
     simple_reflection,
-    to_root_coords,
     weyl_orbit,
 )
 
@@ -40,9 +51,17 @@ class Character:
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for w, m in items:
-                w = Weight(*w)
+                if type(w) is not Weight:
+                    w = Weight(*w)
                 data[w] = data.get(w, 0) + m
         self._terms = {w: m for w, m in data.items() if m}
+
+    @classmethod
+    def _wrap(cls, terms: dict[Weight, int]) -> "Character":
+        # terms must have Weight keys and no zero values; it is not copied.
+        c = cls.__new__(cls)
+        c._terms = terms
+        return c
 
     def items(self):
         return self._terms.items()
@@ -105,113 +124,160 @@ def multiply(c1: Character, c2: Character) -> Character:
     return Character(out)
 
 
+def _highest_weight(lam, name: str) -> Weight:
+    """lam as a dominant Weight; ValueError naming the argument otherwise."""
+    try:
+        a, b = lam
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair of ints, got {lam!r}") from None
+    if type(a) is bool or type(b) is bool or not (
+        isinstance(a, int) and isinstance(b, int)
+    ):
+        raise ValueError(f"{name} must have int coordinates, got {lam!r}")
+    if a < 0 or b < 0:
+        raise ValueError(
+            f"highest weight {name} must be dominant, got ({a},{b})"
+        )
+    return Weight(a, b)
+
+
 def weyl_dim(lam: Weight) -> int:
     """dim V(lam) by the Weyl product formula (exact integers)."""
-    lam = Weight(*lam)
-    if not is_dominant(lam):
-        raise ValueError(f"highest weight must be dominant, got {lam}")
+    lam = _highest_weight(lam, "lam")
     shifted = lam + RHO
     num = den = 1
     for root in POSITIVE_ROOTS:
         num *= inner(shifted, root.weight)
         den *= inner(RHO, root.weight)
     q, r = divmod(num, den)
-    assert r == 0, "Weyl dimension product must divide exactly"
+    if r:
+        raise ArithmeticError(
+            f"Weyl dimension product for {lam} does not divide exactly"
+        )
     return q
 
 
-def _dominant_candidates(lam: Weight) -> list[Weight]:
-    # Dominant mu with lam - mu in Q+; all of these are weights of V(lam).
-    lp, lq = to_root_coords(lam)
-    out = []
-    for a in range(lp // 2 + 1):
-        for b in range((lq - a) // 2 + 1):
-            if 2 * a + 3 * b <= lp and a + 2 * b <= lq:
-                out.append(Weight(a, b))
-    return out
+#: Each positive root as (a, b, fa, fb), where (nu, root) = fa*nu.a + fb*nu.b.
+_ROOTS = tuple(
+    (r.weight.a, r.weight.b, inner(OMEGA1, r.weight), inner(OMEGA2, r.weight))
+    for r in POSITIVE_ROOTS
+)
 
 
-def _freudenthal(lam: Weight) -> dict[Weight, int]:
-    """Multiplicities of the dominant weights of V(lam)."""
-    candidates = _dominant_candidates(lam)
-    # Decreasing |mu+rho|^2 guarantees every multiplicity referenced on the
-    # right-hand side is already known.
-    candidates.sort(key=lambda mu: (-inner(mu + RHO, mu + RHO), mu))
-    candidate_set = set(candidates)
-    top = inner(lam + RHO, lam + RHO)
+def _freudenthal(a: int, b: int) -> dict[Weight, int]:
+    """Multiplicities of all weights of V(a, b).
+
+    The dominant weights mu of V(a, b) are the dominant mu with
+    (a, b) - mu in Q+; they are solved in order of decreasing
+    |mu + rho|^2, and each result is written to the whole Weyl orbit of mu
+    at once.  Every weight mu + k*alpha (k >= 1) of a root string lies in
+    the orbit of a dominant weight solved earlier, so the string walk is a
+    plain lookup; weight strings are unbroken, so it stops at the first
+    weight outside the support.
+    """
+    lp, lq = 2 * a + 3 * b, a + 2 * b  # root coordinates of (a, b)
+    top = inner((a + 1, b + 1), (a + 1, b + 1))
+    candidates = sorted(
+        (top - inner((x + 1, y + 1), (x + 1, y + 1)), x, y)
+        for x in range(lp // 2 + 1)
+        for y in range((lq - x) // 2 + 1)
+        if 2 * x + 3 * y <= lp and x + 2 * y <= lq
+    )
     mult: dict[Weight, int] = {}
-    for mu in candidates:
-        if mu == lam:
-            mult[mu] = 1
-            continue
-        total = 0
-        for root in POSITIVE_ROOTS:
-            alpha = root.weight
-            nu = mu + alpha
-            while True:
-                m = mult.get(dominant_representative(nu), 0)
-                if m == 0:
-                    # Weight strings are unbroken, so the rest of this
-                    # string lies outside the support too.
-                    assert dominant_representative(nu) not in candidate_set
-                    break
-                total += m * inner(nu, alpha)
-                nu = nu + alpha
-        denom = top - inner(mu + RHO, mu + RHO)
-        q, r = divmod(2 * total, denom)
-        assert denom > 0 and r == 0, "Freudenthal recursion must divide exactly"
-        assert q > 0
-        mult[mu] = q
+    for denom, x, y in candidates:
+        if x == a and y == b:
+            m = 1
+        else:
+            total = 0
+            for ra, rb, fa, fb in _ROOTS:
+                na, nb = x + ra, y + rb
+                k = mult.get((na, nb))
+                while k:
+                    total += k * (fa * na + fb * nb)
+                    na += ra
+                    nb += rb
+                    k = mult.get((na, nb))
+            if denom <= 0:
+                raise ArithmeticError(
+                    f"Freudenthal denominator {denom} at ({x},{y}) "
+                    f"in V({a},{b})"
+                )
+            m, r = divmod(2 * total, denom)
+            if r or m <= 0:
+                raise ArithmeticError(
+                    f"Freudenthal recursion gives {2 * total}/{denom} "
+                    f"at ({x},{y}) in V({a},{b})"
+                )
+        for w in weyl_orbit((x, y)):
+            mult[w] = m
     return mult
 
 
 @lru_cache(maxsize=None)
 def _irreducible_character(lam: Weight) -> Character:
-    terms: dict[Weight, int] = {}
-    for mu, m in _freudenthal(lam).items():
-        for w in weyl_orbit(mu):
-            terms[w] = m
-    return Character(terms)
+    return Character._wrap(_freudenthal(*lam))
 
 
 def irreducible_character(lam) -> Character:
     """Character of the irreducible module with highest weight lam."""
-    lam = Weight(*lam)
-    if not is_dominant(lam):
-        raise ValueError(f"highest weight must be dominant, got {lam}")
-    return _irreducible_character(lam)
+    return _irreducible_character(_highest_weight(lam, "lam"))
 
 
 def decompose(c: Character) -> dict[Weight, int]:
     """Write a Weyl-invariant character as a sum of irreducible ones.
 
-    Peels repeatedly at the height-maximal support weight.  Raises
-    ValueError if the input is not Weyl-invariant or not a nonnegative
-    integer combination of irreducible characters.
+    Peels repeatedly at the height-maximal dominant support weight.  A
+    Weyl-invariant character is determined by its dominant part, so only
+    dominant weights are tracked.  Raises ValueError if the input is not
+    Weyl-invariant or not a nonnegative integer combination of
+    irreducible characters.
     """
     if not c.is_weyl_invariant():
         raise ValueError("decompose expects a Weyl-invariant character")
-    remaining = dict(c.items())
+    remaining = {w: m for w, m in c.items() if w.a >= 0 and w.b >= 0}
     out: dict[Weight, int] = {}
     while remaining:
         mu = max(remaining, key=lambda w: (height(w), w))
         m = remaining[mu]
-        if not is_dominant(mu) or m < 0:
+        if m < 0:
             raise ValueError("not a nonnegative sum of irreducible characters")
         out[mu] = m
         for w, k in irreducible_character(mu).items():
-            left = remaining.get(w, 0) - m * k
-            if left:
-                remaining[w] = left
-            else:
-                remaining.pop(w, None)
+            if w.a >= 0 and w.b >= 0:
+                left = remaining.get(w, 0) - m * k
+                if left:
+                    remaining[w] = left
+                else:
+                    remaining.pop(w, None)
     return out
 
 
 def tensor(lam, mu) -> dict[Weight, int]:
-    """Decomposition of V(lam) (x) V(mu) into irreducibles."""
-    product = multiply(irreducible_character(lam), irreducible_character(mu))
-    return decompose(product)
+    """Decomposition of V(lam) (x) V(mu) into irreducibles (Brauer-Klimyk).
+
+    Runs over the weights of the factor of smaller dimension.  Raises
+    ArithmeticError if a multiplicity comes out negative.
+    """
+    lam = _highest_weight(lam, "lam")
+    mu = _highest_weight(mu, "mu")
+    big, small = (lam, mu) if weyl_dim(lam) >= weyl_dim(mu) else (mu, lam)
+    a, b = big.a + 1, big.b + 1  # big + rho
+    out: dict[tuple[int, int], int] = {}
+    for (na, nb), m in irreducible_character(small).items():
+        x, y, sign = dominant_chamber((a + na, b + nb))
+        if x and y:  # a point on a wall has a stabiliser and cancels
+            w = (x - 1, y - 1)
+            out[w] = out.get(w, 0) + sign * m
+    parts: dict[Weight, int] = {}
+    for (x, y), m in out.items():
+        if m < 0:
+            raise ArithmeticError(
+                f"Brauer-Klimyk gives multiplicity {m} for ({x},{y}) in "
+                f"V({lam.a},{lam.b}) (x) V({mu.a},{mu.b})"
+            )
+        if m:
+            parts[Weight(x, y)] = m
+    return parts
 
 
 def character_in_cone(c: Character, top: Weight) -> bool:

@@ -120,6 +120,7 @@ def verify_partition(family: Family, m: int) -> list[str]:
     `class_size_formula`.
     """
     failures: list[str] = []
+    coefficient = _region(family).coefficient
     region = set(enumerate_region(family, m))
     seen: dict[QuadIndex, tuple[int, int, int]] = {}
     for j, k, s in class_keys(family, m):
@@ -129,7 +130,8 @@ def verify_partition(family: Family, m: int) -> list[str]:
         except ValueError as exc:
             failures.append(f"m={m} key ({j},{k},{s}): {exc}")
             continue
-        expected = class_size_formula(family, m, j, k, s)
+        # representative has validated the key: the size is the coefficient
+        expected = coefficient(m, j, k)
         if len(members) != expected:
             failures.append(
                 f"m={m} key ({j},{k},{s}): class has {len(members)} points, "
@@ -164,9 +166,11 @@ def rebuild_graded_character(family: Family, m: int) -> GradedDecomposition:
     Independent of `kr_graded_character`: it never enumerates the region,
     only the class keys and the closed-form sizes.
     """
+    coefficient = _region(family).coefficient
     g = GradedDecomposition()
     for j, k, s in class_keys(family, m):
+        # representative has validated the key: the size is the coefficient
         rep = representative(family, m, j, k, s)
         weight, grade = wt_gr(family, m, rep)
-        g.add(grade, weight, class_size_formula(family, m, j, k, s))
+        g.add(grade, weight, coefficient(m, j, k))
     return g

@@ -106,6 +106,13 @@ def _region(family) -> _Region:
     return region
 
 
+def _check_m(m) -> None:
+    if type(m) is bool or not isinstance(m, int):
+        raise ValueError(f"m must be an int, got {m!r}")
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
+
+
 def _dot(c, r) -> int:
     c1, c2, c3, c4 = c
     r1, r2, r3, r4 = r
@@ -201,8 +208,7 @@ def enumerate_region(family: Family, m: int) -> list[QuadIndex]:
     coordinate, so the loops give the region and nothing else.
     """
     constraints = _region(family).constraints
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    _check_m(m)
     bounding = [
         [(n, c[i]) for n, (c, _) in enumerate(constraints)
          if c[i] and max(c[i + 1:], default=0) <= 0]
@@ -244,8 +250,7 @@ def _ladder(family: Family, m: int) -> GradedDecomposition:
 def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
     """Closed-form graded character in the irreducible basis."""
     family = Family(family)
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    _check_m(m)
     if not family.quad_indexed:
         return _ladder(family, m)
     g = GradedDecomposition()
@@ -286,8 +291,7 @@ def conjecture_graded_character(
     of one irreducible across a band of grades.
     """
     family = Family(family)
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+    _check_m(m)
     if not family.quad_indexed:
         return _ladder(family, m)
     g = GradedDecomposition()
@@ -334,10 +338,11 @@ def expand_weights(g: GradedDecomposition) -> dict[int, Character]:
     """Expand each grade through the irreducible characters."""
     out: dict[int, Character] = {}
     for grade in g.grades():
-        total = Character()
+        total: dict[Weight, int] = {}
         for weight, mult in g.component(grade).items():
-            total = total + irreducible_character(weight).scaled(mult)
-        out[grade] = total
+            for w, k in irreducible_character(weight).items():
+                total[w] = total.get(w, 0) + mult * k
+        out[grade] = Character(total)
     return out
 
 

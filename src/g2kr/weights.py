@@ -106,42 +106,53 @@ def is_dominant(w: Weight) -> bool:
 
 
 def inner(v: Weight, w: Weight) -> int:
-    """Weyl-invariant form with (alpha1, alpha1) = 2."""
-    return 2 * v.a * w.a + 3 * (v.a * w.b + v.b * w.a) + 6 * v.b * w.b
+    """Weyl-invariant form with (alpha1, alpha1) = 2 (any two int pairs)."""
+    (va, vb), (wa, wb) = v, w
+    return 2 * va * wa + 3 * (va * wb + vb * wa) + 6 * vb * wb
 
 
 def simple_reflection(i: int, w: Weight) -> Weight:
     """Reflection in the hyperplane orthogonal to alpha_i, i in {1, 2}."""
+    a, b = w
     if i == 1:
-        return Weight(-w.a, w.a + w.b)
+        return Weight(-a, a + b)
     if i == 2:
-        return Weight(w.a + 3 * w.b, -w.b)
+        return Weight(a + 3 * b, -b)
     raise ValueError(f"simple reflection index must be 1 or 2, got {i!r}")
 
 
 def weyl_orbit(w: Weight) -> frozenset[Weight]:
-    """Orbit of w under the (order 12, dihedral) Weyl group."""
-    w = Weight(*w)
-    orbit = {w}
-    frontier = [w]
-    while frontier:
-        fresh = []
-        for v in frontier:
-            for i in (1, 2):
-                u = simple_reflection(i, v)
-                if u not in orbit:
-                    orbit.add(u)
-                    fresh.append(u)
-        frontier = fresh
-    return frozenset(orbit)
+    """Orbit of w under the (order 12, dihedral) Weyl group.
+
+    The images of w under 1, s1, s2 s1, s1 s2 s1, s2 s1 s2 s1 and
+    s1 s2 s1 s2 s1, and their negatives (the longest element is -1).
+    """
+    half = [Weight(*w)]
+    for i in (1, 2, 1, 2, 1):
+        half.append(simple_reflection(i, half[-1]))
+    return frozenset(half) | frozenset(-v for v in half)
+
+
+def dominant_chamber(w: Weight) -> tuple[int, int, int]:
+    """(a, b, sign): the dominant weight (a, b) in the Weyl orbit of w, and
+    the sign det(x) of the Weyl group element x with x(w) = (a, b).
+
+    On a wall (a or b zero) x is not unique and the sign is that of the
+    reflections taken.  At most 6 reflections are needed (the length of
+    the longest element).
+    """
+    a, b = w
+    sign = 1
+    while a < 0 or b < 0:
+        a, b = simple_reflection(1 if a < 0 else 2, (a, b))
+        sign = -sign
+    return a, b, sign
 
 
 def dominant_representative(w: Weight) -> Weight:
     """The unique dominant weight in the Weyl orbit of w."""
-    # At most 6 reflections are needed (the length of the longest element).
-    while not (w.a >= 0 and w.b >= 0):
-        w = simple_reflection(1 if w.a < 0 else 2, w)
-    return w
+    a, b, _ = dominant_chamber(w)
+    return Weight(a, b)
 
 
 def coroot_coefficients(root: Weight) -> tuple[int, int]:

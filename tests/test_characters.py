@@ -138,6 +138,15 @@ def test_tensor_fixtures():
         ZERO: 1,
     }
     assert 14 * 14 == 77 + 77 + 27 + 14 + 1
+    # omega2 + nu + rho lies on a wall for nu = -omega1 and omega2 - omega1;
+    # for nu = omega2 - 2omega1 it reflects onto omega2 + rho with sign -1
+    # and cancels nu = 0
+    assert tensor(OMEGA1, OMEGA2) == {
+        Weight(1, 1): 1,
+        Weight(2, 0): 1,
+        Weight(1, 0): 1,
+    }
+    assert 7 * 14 == 64 + 27 + 7
 
 
 @given(dominants, dominants)
@@ -149,6 +158,42 @@ def test_tensor_properties(lam, mu):
     assert sum(m * weyl_dim(w) for w, m in parts.items()) == weyl_dim(
         lam
     ) * weyl_dim(mu)
+
+
+def test_tensor_matches_decompose_oracle():
+    # Brauer-Klimyk against peeling the product in the character ring
+    box = [Weight(a, b) for a in range(4) for b in range(4)]
+    for lam in box:
+        for mu in box:
+            product = multiply(irreducible_character(lam),
+                               irreducible_character(mu))
+            assert tensor(lam, mu) == decompose(product), (lam, mu)
+
+
+def test_tensor_deep_factor_both_orders():
+    # every weight of V(omega1) added to a weight deep in the dominant
+    # chamber stays dominant, so each gives one component of multiplicity 1
+    big = Weight(25, 25)
+    expected = {big + w: 1 for w in irreducible_character(OMEGA1).support()}
+    assert len(expected) == 7
+    assert tensor(OMEGA1, big) == expected
+    assert tensor(big, OMEGA1) == expected
+    assert sum(m * weyl_dim(w) for w, m in expected.items()) == 7 * weyl_dim(
+        big
+    )
+
+
+@pytest.mark.parametrize("bad", [(True, 0), (0, False), (1.5, 0), (0, "1"),
+                                 (1,), 3, None])
+def test_highest_weight_must_be_an_int_pair(bad):
+    with pytest.raises(ValueError, match="lam"):
+        weyl_dim(bad)
+    with pytest.raises(ValueError, match="lam"):
+        irreducible_character(bad)
+    with pytest.raises(ValueError, match="lam"):
+        tensor(bad, OMEGA1)
+    with pytest.raises(ValueError, match="mu"):
+        tensor(OMEGA1, bad)
 
 
 def test_decompose_irreducible_is_singleton():

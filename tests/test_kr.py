@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2kr.characters import Character, irreducible_character
 from g2kr.kr import (
     Family,
     GradedDecomposition,
@@ -292,6 +293,22 @@ def test_expanded_masses_agree_with_graded_dimensions(family, m):
     )
 
 
+@pytest.mark.parametrize(
+    "family, m",
+    [(Family.U1, m) for m in range(9)] + [(Family.T2, m) for m in range(7)],
+)
+def test_expand_weights_matches_character_sums(family, m):
+    # one accumulated dict per grade against the character-ring sum
+    g = kr_graded_character(family, m)
+    expected = {}
+    for grade in g.grades():
+        total = Character()
+        for weight, mult in g.component(grade).items():
+            total = total + irreducible_character(weight).scaled(mult)
+        expected[grade] = total
+    assert expand_weights(g) == expected
+
+
 def test_graded_dimensions():
     assert graded_dimensions(kr_graded_character(Family.U1, 1)) == [(0, 7)]
     assert graded_dimensions(kr_graded_character(Family.U2, 1)) == [
@@ -324,3 +341,11 @@ def test_negative_m_rejected():
         conjecture_graded_character(Family.T2, -2)
     with pytest.raises(ValueError):
         enumerate_region(Family.U1, -1)
+
+
+@pytest.mark.parametrize("m", [2.0, True, "3", None])
+@pytest.mark.parametrize("build", [kr_graded_character,
+                                   conjecture_graded_character])
+def test_non_int_m_rejected(build, m):
+    with pytest.raises(ValueError, match="m must be an int"):
+        build(Family.U1, m)

@@ -10,9 +10,11 @@ from g2kr.weights import (
     OMEGA1,
     OMEGA2,
     POSITIVE_ROOTS,
+    RHO,
     SHORT_ROOTS,
     Weight,
     coroot_coefficients,
+    dominant_chamber,
     dominant_representative,
     from_root_coords,
     in_root_cone,
@@ -82,6 +84,7 @@ def test_inner_gram_matrix():
     assert inner(OMEGA1, OMEGA2) == 3
     assert inner(OMEGA1, OMEGA1) == 2
     assert inner(OMEGA2, OMEGA2) == 6
+    assert inner((1, 0), (0, 1)) == inner(OMEGA1, OMEGA2)
 
 
 def test_twelve_alternating_reflections_close():
@@ -115,6 +118,23 @@ def test_orbit_structure(w):
     for v in orbit:
         for i in (1, 2):
             assert simple_reflection(i, v) in orbit
+
+
+def test_dominant_chamber_fixtures():
+    # -rho = w0(rho) and the longest element has length 6
+    assert dominant_chamber((-1, -1)) == (1, 1, 1)
+    assert dominant_chamber(simple_reflection(1, RHO)) == (1, 1, -1)
+    assert dominant_chamber((2, 5)) == (2, 5, 1)
+
+
+@given(weights)
+def test_dominant_chamber_sign(w):
+    a, b, sign = dominant_chamber(w)
+    assert Weight(a, b) == dominant_representative(w)
+    assert dominant_chamber(tuple(w)) == (a, b, sign)
+    if a and b:  # off the walls the sign is det of the unique element
+        for i in (1, 2):
+            assert dominant_chamber(simple_reflection(i, w)) == (a, b, -sign)
 
 
 def test_dominance():
