@@ -121,7 +121,10 @@ def _exact_div(m, d):
         new = []
         for x in row:
             q, r = divmod(x, d)
-            assert r == 0, "chevalley construction: non-exact division"
+            if r:
+                raise ArithmeticError(
+                    "chevalley construction: non-exact division"
+                )
             new.append(q)
         out.append(new)
     return out
@@ -132,17 +135,26 @@ def _is_zero(m):
 
 
 def _ratio(m, base):
-    """The integer c with m == c * base; asserts exact proportionality."""
+    """The integer c with m == c * base; ArithmeticError unless one exists."""
     for i in range(7):
         for j in range(7):
             if base[i][j]:
                 q, r = divmod(m[i][j], base[i][j])
-                assert r == 0, "chevalley construction: non-integer constant"
-                assert all(
-                    m[a][b] == q * base[a][b] for a in range(7) for b in range(7)
-                ), "chevalley construction: bracket not proportional to root vector"
+                if r:
+                    raise ArithmeticError(
+                        "chevalley construction: non-integer constant"
+                    )
+                if any(
+                    m[a][b] != q * base[a][b]
+                    for a in range(7)
+                    for b in range(7)
+                ):
+                    raise ArithmeticError(
+                        "chevalley construction: bracket not proportional "
+                        "to root vector"
+                    )
                 return q
-    raise AssertionError("chevalley construction: zero root vector")
+    raise ArithmeticError("chevalley construction: zero root vector")
 
 
 def _build_representation():
@@ -199,13 +211,14 @@ def _extract_table(matrices, h1, h2):
                     # is exact.
                     c1 = b[0][0]
                     c2 = b[1][1] + c1
-                    target = _add(_scale(h1, c1), _scale(h2, c2))
-                    assert b == target, "chevalley: bad Cartan bracket"
+                    if b != _add(_scale(h1, c1), _scale(h2, c2)):
+                        raise ArithmeticError("chevalley: bad Cartan bracket")
                     vec[H1], vec[H2] = c1, c2
                 else:
                     sign = 1 if delta in _ROOT_INDEX else -1
                     root = delta if sign == 1 else -delta
-                    assert root in _ROOT_INDEX, "chevalley: bracket off lattice"
+                    if root not in _ROOT_INDEX:
+                        raise ArithmeticError("chevalley: bracket off lattice")
                     k = _ROOT_INDEX[root] + (0 if sign == 1 else 6)
                     vec[k] = _ratio(b, matrices[k])
             row.append(tuple(vec))
@@ -213,16 +226,40 @@ def _extract_table(matrices, h1, h2):
     return tuple(table)
 
 
-class BracketTable:
-    """Structure constants and Killing form on the 14-element basis."""
+def _sparse_rows(brackets):
+    """rows[i][j]: the nonzero (k, c) of [b_i, b_j] = sum c*b_k."""
+    return tuple(
+        tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
+        for row in brackets
+    )
 
-    __slots__ = ("brackets", "killing", "weights", "names")
+
+class BracketTable:
+    """Structure constants and Killing form on the 14-element basis.
+
+    Sparse forms, derived once per table: `rows[i][j]` lists the nonzero
+    (k, c) of [b_i, b_j] = sum c*b_k, and `action[p][i][w]` the nonzero
+    (u, c) of (b_i (x) t^p) applied to basis vector w of K (w < DIM: the
+    adjoint copy; w = DIM: the grade-one line C), for p = 0, 1, 2.
+    """
+
+    __slots__ = ("brackets", "killing", "weights", "names", "rows", "action")
 
     def __init__(self, brackets, killing):
         self.brackets = brackets
         self.killing = killing
         self.weights = BASIS_WEIGHTS
         self.names = BASIS_NAMES
+        self.rows = _sparse_rows(brackets)
+        # (x (x) t^p)(y, a) = (delta_{p,0} [x, y], delta_{p,1} <x, y>)
+        self.action = (
+            tuple(row + ((),) for row in self.rows),
+            tuple(
+                tuple(((DIM, c),) if c else () for c in krow) + ((),)
+                for krow in killing
+            ),
+            (((),) * (DIM + 1),) * DIM,
+        )
 
     def basis_vector(self, i: int) -> tuple[int, ...]:
         return tuple(1 if k == i else 0 for k in range(DIM))
@@ -232,14 +269,13 @@ class BracketTable:
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            row = self.brackets[i]
+            row = self.rows[i]
             for j, yj in enumerate(y):
                 if not yj:
                     continue
                 c = xi * yj
-                for k, v in enumerate(row[j]):
-                    if v:
-                        acc[k] += c * v
+                for k, v in row[j]:
+                    acc[k] += c * v
         return tuple(acc)
 
     def killing_form(self, x, y) -> int:
@@ -259,14 +295,11 @@ def build_bracket_table() -> BracketTable:
     """Build (once) the verified structure-constant table."""
     matrices, h1, h2 = _build_representation()
     table = _extract_table(matrices, h1, h2)
-    # ad matrices act on the algebra itself; column j of ad(i) is [b_i, b_j].
-    ad = [
-        [[table[i][j][k] for j in range(DIM)] for k in range(DIM)]
-        for i in range(DIM)
-    ]
+    rows = _sparse_rows(table)
+    # tr(ad b_i . ad b_j): the sum over l and k of [b_i, b_l]_k [b_j, b_k]_l
     killing = tuple(
         tuple(
-            sum(ad[i][k][l] * ad[j][l][k] for k in range(DIM) for l in range(DIM))
+            sum(c * table[j][k][l] for l in range(DIM) for k, c in rows[i][l])
             for j in range(DIM)
         )
         for i in range(DIM)
@@ -346,24 +379,18 @@ def verify_structure() -> list[str]:
         if vec != want:
             failures.append(f"[x+{_root_label(root)}, x-{_root_label(root)}]"
                             " is not the coroot")
-    # Jacobi identity on every ordered triple.
-    zero = ZERO14
+    # Jacobi identity on every ordered triple of basis elements.
+    rows = t.rows
     for i in range(DIM):
-        bi = t.basis_vector(i)
         for j in range(DIM):
-            bj = t.basis_vector(j)
-            bij = t.brackets[i][j]
             for k in range(DIM):
-                bk = t.basis_vector(k)
-                total = tuple(
-                    x + y + z
-                    for x, y, z in zip(
-                        t.bracket(bij, bk),
-                        t.bracket(t.brackets[j][k], bi),
-                        t.bracket(t.brackets[k][i], bj),
-                    )
-                )
-                if total != zero:
+                total = [0] * DIM
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    # += [[b_x, b_y], b_z]
+                    for l, c in rows[x][y]:
+                        for u, d in rows[l][z]:
+                            total[u] += c * d
+                if any(total):
                     failures.append(
                         "Jacobi fails at "
                         f"({t.names[i]}, {t.names[j]}, {t.names[k]})"
@@ -386,12 +413,13 @@ def verify_killing() -> list[str]:
                     f"<{t.names[i]}, {t.names[j]}> nonzero across weight spaces"
                 )
     # <[x,y],z> + <y,[x,z]> = 0 on all basis triples.
+    kil = t.killing
     for i in range(DIM):
+        row = t.rows[i]
         for j in range(DIM):
-            bij = t.brackets[i][j]
             for k in range(DIM):
-                lhs = t.killing_form(bij, t.basis_vector(k))
-                rhs = t.killing_form(t.basis_vector(j), t.brackets[i][k])
+                lhs = sum(c * kil[l][k] for l, c in row[j])
+                rhs = sum(c * kil[j][l] for l, c in row[k])
                 if lhs + rhs != 0:
                     failures.append(
                         "killing invariance fails at "
@@ -417,14 +445,20 @@ def verify_killing() -> list[str]:
 
 
 def adjoint_weights() -> list[Weight]:
-    """Weights of the basis under ad(h1), ad(h2); asserts eigenvectors."""
+    """Weights of the basis under ad(h1), ad(h2).
+
+    Raises ArithmeticError if a basis vector is not an eigenvector.
+    """
     t = build_bracket_table()
     out = []
     for j in range(DIM):
         coeffs = []
         for hidx in (H1, H2):
             vec = t.brackets[hidx][j]
-            assert all(v == 0 for k, v in enumerate(vec) if k != j)
+            if any(v for k, v in enumerate(vec) if k != j):
+                raise ArithmeticError(
+                    f"{t.names[j]} is not an ad({t.names[hidx]}) eigenvector"
+                )
             coeffs.append(vec[j])
         out.append(Weight(coeffs[0], coeffs[1]))
     return out
@@ -467,21 +501,23 @@ def kr1_highest_vector() -> KElement:
 
 def kr1_action(x, power: int, v: KElement) -> KElement:
     """(x (x) t^power) applied to (y, a); zero for power >= 2."""
-    y, _ = v
-    if power == 0:
-        return (bracket(x, y), 0)
-    if power == 1:
-        return (ZERO14, killing_form(x, y))
-    return K_ZERO
+    if power not in (0, 1):
+        return K_ZERO
+    columns = build_bracket_table().action[power]
+    y, a = v
+    acc = [0] * (DIM + 1)
+    for i, xi in enumerate(x):
+        if xi:
+            for w, vw in enumerate((*y, a)):
+                if vw:
+                    for u, c in columns[i][w]:
+                        acc[u] += xi * vw * c
+    return (tuple(acc[:DIM]), acc[DIM])
 
 
 def _k_scale(c: int, v: KElement) -> KElement:
     y, a = v
     return (tuple(c * t for t in y), c * a)
-
-
-def _k_sub(u: KElement, v: KElement) -> KElement:
-    return (tuple(a - b for a, b in zip(u[0], v[0])), u[1] - v[1])
 
 
 def verify_kr1_relations() -> list[str]:
@@ -537,21 +573,26 @@ def verify_kr1_relations() -> list[str]:
 
     # Module axiom: [x (x) t^p, y (x) t^q] = [x,y] (x) t^{p+q} as operators,
     # on all 15 basis vectors of K and all depths p+q <= 2.
-    basis_k = [(t.basis_vector(i), 0) for i in range(DIM)] + [(ZERO14, 1)]
     for i in range(DIM):
-        bi = t.basis_vector(i)
         for j in range(DIM):
-            bj = t.basis_vector(j)
-            z = t.brackets[i][j]
+            z = t.rows[i][j]
             for p in range(3):
                 for q in range(3 - p):
-                    for w in basis_k:
-                        direct = kr1_action(z, p + q, w)
-                        nested = _k_sub(
-                            kr1_action(bi, p, kr1_action(bj, q, w)),
-                            kr1_action(bj, q, kr1_action(bi, p, w)),
-                        )
-                        if direct != nested:
+                    xi, xj = t.action[p][i], t.action[q][j]
+                    zpq = t.action[p + q]
+                    for w in range(DIM + 1):
+                        # x_i x_j w - x_j x_i w - [x_i, x_j] w
+                        diff = [0] * (DIM + 1)
+                        for u, c in xj[w]:
+                            for e, d in xi[u]:
+                                diff[e] += c * d
+                        for u, c in xi[w]:
+                            for e, d in xj[u]:
+                                diff[e] -= c * d
+                        for l, c in z:
+                            for e, d in zpq[l][w]:
+                                diff[e] -= c * d
+                        if any(diff):
                             failures.append(
                                 "module axiom fails at "
                                 f"({t.names[i]} (x) t^{p}, "

@@ -196,60 +196,53 @@ def _run_kr(args) -> tuple[str, int]:
 
 # --- verify -----------------------------------------------------------------
 
-def _verify_conjecture(families, max_m):
-    checks = []
-    negatives: list = []
-    for family in families:
+def _verify_kr(conjecture_families, class_families, max_m):
+    """Conjecture checks, then class checks, for each family and m <= max_m.
+
+    Each closed-form graded character is computed once and serves both.
+    """
+    conjecture, classes, negatives = [], [], []
+    for family in Family:
+        if family not in conjecture_families and family not in class_families:
+            continue
         for m in range(max_m + 1):
-            diffs = compare(
-                kr_graded_character(family, m),
-                conjecture_graded_character(family, m, negatives),
-            )
-            entry = {
-                "check": "conjecture",
-                "family": family.value,
-                "m": m,
-                "ok": not diffs,
-            }
-            if diffs:
-                entry["differences"] = [
-                    {
-                        "grade": g,
-                        "weight": [w.a, w.b],
-                        "theorem": ma,
-                        "conjecture": mb,
-                    }
-                    for g, w, ma, mb in diffs
-                ]
-            checks.append(entry)
+            theorem = kr_graded_character(family, m)
+            if family in conjecture_families:
+                conjecture.append(
+                    _conjecture_entry(family, m, theorem, negatives)
+                )
+            if family in class_families:
+                classes.append(_classes_entry(family, m, theorem))
     negative_entries = [
         {"family": f.value, "m": m, "j": j, "k": k, "coefficient": c}
         for f, m, j, k, c in negatives
     ]
-    return checks, negative_entries
+    return conjecture + classes, negative_entries
 
 
-def _verify_classes(families, max_m):
-    checks = []
-    for family in families:
-        for m in range(max_m + 1):
-            failures = equivalence.verify_partition(family, m)
-            two_route = (
-                equivalence.rebuild_graded_character(family, m)
-                == kr_graded_character(family, m)
-            )
-            if not two_route:
-                failures = failures + ["rebuilt graded character differs"]
-            entry = {
-                "check": "classes",
-                "family": family.value,
-                "m": m,
-                "ok": not failures,
-            }
-            if failures:
-                entry["failures"] = failures
-            checks.append(entry)
-    return checks
+def _conjecture_entry(family, m, theorem, negatives):
+    diffs = compare(
+        theorem, conjecture_graded_character(family, m, negatives)
+    )
+    entry = {"check": "conjecture", "family": family.value, "m": m,
+             "ok": not diffs}
+    if diffs:
+        entry["differences"] = [
+            {"grade": g, "weight": [w.a, w.b], "theorem": ma, "conjecture": mb}
+            for g, w, ma, mb in diffs
+        ]
+    return entry
+
+
+def _classes_entry(family, m, theorem):
+    failures = equivalence.verify_partition(family, m)
+    if equivalence.rebuild_graded_character(family, m) != theorem:
+        failures = failures + ["rebuilt graded character differs"]
+    entry = {"check": "classes", "family": family.value, "m": m,
+             "ok": not failures}
+    if failures:
+        entry["failures"] = failures
+    return entry
 
 
 def _verify_chevalley():
@@ -267,21 +260,19 @@ def _run_verify(args) -> tuple[str, int]:
         raise ValueError(f"--max-m must be nonnegative, got {args.max_m}")
     family = Family(args.family) if args.family else None
 
-    checks, negatives = [], []
+    conjecture_families, class_families = [], []
     if args.target in ("conjecture", "all"):
-        fams = [family] if family else list(Family)
-        got, negatives = _verify_conjecture(fams, args.max_m)
-        checks.extend(got)
+        conjecture_families = [family] if family else list(Family)
     if args.target in ("classes", "all"):
         # Ladder families have no classes: the library rejects an explicit
         # request; "all" skips them.
         if family is None:
-            fams = [f for f in Family if f.quad_indexed]
+            class_families = [f for f in Family if f.quad_indexed]
         elif family.quad_indexed or args.target == "classes":
-            fams = [family]
-        else:
-            fams = []
-        checks.extend(_verify_classes(fams, args.max_m))
+            class_families = [family]
+    checks, negatives = _verify_kr(
+        conjecture_families, class_families, args.max_m
+    )
     if args.target in ("chevalley", "all"):
         checks.extend(_verify_chevalley())
 

@@ -16,18 +16,21 @@ independent of full region enumeration.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterator
 
 from .kr import (
     Family,
     GradedDecomposition,
     QuadIndex,
-    _dot,
-    _interval,
+    _affine,
+    _check_m,
+    _graded,
     _region,
+    _signed,
+    _span,
     enumerate_region,
     in_region,
-    wt_gr,
 )
 
 
@@ -37,10 +40,17 @@ def shift_vector(family: Family) -> QuadIndex:
 
 
 def validate_key(family: Family, m: int, j: int, k: int, s: int) -> None:
-    """Raise ValueError naming the violated inequality, if any."""
-    region = _region(family)
-    if min(j, k, s) < 0:
-        raise ValueError(f"negative class key (j={j}, k={k}, s={s})")
+    """Raise ValueError naming the violated inequality, if any.
+
+    m, j, k and s must be nonnegative ints (bool excluded).
+    """
+    _validate(_region(family), m, j, k, s)
+
+
+def _validate(region, m, j, k, s) -> None:
+    if not type(m) is type(j) is type(k) is type(s) is int or min(j, k, s) < 0:
+        for name, value in (("m", m), ("j", j), ("k", k), ("s", s)):
+            _check_m(value, name)
     if region.family is Family.U1:
         if k > m // 3:
             raise ValueError(f"k <= floor(m/3) fails: k={k}, m={m}")
@@ -59,8 +69,9 @@ def validate_key(family: Family, m: int, j: int, k: int, s: int) -> None:
 
 def representative(family: Family, m: int, j: int, k: int, s: int) -> QuadIndex:
     """Canonical region point of the class labelled (j, k, s)."""
-    validate_key(family, m, j, k, s)
-    if _region(family).family is Family.U1:
+    region = _region(family)
+    _validate(region, m, j, k, s)
+    if region.family is Family.U1:
         r4, r1 = divmod(j - 2 * k, 3)  # j - 2k = r1 + 3*r4, 0 <= r1 <= 2
         return (r1, k + r4 - s, s, r4)
     return (j - s, s, 0, m - j - k)
@@ -68,8 +79,9 @@ def representative(family: Family, m: int, j: int, k: int, s: int) -> QuadIndex:
 
 def class_size_formula(family: Family, m: int, j: int, k: int, s: int) -> int:
     """Closed form for the number of region points in the class."""
-    validate_key(family, m, j, k, s)
-    return _region(family).coefficient(m, j, k)
+    region = _region(family)
+    _validate(region, m, j, k, s)
+    return region.coefficient(m, j, k)
 
 
 def class_members(family: Family, m: int, r) -> list[QuadIndex]:
@@ -79,19 +91,27 @@ def class_members(family: Family, m: int, r) -> list[QuadIndex]:
     shift, so the class is the interval of t that the constraints leave.
     """
     region = _region(family)
+    _check_m(m)
     r = tuple(r)
-    if not in_region(family, m, r):
+    if not in_region(region.family, m, r):
         raise ValueError(
             f"{r} is not in the {region.family.value} region for m={m}"
         )
-    shift = region.shift
-    steps = _interval(
-        [(_dot(c, r) + d * m, _dot(c, shift)) for c, d in region.constraints]
+    steps = _span(
+        _affine(region.constraints, m, r),
+        *_shift_bounds(region.family),
     )
-    (r1, r2, r3, r4), (s1, s2, s3, s4) = r, shift
+    (r1, r2, r3, r4), (s1, s2, s3, s4) = r, region.shift
     return [
         (r1 + t * s1, r2 + t * s2, r3 + t * s3, r4 + t * s4) for t in steps
     ]
+
+
+@cache
+def _shift_bounds(family: Family) -> tuple[list, list]:
+    # each constraint's rate of change along the shift, split by sign
+    region = _region(family)
+    return _signed(enumerate(_affine(region.constraints, 0, region.shift)))
 
 
 def class_keys(family: Family, m: int) -> Iterator[tuple[int, int, int]]:
@@ -166,11 +186,11 @@ def rebuild_graded_character(family: Family, m: int) -> GradedDecomposition:
     Independent of `kr_graded_character`: it never enumerates the region,
     only the class keys and the closed-form sizes.
     """
-    coefficient = _region(family).coefficient
-    g = GradedDecomposition()
+    region = _region(family)
+    counts: dict[tuple[int, int, int], int] = {}
     for j, k, s in class_keys(family, m):
         # representative has validated the key: the size is the coefficient
         rep = representative(family, m, j, k, s)
-        weight, grade = wt_gr(family, m, rep)
-        g.add(grade, weight, coefficient(m, j, k))
-    return g
+        key = tuple(_affine(region.wt_gr, m, rep))
+        counts[key] = counts.get(key, 0) + region.coefficient(m, j, k)
+    return _graded(counts)

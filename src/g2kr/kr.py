@@ -12,8 +12,12 @@ points r of a region in Z+^4:
         gr(r) = r1 + 2r2 + 2r3 + 3r4.
 
 Each region is defined once, in the `_REGIONS` table (affine constraints,
-shift vector, generating-function coefficient); membership, enumeration
-and the equivalence classes are all read off it.
+the affine (wt, gr) map, shift vector, generating-function coefficient);
+membership, enumeration, the graded character and the equivalence
+classes are all read off it.  The graded character never visits region
+points one by one: along each run of r4 through the region, (wt, gr) is
+an arithmetic progression, and C-level maps over r3 hand the runs of one
+(r1, r2) slab to a single Counter.
 
 The second form is a generating function whose coefficients count the
 points of equivalence classes inside the region (see the equivalence
@@ -23,8 +27,10 @@ module); `compare` checks the two forms against each other exactly.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple
+from itertools import chain, repeat
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .characters import Character, irreducible_character, weyl_dim
 from .weights import OMEGA1, OMEGA2, Weight
@@ -57,6 +63,8 @@ class _Region(NamedTuple):
     family: Family
     #: (c, d) pairs; the region is {r in Z^4 : c.r + d*m >= 0 for each pair}.
     constraints: tuple[tuple[QuadIndex, int], ...]
+    #: (c, d) rows of wt = (a, b) and gr: a = c.r + d*m, then b, then gr.
+    wt_gr: tuple[tuple[QuadIndex, int], ...]
     #: wt and gr are constant along this vector.
     shift: QuadIndex
     #: Generating-function coefficient at (m, j, k), before clamping at 0.
@@ -81,12 +89,14 @@ _REGIONS = {
         _Region(
             Family.U1,
             _NONNEGATIVE + (((0, 1, 0, -1), 0), ((-2, -3, -3, 0), 1)),
+            (((-1, -3, -3, 0), 1), ((0, 1, 1, -1), 0), ((1, 1, 2, 2), 0)),
             (3, -1, 0, -1),
             _u1_coefficient,
         ),
         _Region(
             Family.T2,
             _NONNEGATIVE + (((1, 0, -1, 0), 0), ((-1, -1, -1, -1), 1)),
+            (((1, 1, -1, 0), 0), ((-1, -1, 0, -1), 1), ((1, 2, 2, 3), 0)),
             (1, 0, 1, -1),
             _t2_coefficient,
         ),
@@ -106,28 +116,21 @@ def _region(family) -> _Region:
     return region
 
 
-def _check_m(m) -> None:
+def _check_m(m, name: str = "m") -> None:
+    """Raise ValueError unless m is a nonnegative int (bool excluded)."""
     if type(m) is bool or not isinstance(m, int):
-        raise ValueError(f"m must be an int, got {m!r}")
+        raise ValueError(f"{name} must be an int, got {m!r}")
     if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
+        raise ValueError(f"{name} must be nonnegative, got {m}")
 
 
-def _dot(c, r) -> int:
-    c1, c2, c3, c4 = c
+def _affine(rows, m: int, r) -> list[int]:
+    """c.r + d*m for each (c, d) of rows."""
     r1, r2, r3, r4 = r
-    return c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4
-
-
-def _interval(bounds) -> range:
-    """The integers t with v + s*t >= 0 for every (v, s) pair with s != 0.
-
-    Pairs with s == 0 are ignored; at least one s must be positive and
-    one negative.
-    """
-    lo = max(-(v // s) for v, s in bounds if s > 0)
-    hi = min(v // -s for v, s in bounds if s < 0)
-    return range(lo, hi + 1)
+    return [
+        c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4 + d * m
+        for (c1, c2, c3, c4), d in rows
+    ]
 
 
 class GradedDecomposition:
@@ -141,6 +144,14 @@ class GradedDecomposition:
 
     def __init__(self):
         self._grades: dict[int, dict[Weight, int]] = {}
+
+    @classmethod
+    def _wrap(cls, grades: dict[int, dict[Weight, int]]):
+        # grades must hold Weight keys, no zero multiplicity and no empty
+        # grade; it is not copied.
+        g = cls.__new__(cls)
+        g._grades = grades
+        return g
 
     def add(self, grade: int, weight: Weight, mult: int = 1) -> None:
         if mult == 0:
@@ -183,60 +194,101 @@ class GradedDecomposition:
         return f"GradedDecomposition({self._grades!r})"
 
 
+def _graded(counts) -> GradedDecomposition:
+    """The decomposition with multiplicity n at each (a, b, grade) -> n."""
+    grades: dict[int, dict[Weight, int]] = {}
+    weights: dict[tuple[int, int], Weight] = {}
+    for key, n in counts.items():
+        if n:
+            ab = key[:2]
+            weight = weights.get(ab)
+            if weight is None:
+                weight = weights[ab] = Weight(*ab)
+            component = grades.get(key[2])
+            if component is None:
+                component = grades[key[2]] = {}
+            component[weight] = n
+    return GradedDecomposition._wrap(grades)
+
+
 def wt_gr(family: Family, m: int, r) -> tuple[Weight, int]:
     """(weight, grade) of a quad index for the quad-indexed families."""
-    r1, r2, r3, r4 = r
-    if family is Family.U1:
-        return (
-            Weight(m - r1 - 3 * r2 - 3 * r3, r2 + r3 - r4),
-            r1 + r2 + 2 * r3 + 2 * r4,
-        )
-    if family is Family.T2:
-        return (
-            Weight(r1 + r2 - r3, m - r1 - r2 - r4),
-            r1 + 2 * r2 + 2 * r3 + 3 * r4,
-        )
-    return wt_gr(_region(family).family, m, r)
+    a, b, grade = _affine(_region(family).wt_gr, m, r)
+    return Weight(a, b), grade
 
 
-def enumerate_region(family: Family, m: int) -> list[QuadIndex]:
-    """All quad indices of the family's region, in lexicographic order.
+def _span(values, lower, upper) -> range:
+    """The t with values[n] + s*t >= 0 for each (n, s) in lower and
+    values[n] - s*t >= 0 for each (n, s) in upper (every s > 0)."""
+    return range(
+        max([-(values[n] // s) for n, s in lower]),
+        min([values[n] // s for n, s in upper]) + 1,
+    )
+
+
+def _signed(pairs) -> tuple[list, list]:
+    """(n, s) pairs with s != 0 as the (lower, upper) lists of `_span`."""
+    pairs = list(pairs)
+    return (
+        [(n, s) for n, s in pairs if s > 0],
+        [(n, -s) for n, s in pairs if s < 0],
+    )
+
+
+def _slabs(region: _Region, m: int) -> Iterator[tuple]:
+    """The region as slabs of fixed (r1, r2), in lexicographic order.
+
+    Yields ((r1, r2), r3s, (n, dn), keys): r3s is the range of r3, and for
+    r3 in r3s the region points are (r1, r2, r3, r4) for the n + dn*r3
+    values of r4 from 0 on.  keys holds (v, dv, step) for each (wt, gr)
+    row: the row is v + dv*r3 at r4 = 0 and grows by step with r4.
 
     r_i is bounded by the constraints nonzero at i with no positive later
     coefficient: the later coordinates are >= 0, so dropping them loosens
     such a constraint.  Each constraint is exact at its last nonzero
     coordinate, so the loops give the region and nothing else.
     """
-    constraints = _region(family).constraints
-    _check_m(m)
-    bounding = [
-        [(n, c[i]) for n, (c, _) in enumerate(constraints)
-         if c[i] and max(c[i + 1:], default=0) <= 0]
+    constraints = region.constraints
+    rows = constraints + region.wt_gr
+    b1, b2, b3, (lower, upper) = (
+        _signed(
+            (n, c[i]) for n, (c, _) in enumerate(constraints)
+            if max(c[i + 1:], default=0) <= 0
+        )
         for i in range(4)
+    )
+    # r4 >= 0 and one bound r4 <= (affine in r3): a run's length is affine
+    if [constraints[n] for n, _ in lower] != [((0, 0, 0, 1), 0)] or (
+        [s for _, s in upper] != [1]
+    ):
+        raise NotImplementedError("r4 needs r4 >= 0 and one unit bound")
+    ((top, _),) = upper
+    c1, c2, c3, c4 = ([c[i] for c, _ in rows] for i in range(4))
+    key_rows = range(len(constraints), len(rows))
+    v0 = [d * m for _, d in rows]
+    for r1 in _span(v0, *b1):
+        v1 = [v + r1 * c for v, c in zip(v0, c1)]
+        for r2 in _span(v1, *b2):
+            v2 = [v + r2 * c for v, c in zip(v1, c2)]
+            keys = [(v2[k], c3[k], c4[k]) for k in key_rows]
+            yield (r1, r2), _span(v2, *b3), (v2[top] + 1, c3[top]), keys
+
+
+def enumerate_region(family: Family, m: int) -> list[QuadIndex]:
+    """All quad indices of the family's region, in lexicographic order."""
+    region = _region(family)
+    _check_m(m)
+    return [
+        (r1, r2, r3, r4)
+        for (r1, r2), r3s, (n, dn), _ in _slabs(region, m)
+        for r3 in r3s
+        for r4 in range(n + dn * r3)
     ]
-    out: list[QuadIndex] = []
-    _extend(out, constraints, bounding, (), [d * m for _, d in constraints])
-    return out
-
-
-def _extend(out, constraints, bounding, prefix, values) -> None:
-    # Appends the region points that start with prefix; values[n] is
-    # constraint n at the prefix padded with zeros.
-    i = len(prefix)
-    steps = _interval([(values[n], s) for n, s in bounding[i]])
-    if i == 3:
-        out.extend([(*prefix, t) for t in steps])
-    else:
-        for t in steps:
-            row = [v + t * c[i] for v, (c, _) in zip(values, constraints)]
-            _extend(out, constraints, bounding, (*prefix, t), row)
 
 
 def in_region(family: Family, m: int, r) -> bool:
     """Membership test for the family's region."""
-    return all(
-        _dot(c, r) + d * m >= 0 for c, d in _region(family).constraints
-    )
+    return min(_affine(_region(family).constraints, m, r)) >= 0
 
 
 def _ladder(family: Family, m: int) -> GradedDecomposition:
@@ -248,16 +300,42 @@ def _ladder(family: Family, m: int) -> GradedDecomposition:
 
 
 def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
-    """Closed-form graded character in the irreducible basis."""
+    """Closed-form graded character in the irreducible basis.
+
+    Counts the (a, b, grade) keys of the region points in one C-level
+    pass, with no Python step per point or per run of r4.
+    """
     family = Family(family)
     _check_m(m)
     if not family.quad_indexed:
         return _ladder(family, m)
-    g = GradedDecomposition()
-    for r in enumerate_region(family, m):
-        weight, grade = wt_gr(family, m, r)
-        g.add(grade, weight, 1)
-    return g
+    keys = chain.from_iterable(_slab_keys(_REGIONS[family], m))
+    return _graded(Counter(keys))
+
+
+def _slab_keys(region: _Region, m: int) -> Iterator[Iterator[tuple]]:
+    # Along each run of r4 the (wt, gr) rows are arithmetic progressions:
+    # one zip per run, made by C-level maps over the r3 of a slab.
+    for _, r3s, (n, dn), keys in _slabs(region, m):
+        k, t = len(r3s), r3s.start
+        n += t * dn
+        columns = []
+        for v, dv, step in keys:
+            v += t * dv
+            starts = _progression(v, dv, k)
+            if step:
+                stops = _progression(v + n * step, dv + dn * step, k)
+                columns.append(map(range, starts, stops, repeat(step)))
+            else:
+                columns.append(map(repeat, starts, _progression(n, dn, k)))
+        yield chain.from_iterable(map(zip, *columns))
+
+
+def _progression(start: int, step: int, n: int) -> Iterable[int]:
+    """start, start + step, ... (n terms; none if n <= 0)."""
+    if step:
+        return range(start, start + n * step, step)
+    return repeat(start, n)
 
 
 def conjecture_coefficient(family, m, j, k, negatives=None):
@@ -324,6 +402,8 @@ def compare(
 
     Empty list iff a and b agree as functions (grade, weight) -> multiplicity.
     """
+    if a == b:
+        return []
     keys = {(g, w) for g, w, _ in a.items()} | {(g, w) for g, w, _ in b.items()}
     diffs = []
     for grade, weight in sorted(keys):

@@ -1,3 +1,6 @@
+import pytest
+
+from g2kr import chevalley
 from g2kr.characters import irreducible_character
 from g2kr.chevalley import (
     DIM,
@@ -8,6 +11,7 @@ from g2kr.chevalley import (
     X_MINUS,
     X_PLUS,
     ZERO14,
+    BracketTable,
     adjoint_weights,
     basis_vector,
     bracket,
@@ -16,6 +20,7 @@ from g2kr.chevalley import (
     killing_form,
     kr1_action,
     kr1_highest_vector,
+    verify_all,
     verify_killing,
     verify_kr1_relations,
     verify_structure,
@@ -120,6 +125,16 @@ def test_kr1_action_formula():
     assert kr1_action(x, 1, v) == (ZERO14, killing_form(x, y))
     assert kr1_action(x, 2, v) == K_ZERO
     assert kr1_action(x, 7, v) == K_ZERO
+    # on every pair of basis elements, and on a sum with a grade-one part
+    for i in range(DIM):
+        x = basis_vector(i)
+        for j in range(DIM):
+            y = basis_vector(j)
+            assert kr1_action(x, 0, (y, 0)) == (bracket(x, y), 0)
+            assert kr1_action(x, 1, (y, 0)) == (ZERO14, killing_form(x, y))
+        y = tuple(range(DIM))
+        assert kr1_action(x, 0, (y, 3)) == (bracket(x, y), 0)
+        assert kr1_action(x, 1, (y, 3)) == (ZERO14, killing_form(x, y))
 
 
 def test_highest_vector_is_highest_root_vector():
@@ -166,3 +181,62 @@ def test_grade_masses_match_ladder_character():
 
     expanded = expand_weights(kr_graded_character(Family.U2, 1))
     assert [expanded[n].mass() for n in sorted(expanded)] == [DIM, 1]
+
+
+def _use_table(monkeypatch, brackets, killing):
+    table = BracketTable(brackets, killing)
+    monkeypatch.setattr(chevalley, "build_bracket_table", lambda: table)
+
+
+def _failure_counts():
+    return {name: len(failures) for name, failures in verify_all().items()}
+
+
+def test_doubled_structure_constant_is_caught(monkeypatch):
+    # [x+a1, x+a2] and its antisymmetric partner doubled, Killing form kept
+    good = build_bracket_table()
+    brackets = [list(row) for row in good.brackets]
+    i, j = X_PLUS[0], X_PLUS[1]
+    brackets[i][j] = tuple(2 * c for c in brackets[i][j])
+    brackets[j][i] = tuple(2 * c for c in brackets[j][i])
+    _use_table(monkeypatch, tuple(map(tuple, brackets)), good.killing)
+    assert _failure_counts() == {
+        "structure": 66,
+        "killing": 4,
+        "kr-relations": 74,
+        "adjoint-weights": 0,
+    }
+    assert verify_structure()[0].startswith("Jacobi fails at (x+[1,0], x+[0,1],")
+    assert any(f.startswith("module axiom fails") for f in verify_kr1_relations())
+
+
+def test_altered_killing_entry_is_caught(monkeypatch):
+    good = build_bracket_table()
+    killing = [list(row) for row in good.killing]
+    killing[X_PLUS[0]][X_MINUS[0]] += 1
+    _use_table(monkeypatch, good.brackets, tuple(map(tuple, killing)))
+    assert _failure_counts() == {
+        "structure": 0,
+        "killing": 19,
+        "kr-relations": 32,
+        "adjoint-weights": 0,
+    }
+    assert verify_killing()[0] == "killing symmetry fails at (x+[1,0], x-[1,0])"
+
+
+def test_construction_failures_raise_arithmetic_error():
+    # explicit exceptions, so that python -O keeps these checks
+    with pytest.raises(ArithmeticError, match="non-exact division"):
+        chevalley._exact_div([[2, 3]], 2)
+    base = [[0] * 7 for _ in range(7)]
+    base[0][1], base[2][3] = 1, 2
+    with pytest.raises(ArithmeticError, match="non-integer"):
+        chevalley._ratio([[3 * x for x in row] for row in base], [
+            [2 * x for x in row] for row in base
+        ])
+    skewed = [row[:] for row in base]
+    skewed[2][3] = 5
+    with pytest.raises(ArithmeticError, match="not proportional"):
+        chevalley._ratio(skewed, base)
+    with pytest.raises(ArithmeticError, match="zero root vector"):
+        chevalley._ratio(base, [[0] * 7 for _ in range(7)])

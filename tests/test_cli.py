@@ -271,6 +271,7 @@ def test_out_file_unwritable_is_usage_error(tmp_path, capsys):
     "command",
     [
         pytest.param(["verify", "all", "--max-m", "10"], id="verify-all"),
+        pytest.param(["verify", "chevalley"], id="verify-chevalley"),
         pytest.param(["tensor", "3", "2", "2", "3"], id="tensor"),
         pytest.param(["char", "7", "5"], id="char"),
     ],

@@ -9,6 +9,7 @@ from g2kr.equivalence import (
     rebuild_graded_character,
     representative,
     shift_vector,
+    validate_key,
     verify_partition,
 )
 from g2kr.kr import Family, enumerate_region, kr_graded_character, wt_gr
@@ -75,6 +76,26 @@ def test_invalid_keys_rejected():
         representative(Family.T1, 3, 1, 0, 0)
     with pytest.raises(ValueError, match="negative"):
         class_size_formula(Family.U1, 3, -1, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [6.0, True, "6", None])
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize(
+    "key_function", [validate_key, representative, class_size_formula]
+)
+def test_key_arguments_must_be_ints(key_function, position, bad):
+    # (m, j, k, s) = (6, 2, 0, 0) is a valid U1 key
+    args = [6, 2, 0, 0]
+    args[position] = bad
+    name = "mjks"[position]
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        key_function("u1", *args)
+
+
+@pytest.mark.parametrize("bad", [6.0, True, "6", None])
+def test_class_members_m_must_be_an_int(bad):
+    with pytest.raises(ValueError, match="m must be an int"):
+        class_members("u1", bad, (2, 0, 0, 0))
 
 
 def test_class_members_fixtures():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2kr.characters import Character, irreducible_character
+from g2kr.equivalence import shift_vector
 from g2kr.kr import (
     Family,
     GradedDecomposition,
@@ -233,6 +234,48 @@ def test_conjecture_matches_theorem_sweep(family):
             == []
         )
     assert negatives == []
+
+
+@pytest.mark.parametrize("family", QUAD)
+def test_closed_form_matches_per_point_oracle(family):
+    # oracle: one wt_gr and one GradedDecomposition.add per region point
+    for m in range(31):
+        oracle = GradedDecomposition()
+        for r in enumerate_region(family, m):
+            weight, grade = wt_gr(family, m, r)
+            oracle.add(grade, weight, 1)
+        fast = kr_graded_character(family, m)
+        assert fast == oracle, m
+        assert list(fast.items()) == list(oracle.items())
+        assert all(type(w) is Weight for _, w, _ in fast.items())
+
+
+@pytest.mark.parametrize("family", QUAD)
+def test_shift_in_kernel_of_wt_gr(family):
+    # at m = 0 the affine (wt, gr) map is linear
+    shift = shift_vector(family)
+    assert wt_gr(family, 0, shift) == (ZERO, 0)
+    assert wt_gr(family, 0, tuple(-2 * c for c in shift)) == (ZERO, 0)
+
+
+def test_compare_lists_every_difference_sorted():
+    a = kr_graded_character(Family.T2, 5)
+    b = conjecture_graded_character(Family.T2, 5)
+    assert compare(a, b) == []
+    b.add(0, Weight(0, 5), 2)        # mult 1 -> 3
+    b.add(7, Weight(1, 1), -1)       # drop a term
+    b.add(2, Weight(9, 9), 4)        # new term in an existing grade
+    b.add(40, Weight(0, 0), 1)       # new grade
+    a.add(40, Weight(1, 0), 5)
+    keys = {(g, w) for g, w, _ in [*a.items(), *b.items()]}
+    expected = [
+        (g, w, a.multiplicity(g, w), b.multiplicity(g, w))
+        for g, w in sorted(keys)
+        if a.multiplicity(g, w) != b.multiplicity(g, w)
+    ]
+    assert len(expected) == 5
+    assert compare(a, b) == expected
+    assert compare(b, a) == [(g, w, mb, ma) for g, w, ma, mb in expected]
 
 
 def test_compare_reports_differences():
