@@ -135,9 +135,7 @@ def _highest_weight(lam, name: str) -> Weight:
     ):
         raise ValueError(f"{name} must have int coordinates, got {lam!r}")
     if a < 0 or b < 0:
-        raise ValueError(
-            f"highest weight {name} must be dominant, got ({a},{b})"
-        )
+        raise ValueError(f"highest weight {name} ({a},{b}) is not dominant")
     return Weight(a, b)
 
 

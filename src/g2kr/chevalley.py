@@ -261,9 +261,6 @@ class BracketTable:
             (((),) * (DIM + 1),) * DIM,
         )
 
-    def basis_vector(self, i: int) -> tuple[int, ...]:
-        return tuple(1 if k == i else 0 for k in range(DIM))
-
     def bracket(self, x, y) -> tuple[int, ...]:
         acc = [0] * DIM
         for i, xi in enumerate(x):
@@ -308,7 +305,8 @@ def build_bracket_table() -> BracketTable:
 
 
 def basis_vector(i: int) -> tuple[int, ...]:
-    return build_bracket_table().basis_vector(i)
+    """Coefficients of the i-th basis element."""
+    return tuple(1 if k == i else 0 for k in range(DIM))
 
 
 def x_plus(root_index: int) -> tuple[int, ...]:
@@ -534,7 +532,7 @@ def verify_kr1_relations() -> list[str]:
     v = kr1_highest_vector()
 
     for idx in range(6):
-        x = t.basis_vector(X_PLUS[idx])
+        x = basis_vector(X_PLUS[idx])
         for power in range(4):
             if kr1_action(x, power, v) != K_ZERO:
                 failures.append(
@@ -552,21 +550,21 @@ def verify_kr1_relations() -> list[str]:
                     f"(h{hi} (x) t^{power}) acts with the wrong eigenvalue"
                 )
 
-    if kr1_action(t.basis_vector(X_MINUS[0]), 0, v) != K_ZERO:
+    if kr1_action(basis_vector(X_MINUS[0]), 0, v) != K_ZERO:
         failures.append("x-_{a1} does not annihilate the highest vector")
 
-    w1 = kr1_action(t.basis_vector(X_MINUS[1]), 0, v)
-    if kr1_action(t.basis_vector(X_MINUS[1]), 0, w1) != K_ZERO:
+    w1 = kr1_action(basis_vector(X_MINUS[1]), 0, v)
+    if kr1_action(basis_vector(X_MINUS[1]), 0, w1) != K_ZERO:
         failures.append("(x-_{a2})^2 does not annihilate the highest vector")
 
-    if kr1_action(t.basis_vector(X_MINUS[1]), 1, v) != K_ZERO:
+    if kr1_action(basis_vector(X_MINUS[1]), 1, v) != K_ZERO:
         failures.append("(x-_{a2} (x) t) does not annihilate the highest vector")
 
-    top = kr1_action(t.basis_vector(X_MINUS[HIGHEST]), 1, v)
+    top = kr1_action(basis_vector(X_MINUS[HIGHEST]), 1, v)
     if top == K_ZERO:
         failures.append("(x-_{theta} (x) t) kills the highest vector")
     for idx in range(6):
-        if kr1_action(t.basis_vector(X_PLUS[idx]), 0, top) != K_ZERO:
+        if kr1_action(basis_vector(X_PLUS[idx]), 0, top) != K_ZERO:
             failures.append(
                 "the grade-one generator is not a highest-weight vector"
             )
@@ -607,7 +605,7 @@ def verify_kr1_relations() -> list[str]:
         fresh = []
         for y in frontier:
             for i in range(DIM):
-                z = t.bracket(t.basis_vector(i), y)
+                z = t.bracket(basis_vector(i), y)
                 if any(z) and _reduce_into(z, pivots):
                     fresh.append(z)
         frontier = fresh

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+from operator import itemgetter
 
 from . import chevalley, equivalence
 from .characters import irreducible_character, tensor, weyl_dim
@@ -23,10 +24,9 @@ from .kr import (
     compare,
     conjecture_graded_character,
     expand_weights,
-    graded_dimensions,
     kr_graded_character,
 )
-from .weights import Weight, height, is_dominant
+from .weights import height
 
 FAMILIES = [f.value for f in Family]
 
@@ -38,163 +38,162 @@ def _width() -> int:
         return 80
 
 
-def _render_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _render(fmt: str, payload, header, rows, table) -> str:
+    """Output text in format fmt.
 
-
-def _render_csv(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _weight_key(w: Weight):
-    return (w.a, w.b)
+    Each runner returns (payload, header, rows, table, exit code); payload,
+    rows and table are thunks, and only the one that fmt asks for is called.
+    """
+    if fmt == "json":
+        return json.dumps(payload(), indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows())
+        return buf.getvalue()
+    return "\n".join(table()) + "\n"
 
 
 # --- char -------------------------------------------------------------------
 
-def _run_char(args) -> tuple[str, int]:
-    lam = Weight(args.a, args.b)
-    if not is_dominant(lam):
-        raise ValueError(f"weight ({lam.a},{lam.b}) is not dominant")
-    char = irreducible_character(lam)
-    dim = weyl_dim(lam)
-    terms = sorted(char.items(), key=lambda kv: _weight_key(kv[0]))
-    if args.format == "json":
-        payload = {
-            "weight": [lam.a, lam.b],
+def _run_char(args):
+    char = irreducible_character((args.a, args.b))
+    dim = weyl_dim((args.a, args.b))
+
+    def terms():
+        return sorted(char.items(), key=itemgetter(0))
+
+    def payload():
+        return {
+            "weight": [args.a, args.b],
             "dim": dim,
-            "terms": [
-                {"weight": [w.a, w.b], "mult": m} for w, m in terms
-            ],
+            "terms": [{"weight": [w.a, w.b], "mult": m} for w, m in terms()],
         }
-        return _render_json(payload), 0
-    if args.format == "csv":
-        rows = [(w.a, w.b, m) for w, m in terms]
-        return _render_csv(("weight_a", "weight_b", "mult"), rows), 0
-    # Table: weights packed highest-first into lines under the width hint.
-    ordered = sorted(char.items(), key=lambda kv: (-height(kv[0]), kv[0]))
-    cells = [f"({w.a},{w.b}):{m}" for w, m in ordered]
-    lines = [f"ch V({lam.a},{lam.b})   dim {dim}   weights {len(cells)}"]
-    width = _width()
-    line = ""
-    for cell in cells:
-        if line and len(line) + len(cell) + 2 > width:
+
+    def table():
+        # Weights packed highest-first into lines under the width hint.
+        ordered = sorted(char.items(), key=lambda kv: (-height(kv[0]), kv[0]))
+        cells = [f"({w.a},{w.b}):{m}" for w, m in ordered]
+        lines = [f"ch V({args.a},{args.b})   dim {dim}   weights {len(cells)}"]
+        width = _width()
+        line = ""
+        for cell in cells:
+            if line and len(line) + len(cell) + 2 > width:
+                lines.append(line)
+                line = ""
+            line = f"{line}  {cell}" if line else f"  {cell}"
+        if line:
             lines.append(line)
-            line = ""
-        line = f"{line}  {cell}" if line else f"  {cell}"
-    if line:
-        lines.append(line)
-    return "\n".join(lines) + "\n", 0
+        return lines
+
+    def rows():
+        return [(w.a, w.b, m) for w, m in terms()]
+
+    return payload, ("weight_a", "weight_b", "mult"), rows, table, 0
 
 
 # --- tensor -----------------------------------------------------------------
 
-def _run_tensor(args) -> tuple[str, int]:
-    lam = Weight(args.a1, args.b1)
-    mu = Weight(args.a2, args.b2)
-    for w in (lam, mu):
-        if not is_dominant(w):
-            raise ValueError(f"weight ({w.a},{w.b}) is not dominant")
+def _run_tensor(args):
+    lam, mu = (args.a1, args.b1), (args.a2, args.b2)
     parts = tensor(lam, mu)
+    dim_lam, dim_mu = weyl_dim(lam), weyl_dim(mu)
     ordered = sorted(parts.items(), key=lambda kv: (-height(kv[0]), kv[0]))
     dims = [(w, m, weyl_dim(w)) for w, m in ordered]
-    total = weyl_dim(lam) * weyl_dim(mu)
-    if args.format == "json":
-        payload = {
-            "factors": [[lam.a, lam.b], [mu.a, mu.b]],
-            "dim": total,
+
+    def payload():
+        return {
+            "factors": [list(lam), list(mu)],
+            "dim": dim_lam * dim_mu,
             "components": [
                 {"weight": [w.a, w.b], "mult": m, "dim": d}
                 for w, m, d in dims
             ],
         }
-        return _render_json(payload), 0
-    if args.format == "csv":
-        rows = [(w.a, w.b, m, d) for w, m, d in dims]
-        return _render_csv(("weight_a", "weight_b", "mult", "dim"), rows), 0
-    lines = [f"V({lam.a},{lam.b}) (x) V({mu.a},{mu.b})"]
-    for w, m, d in dims:
-        lines.append(f"  V({w.a},{w.b})  x{m}  dim {d}")
-    identity = " + ".join(
-        f"{m}*{d}" if m > 1 else f"{d}" for _, m, d in dims
-    )
-    lines.append(
-        f"dimension: {weyl_dim(lam)} x {weyl_dim(mu)} = {total} = {identity}"
-    )
-    return "\n".join(lines) + "\n", 0
+
+    def table():
+        lines = [f"V({lam[0]},{lam[1]}) (x) V({mu[0]},{mu[1]})"]
+        lines += [f"  V({w.a},{w.b})  x{m}  dim {d}" for w, m, d in dims]
+        identity = " + ".join(
+            f"{m}*{d}" if m > 1 else f"{d}" for _, m, d in dims
+        )
+        lines.append(f"dimension: {dim_lam} x {dim_mu} = {dim_lam * dim_mu}"
+                     f" = {identity}")
+        return lines
+
+    def rows():
+        return [(w.a, w.b, m, d) for w, m, d in dims]
+
+    return payload, ("weight_a", "weight_b", "mult", "dim"), rows, table, 0
 
 
 # --- kr ---------------------------------------------------------------------
 
-def _run_kr(args) -> tuple[str, int]:
+def _run_kr(args):
     family = Family(args.family)
-    if args.m < 0:
-        raise ValueError(f"m must be nonnegative, got {args.m}")
-    source = "conjecture" if args.conjecture else "theorem"
     if args.conjecture:
-        g = conjecture_graded_character(family, args.m)
+        source, g = "conjecture", conjecture_graded_character(family, args.m)
     else:
-        g = kr_graded_character(family, args.m)
-
-    if args.basis == "weight":
-        per_grade = expand_weights(g)
-        triples = [
+        source, g = "theorem", kr_graded_character(family, args.m)
+    # (grade, weight, mult), sorted by grade and weight.
+    weight_basis = args.basis == "weight"
+    if weight_basis:
+        items = [
             (grade, w, m)
-            for grade in sorted(per_grade)
-            for w, m in sorted(per_grade[grade].items(),
-                               key=lambda kv: _weight_key(kv[0]))
+            for grade, char in expand_weights(g).items()
+            for w, m in sorted(char.items(), key=itemgetter(0))
         ]
-        row_dim = {(grade, w): m for grade, w, m in triples}
     else:
-        triples = sorted(g.items(), key=lambda t: (t[0], _weight_key(t[1])))
-        row_dim = {
-            (grade, w): m * weyl_dim(w) for grade, w, m in triples
-        }
+        items = list(g.items())
 
-    if args.format == "json":
-        payload = {
-            "family": family.value,
-            "m": args.m,
-            "source": source,
-        }
-        if args.basis == "weight":
-            payload["basis"] = "weight"
-        payload["components"] = [
+    def payload():
+        out = {"family": family.value, "m": args.m, "source": source}
+        if weight_basis:
+            out["basis"] = "weight"
+        out["components"] = [
             {"grade": grade, "weight": [w.a, w.b], "mult": m}
-            for grade, w, m in triples
+            for grade, w, m in items
         ]
-        return _render_json(payload), 0
-    if args.format == "csv":
-        rows = [
-            (grade, w.a, w.b, m, row_dim[(grade, w)])
-            for grade, w, m in triples
+        return out
+
+    def rows():
+        # A row's dim is its share of the grade's dimension.
+        return [
+            (grade, w.a, w.b, m, m if weight_basis else m * weyl_dim(w))
+            for grade, w, m in items
         ]
-        return _render_csv(
-            ("grade", "weight_a", "weight_b", "mult", "dim"), rows
-        ), 0
-    lines = [
-        f"family {family.value}  m {args.m}  source {source}  basis {args.basis}"
-    ]
-    lines.append("grade  weight     mult  dim")
-    for grade, w, m in triples:
+
+    def table():
+        lines = [
+            f"family {family.value}  m {args.m}  source {source}  "
+            f"basis {args.basis}",
+            "grade  weight     mult  dim",
+        ]
+        totals: dict[int, int] = {}
+        for grade, a, b, m, d in rows():
+            lines.append(f"{grade:<6} ({a},{b})".ljust(18) + f"{m:<5} {d}")
+            totals[grade] = totals.get(grade, 0) + d
         lines.append(
-            f"{grade:<6} ({w.a},{w.b})".ljust(18)
-            + f"{m:<5} {row_dim[(grade, w)]}"
+            "graded dimensions: "
+            + "  ".join(f"{grade}:{d}" for grade, d in totals.items())
+            + f"  total {sum(totals.values())}"
         )
-    dims = graded_dimensions(g)
-    lines.append(
-        "graded dimensions: "
-        + "  ".join(f"{grade}:{d}" for grade, d in dims)
-        + f"  total {sum(d for _, d in dims)}"
-    )
-    return "\n".join(lines) + "\n", 0
+        return lines
+
+    header = ("grade", "weight_a", "weight_b", "mult", "dim")
+    return payload, header, rows, table, 0
 
 
 # --- verify -----------------------------------------------------------------
+
+def _entry(check, problems, key="failures", **where):
+    """One verify check: its name, where it ran, ok, and any problems."""
+    entry = {"check": check, **where, "ok": not problems}
+    if problems:
+        entry[key] = problems
+    return entry
+
 
 def _verify_kr(conjecture_families, class_families, max_m):
     """Conjecture checks, then class checks, for each family and m <= max_m.
@@ -208,11 +207,23 @@ def _verify_kr(conjecture_families, class_families, max_m):
         for m in range(max_m + 1):
             theorem = kr_graded_character(family, m)
             if family in conjecture_families:
-                conjecture.append(
-                    _conjecture_entry(family, m, theorem, negatives)
+                diffs = compare(
+                    theorem, conjecture_graded_character(family, m, negatives)
                 )
+                differences = [
+                    {"grade": g, "weight": [w.a, w.b], "theorem": ma,
+                     "conjecture": mb}
+                    for g, w, ma, mb in diffs
+                ]
+                conjecture.append(_entry("conjecture", differences,
+                                         "differences", family=family.value,
+                                         m=m))
             if family in class_families:
-                classes.append(_classes_entry(family, m, theorem))
+                failures = equivalence.verify_partition(family, m)
+                if equivalence.rebuild_graded_character(family, m) != theorem:
+                    failures = failures + ["rebuilt graded character differs"]
+                classes.append(_entry("classes", failures,
+                                      family=family.value, m=m))
     negative_entries = [
         {"family": f.value, "m": m, "j": j, "k": k, "coefficient": c}
         for f, m, j, k, c in negatives
@@ -220,42 +231,7 @@ def _verify_kr(conjecture_families, class_families, max_m):
     return conjecture + classes, negative_entries
 
 
-def _conjecture_entry(family, m, theorem, negatives):
-    diffs = compare(
-        theorem, conjecture_graded_character(family, m, negatives)
-    )
-    entry = {"check": "conjecture", "family": family.value, "m": m,
-             "ok": not diffs}
-    if diffs:
-        entry["differences"] = [
-            {"grade": g, "weight": [w.a, w.b], "theorem": ma, "conjecture": mb}
-            for g, w, ma, mb in diffs
-        ]
-    return entry
-
-
-def _classes_entry(family, m, theorem):
-    failures = equivalence.verify_partition(family, m)
-    if equivalence.rebuild_graded_character(family, m) != theorem:
-        failures = failures + ["rebuilt graded character differs"]
-    entry = {"check": "classes", "family": family.value, "m": m,
-             "ok": not failures}
-    if failures:
-        entry["failures"] = failures
-    return entry
-
-
-def _verify_chevalley():
-    checks = []
-    for name, failures in chevalley.verify_all().items():
-        entry = {"check": f"chevalley-{name}", "ok": not failures}
-        if failures:
-            entry["failures"] = failures[:20]
-        checks.append(entry)
-    return checks
-
-
-def _run_verify(args) -> tuple[str, int]:
+def _run_verify(args):
     if args.max_m < 0:
         raise ValueError(f"--max-m must be nonnegative, got {args.max_m}")
     family = Family(args.family) if args.family else None
@@ -274,13 +250,15 @@ def _run_verify(args) -> tuple[str, int]:
         conjecture_families, class_families, args.max_m
     )
     if args.target in ("chevalley", "all"):
-        checks.extend(_verify_chevalley())
+        checks += [
+            _entry(f"chevalley-{name}", failures[:20])
+            for name, failures in chevalley.verify_all().items()
+        ]
 
     ok = all(entry["ok"] for entry in checks)
-    code = 0 if ok else 1
 
-    if args.format == "json":
-        payload = {
+    def payload():
+        return {
             "target": args.target,
             "max_m": args.max_m,
             "family": family.value if family else None,
@@ -288,9 +266,9 @@ def _run_verify(args) -> tuple[str, int]:
             "negative_coefficients": negatives,
             "checks": checks,
         }
-        return _render_json(payload), code
-    if args.format == "csv":
-        rows = [
+
+    def rows():
+        return [
             (
                 entry["check"],
                 entry.get("family", ""),
@@ -299,34 +277,34 @@ def _run_verify(args) -> tuple[str, int]:
             )
             for entry in checks
         ]
-        return _render_csv(("check", "family", "m", "status"), rows), code
 
-    lines = []
-    by_group: dict[tuple, list] = {}
-    for entry in checks:
-        key = (entry["check"], entry.get("family"))
-        by_group.setdefault(key, []).append(entry)
-    for (check, fam), entries in by_group.items():
-        bad = [e for e in entries if not e["ok"]]
-        label = f"{check} {fam}" if fam else check
-        if len(entries) > 1:
-            label += f" (m <= {args.max_m})"
-        if bad:
+    def table():
+        lines = []
+        groups: dict[tuple, list] = {}
+        for entry in checks:
+            key = (entry["check"], entry.get("family"))
+            groups.setdefault(key, []).append(entry)
+        for (check, fam), entries in groups.items():
+            bad = [e for e in entries if not e["ok"]]
+            label = f"{check} {fam}" if fam else check
+            if len(entries) > 1:
+                label += f" (m <= {args.max_m})"
+            if not bad:
+                lines.append(f"{label}: ok")
+                continue
             lines.append(f"{label}: FAIL at m = "
                          + ", ".join(str(e.get("m", "?")) for e in bad))
             for e in bad:
-                for failure in e.get("failures", [])[:5]:
-                    lines.append(f"    {failure}")
-                for d in e.get("differences", [])[:5]:
-                    lines.append(f"    {d}")
-        else:
-            lines.append(f"{label}: ok")
-    if negatives:
-        lines.append(f"pre-clamp negative coefficients: {negatives}")
-    else:
-        lines.append("pre-clamp negative coefficients: none")
-    lines.append("result: " + ("ok" if ok else "FAIL"))
-    return "\n".join(lines) + "\n", code
+                # an entry has failures or differences, never both
+                problems = e.get("failures") or e.get("differences")
+                lines += [f"    {x}" for x in problems[:5]]
+        lines.append("pre-clamp negative coefficients: "
+                     + (str(negatives) if negatives else "none"))
+        lines.append("result: " + ("ok" if ok else "FAIL"))
+        return lines
+
+    header = ("check", "family", "m", "status")
+    return payload, header, rows, table, 0 if ok else 1
 
 
 # --- parser -----------------------------------------------------------------
@@ -400,7 +378,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        text, code = _RUNNERS[args.command](args)
+        *view, code = _RUNNERS[args.command](args)
+        text = _render(args.format, *view)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -415,7 +415,8 @@ def compare(
 
 
 def expand_weights(g: GradedDecomposition) -> dict[int, Character]:
-    """Expand each grade through the irreducible characters."""
+    """Expand each grade through the irreducible characters, in grade
+    order."""
     out: dict[int, Character] = {}
     for grade in g.grades():
         total: dict[Weight, int] = {}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 import g2kr
 from g2kr.cli import main
+from g2kr.kr import Family, graded_dimensions, kr_graded_character
 
 
 def run(capsys, *argv):
@@ -55,6 +57,23 @@ def test_char_csv(capsys):
     assert len(lines) == 8
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["tensor", "2", "-1", "1", "0"], "(2,-1)"),
+        (["tensor", "1", "0", "0", "-2"], "(0,-2)"),
+    ],
+    ids=["first-factor", "second-factor"],
+)
+def test_tensor_rejects_non_dominant(capsys, argv, bad):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert bad in lines[0] and "not dominant" in lines[0]
+
+
 def test_tensor_fixture(capsys):
     code, out, _ = run(capsys, "tensor", "1", "0", "1", "0")
     assert code == 0
@@ -92,6 +111,21 @@ def test_kr_m0(capsys):
     assert code == 0
     assert "(0,0)" in out
     assert "total 1" in out
+
+
+@pytest.mark.parametrize("basis", ["irrep", "weight"])
+@pytest.mark.parametrize("family, m", [("u1", 6), ("t2", 5)])
+def test_kr_table_footer_matches_graded_dimensions(capsys, family, m, basis):
+    code, out, _ = run(capsys, "kr", "--family", family, "--m", str(m),
+                       "--basis", basis)
+    assert code == 0
+    dims = graded_dimensions(kr_graded_character(Family(family), m))
+    footer = out.splitlines()[-1]
+    assert footer == (
+        "graded dimensions: "
+        + "  ".join(f"{grade}:{d}" for grade, d in dims)
+        + f"  total {sum(d for _, d in dims)}"
+    )
 
 
 def test_kr_json_schema(capsys):
@@ -274,6 +308,8 @@ def test_out_file_unwritable_is_usage_error(tmp_path, capsys):
         pytest.param(["verify", "chevalley"], id="verify-chevalley"),
         pytest.param(["tensor", "3", "2", "2", "3"], id="tensor"),
         pytest.param(["char", "7", "5"], id="char"),
+        pytest.param(["kr", "--family", "t2", "--m", "8", "--basis", "weight"],
+                     id="kr-weight"),
     ],
 )
 def test_optimized_run_matches_plain_run(command):
@@ -305,3 +341,96 @@ def test_width_hint(monkeypatch, capsys):
     assert narrow.count("\n") > wide.count("\n")
     # same content either way
     assert sorted(narrow.split()) == sorted(wide.split())
+
+
+# SHA-256 of stdout and the exit code of each command, as recorded before
+# the renderers were merged into one; every format of every command is
+# pinned, not only fragments of it.
+OUTPUT_DIGESTS = [
+    ("char 7 5 --format json",
+     "970f6590968453ce7e656653b7a406e01bcbcf96d5bc22b0074e4adfa2d9f650", 0),
+    ("char 7 5 --format csv",
+     "3d9dd6e9ed67a8275da17a8c37aa2e7e05a20f956b6c708f98e1b1eb62ac1a46", 0),
+    ("char 7 5 --format table",
+     "98ae921775a3b89a46f80a27381ae70529e7bed4d8d69b3977f12e4ba51e7938", 0),
+    ("tensor 3 2 2 3 --format json",
+     "3c7672f10043bf2ce8f481d6cd96661080559a72008a862f0bcc6bf095ea4e89", 0),
+    ("tensor 3 2 2 3 --format csv",
+     "2099e5c71c4614194ec7dfd63ef4486dfdcda71d95da40d361340888aa4441ed", 0),
+    ("tensor 3 2 2 3 --format table",
+     "5548f418208813147d7bbf4919c338250dab33761dd92b1f5bd14a3b8a41745c", 0),
+    ("kr --family u1 --m 6 --format json",
+     "3c2df41a3aabe3cd263492fe5be36aad648d5ed0087840e35ee179fde9939ed3", 0),
+    ("kr --family u1 --m 6 --format csv",
+     "c1c946a99a3d8bd78683b3b51006d9674082fd9b44d7b251f05957794bac8b83", 0),
+    ("kr --family u1 --m 6 --format table",
+     "96b4f2978f3299bce7e0d8cdf78f9564692e33a41e9e13e70a83daad1c530269", 0),
+    ("kr --family u1 --m 6 --basis weight --format json",
+     "1361c70f6050b02d709b550b6d4ee35d4aa6016481a74b881abf3ddd92a3dd6c", 0),
+    ("kr --family u1 --m 6 --basis weight --format csv",
+     "2ca1981b9a73e0d95bc6c3b5d21742587ff5964b1772f17554321351ba9dffe0", 0),
+    ("kr --family u1 --m 6 --basis weight --format table",
+     "c68867f6bea076eef0b1db05f20f3570cfa9fcd15f5ca52b8e53da90a5113931", 0),
+    ("kr --family u1 --m 6 --conjecture --format json",
+     "d1af1f9ca873c0262a4947914a5e0a292261cdd947882b5339a9ec78713544b6", 0),
+    ("kr --family u1 --m 6 --conjecture --format csv",
+     "c1c946a99a3d8bd78683b3b51006d9674082fd9b44d7b251f05957794bac8b83", 0),
+    ("kr --family u1 --m 6 --conjecture --format table",
+     "0e6c9d5a17068511e9f5ea5efa96ce4752b8dff1c63457afafe2ae2ea6a8e7af", 0),
+    ("kr --family t2 --m 5 --format json",
+     "ae4c376792936b3f77a7a4613496ec391c6744729b48c9a4d8fb0940b1d5299a", 0),
+    ("kr --family t2 --m 5 --format csv",
+     "20b27bd42cf41768c8ce2cbe502740b763b272cbe35bc1c8e2b912f4f5a91027", 0),
+    ("kr --family t2 --m 5 --format table",
+     "da64da4bc146e819305eb33becfff96049cf12896fd4626773ff0af55849ce99", 0),
+    ("kr --family t2 --m 5 --basis weight --format json",
+     "e71d4d1f42ea4af63f3e52bf6ae6cd216a8fd87b166337d20468e37d371167c8", 0),
+    ("kr --family t2 --m 5 --basis weight --format csv",
+     "88f031d6cb77093a51207e2b86d89090e01c76d87fe5f8402361a65fdaadfbf9", 0),
+    ("kr --family t2 --m 5 --basis weight --format table",
+     "f3a5c316f6522bb7e4b94b9fb947b4ba5ee49abe64e60b07bf0efe310b80a8b5", 0),
+    ("kr --family t2 --m 5 --conjecture --format json",
+     "2a68a8690b72667f36800c67407aa48ab317dbafd257a7c2c46ba8a9696e876f", 0),
+    ("kr --family t2 --m 5 --conjecture --format csv",
+     "20b27bd42cf41768c8ce2cbe502740b763b272cbe35bc1c8e2b912f4f5a91027", 0),
+    ("kr --family t2 --m 5 --conjecture --format table",
+     "4556bf94a902aae0ba31e3f97cc9109779a710c23ac64bd3268beca717c1a0ee", 0),
+    ("kr --family u2 --m 3 --format json",
+     "e800577728df50c52f97fd619e8384c0eaec703c446cfd4489bf84f2169bb1a2", 0),
+    ("kr --family u2 --m 3 --format csv",
+     "bfb95199b6346be3d4448a3bb104ec5893a60fdb200370210728454c516f2af2", 0),
+    ("kr --family u2 --m 3 --format table",
+     "2aae701d72e10135ce6bfcc0a81d0c330c4342fa0c91d6d29ebed52fc87e291e", 0),
+    ("verify all --max-m 8 --format json",
+     "e564a5c4f8d2528065326ac931f96ce16fa57027c3656972f48c6bfe81ebed5d", 0),
+    ("verify all --max-m 8 --format csv",
+     "7c926a6d666ae3a2f0273a10858c9974e8ac6947dfd39402a5369ad98e691433", 0),
+    ("verify all --max-m 8 --format table",
+     "33b03f86f259910256824c273fe93576ec073570bb1c8712963e1c3cc126bebb", 0),
+    ("verify chevalley --format json",
+     "6c1fad430b637c18da323b5f678415cb289a606861d360a360fc0f512ccb8c17", 0),
+    ("verify chevalley --format csv",
+     "7632189a1c2310ab8087535a20f14711d37392ea06cbd47db108f86717324d5f", 0),
+    ("verify chevalley --format table",
+     "51daccc938816904a14754baf0c1b90d260874e5eec317a4448a6729b5ef4873", 0),
+    ("char 2 -1 --format json",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    ("tensor 1 0 0 -2 --format json",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    ("kr --family u1 --m -3 --format json",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+    ("verify all --max-m -1 --format json",
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "command, digest, exit_code", OUTPUT_DIGESTS,
+    ids=[case[0] for case in OUTPUT_DIGESTS],
+)
+def test_output_bytes_unchanged(monkeypatch, capsys, command, digest,
+                                exit_code):
+    monkeypatch.delenv("G2KR_WIDTH", raising=False)
+    code, out, _ = run(capsys, *command.split())
+    assert code == exit_code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
