@@ -15,9 +15,8 @@ import io
 import json
 import os
 import sys
-from operator import itemgetter
 
-from . import chevalley, equivalence
+from . import equivalence
 from .characters import irreducible_character, tensor, weyl_dim
 from .kr import (
     Family,
@@ -38,14 +37,76 @@ def _width() -> int:
         return 80
 
 
+#: json.dumps writes this string as "\u0000"; no payload holds it.
+_FIELD = "\x00"
+_SLOT = json.dumps(_FIELD)
+
+
+def _marked(value):
+    """value with each int leaf replaced by _FIELD; TypeError for any other
+    leaf."""
+    if isinstance(value, dict):
+        return {k: _marked(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_marked(v) for v in value]
+    if type(value) is not int:
+        raise TypeError(f"template fields must be ints, got {value!r}")
+    return _FIELD
+
+
+def _template(sentinel: dict, fields: int) -> str:
+    """The % template of one item of a long list, taken from json.dumps.
+
+    The template renders a tuple of `fields` ints as json.dumps(indent=2)
+    renders sentinel as an item of a list that is a value of the top-level
+    object, except for the indent of the first line, which the list
+    supplies.  sentinel's int leaves, in order, become the fields.  Raises
+    TypeError for a leaf that is not an int and ValueError unless there
+    are `fields` leaves.
+    """
+    text = json.dumps({"": [_marked(sentinel)]}, indent=2)
+    item = text[text.index("[\n") + 2:text.rindex("\n  ]")].lstrip(" ")
+    count = item.count(_SLOT)
+    if count != fields:
+        raise ValueError(
+            f"template sentinel has {count} int fields, expected {fields}"
+        )
+    return item.replace("%", "%%").replace(_SLOT, "%d")
+
+
+_CHAR_TERM = _template({"weight": [0, 0], "mult": 0}, 3)
+_TENSOR_COMPONENT = _template({"weight": [0, 0], "mult": 0, "dim": 0}, 4)
+_KR_COMPONENT = _template({"grade": 0, "weight": [0, 0], "mult": 0}, 4)
+
+
+def _json(head: dict, key: str | None = None, template: str = "",
+          rows=()) -> str:
+    """json.dumps(payload, indent=2) + "\n", byte for byte.
+
+    payload is head, followed, if key is given, by key: a list with one
+    item per row (a tuple of ints), rendered by template (`_template`).
+    json.dumps renders the head, the list's brackets and the separators;
+    each item is one % operation.
+    """
+    if key is None:
+        return json.dumps(head, indent=2) + "\n"
+    if not rows:
+        return json.dumps({**head, key: []}, indent=2) + "\n"
+    before, separator, after = json.dumps(
+        {**head, key: [_FIELD, _FIELD]}, indent=2
+    ).split(_SLOT)
+    return before + separator.join(map(template.__mod__, rows)) + after + "\n"
+
+
 def _render(fmt: str, payload, header, rows, table) -> str:
     """Output text in format fmt.
 
     Each runner returns (payload, header, rows, table, exit code); payload,
     rows and table are thunks, and only the one that fmt asks for is called.
+    payload gives the arguments of `_json`.
     """
     if fmt == "json":
-        return json.dumps(payload(), indent=2) + "\n"
+        return _json(*payload())
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -61,15 +122,9 @@ def _run_char(args):
     char = irreducible_character((args.a, args.b))
     dim = weyl_dim((args.a, args.b))
 
-    def terms():
-        return sorted(char.items(), key=itemgetter(0))
-
     def payload():
-        return {
-            "weight": [args.a, args.b],
-            "dim": dim,
-            "terms": [{"weight": [w.a, w.b], "mult": m} for w, m in terms()],
-        }
+        head = {"weight": [args.a, args.b], "dim": dim}
+        return head, "terms", _CHAR_TERM, rows()
 
     def table():
         # Weights packed highest-first into lines under the width hint.
@@ -88,7 +143,7 @@ def _run_char(args):
         return lines
 
     def rows():
-        return [(w.a, w.b, m) for w, m in terms()]
+        return [(a, b, m) for (a, b), m in sorted(char.items())]
 
     return payload, ("weight_a", "weight_b", "mult"), rows, table, 0
 
@@ -103,14 +158,8 @@ def _run_tensor(args):
     dims = [(w, m, weyl_dim(w)) for w, m in ordered]
 
     def payload():
-        return {
-            "factors": [list(lam), list(mu)],
-            "dim": dim_lam * dim_mu,
-            "components": [
-                {"weight": [w.a, w.b], "mult": m, "dim": d}
-                for w, m, d in dims
-            ],
-        }
+        head = {"factors": [list(lam), list(mu)], "dim": dim_lam * dim_mu}
+        return head, "components", _TENSOR_COMPONENT, rows()
 
     def table():
         lines = [f"V({lam[0]},{lam[1]}) (x) V({mu[0]},{mu[1]})"]
@@ -136,33 +185,29 @@ def _run_kr(args):
         source, g = "conjecture", conjecture_graded_character(family, args.m)
     else:
         source, g = "theorem", kr_graded_character(family, args.m)
-    # (grade, weight, mult), sorted by grade and weight.
+    # (grade, a, b, mult), sorted by grade and weight (a, b).
     weight_basis = args.basis == "weight"
     if weight_basis:
         items = [
-            (grade, w, m)
+            (grade, a, b, m)
             for grade, char in expand_weights(g).items()
-            for w, m in sorted(char.items(), key=itemgetter(0))
+            for (a, b), m in sorted(char.items())
         ]
     else:
-        items = list(g.items())
+        items = [(grade, a, b, m) for grade, (a, b), m in g.items()]
 
     def payload():
-        out = {"family": family.value, "m": args.m, "source": source}
+        head = {"family": family.value, "m": args.m, "source": source}
         if weight_basis:
-            out["basis"] = "weight"
-        out["components"] = [
-            {"grade": grade, "weight": [w.a, w.b], "mult": m}
-            for grade, w, m in items
-        ]
-        return out
+            head["basis"] = "weight"
+        return head, "components", _KR_COMPONENT, items
 
     def rows():
         # A row's dim is its share of the grade's dimension.
-        return [
-            (grade, w.a, w.b, m, m if weight_basis else m * weyl_dim(w))
-            for grade, w, m in items
-        ]
+        if weight_basis:
+            return [(grade, a, b, m, m) for grade, a, b, m in items]
+        dims = {w: weyl_dim(w) for w in {(a, b) for _, a, b, _ in items}}
+        return [(grade, a, b, m, m * dims[a, b]) for grade, a, b, m in items]
 
     def table():
         lines = [
@@ -250,6 +295,8 @@ def _run_verify(args):
         conjecture_families, class_families, args.max_m
     )
     if args.target in ("chevalley", "all"):
+        from . import chevalley  # loaded only for the targets that run it
+
         checks += [
             _entry(f"chevalley-{name}", failures[:20])
             for name, failures in chevalley.verify_all().items()
@@ -258,14 +305,14 @@ def _run_verify(args):
     ok = all(entry["ok"] for entry in checks)
 
     def payload():
-        return {
+        return ({
             "target": args.target,
             "max_m": args.max_m,
             "family": family.value if family else None,
             "ok": ok,
             "negative_coefficients": negatives,
             "checks": checks,
-        }
+        },)
 
     def rows():
         return [

@@ -33,7 +33,7 @@ from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .characters import Character, irreducible_character, weyl_dim
-from .weights import OMEGA1, OMEGA2, Weight
+from .weights import OMEGA1, OMEGA2, Weight, weyl_orbit
 
 logger = logging.getLogger(__name__)
 
@@ -416,14 +416,36 @@ def compare(
 
 def expand_weights(g: GradedDecomposition) -> dict[int, Character]:
     """Expand each grade through the irreducible characters, in grade
-    order."""
+    order.
+
+    A Weyl-invariant character is fixed by its dominant part, so a grade
+    sums only the dominant parts of its components' characters, and then
+    writes each dominant weight's multiplicity to its Weyl orbit.  Each
+    distinct highest weight's character and each orbit is computed once
+    per call.
+    """
+    dominant_parts: dict[Weight, list[tuple[Weight, int]]] = {}
+    orbits: dict[Weight, frozenset[Weight]] = {}
     out: dict[int, Character] = {}
     for grade in g.grades():
         total: dict[Weight, int] = {}
         for weight, mult in g.component(grade).items():
-            for w, k in irreducible_character(weight).items():
+            part = dominant_parts.get(weight)
+            if part is None:
+                part = dominant_parts[weight] = [
+                    (w, k) for w, k in irreducible_character(weight).items()
+                    if w.a >= 0 and w.b >= 0
+                ]
+            for w, k in part:
                 total[w] = total.get(w, 0) + mult * k
-        out[grade] = Character(total)
+        terms: dict[Weight, int] = {}
+        for w, k in total.items():
+            if k:
+                orbit = orbits.get(w)
+                if orbit is None:
+                    orbit = orbits[w] = weyl_orbit(w)
+                terms.update(zip(orbit, repeat(k)))
+        out[grade] = Character._wrap(terms)
     return out
 
 

@@ -21,6 +21,7 @@ length 2; its Gram matrix in fundamental-weight coordinates is
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 
@@ -121,16 +122,27 @@ def simple_reflection(i: int, w: Weight) -> Weight:
     raise ValueError(f"simple reflection index must be 1 or 2, got {i!r}")
 
 
+#: Weight(a, b) from the pair (a, b), without NamedTuple's argument parsing.
+_weight = partial(tuple.__new__, Weight)
+
+
 def weyl_orbit(w: Weight) -> frozenset[Weight]:
     """Orbit of w under the (order 12, dihedral) Weyl group.
 
-    The images of w under 1, s1, s2 s1, s1 s2 s1, s2 s1 s2 s1 and
-    s1 s2 s1 s2 s1, and their negatives (the longest element is -1).
+    The images of w = (a, b) under 1, s1, s2 s1, s1 s2 s1, s2 s1 s2 s1 and
+    s1 s2 s1 s2 s1 are (a, b), (-a, a+b), (2a+3b, -a-b), (-2a-3b, a+2b),
+    (a+3b, -a-2b) and (-a-3b, b); the orbit is those and their negatives
+    (the longest element is -1).
     """
-    half = [Weight(*w)]
-    for i in (1, 2, 1, 2, 1):
-        half.append(simple_reflection(i, half[-1]))
-    return frozenset(half) | frozenset(-v for v in half)
+    a, b = w
+    c = a + b
+    d = c + b
+    e = d + b
+    f = c + d
+    return frozenset(map(_weight, (
+        (a, b), (-a, c), (f, -c), (-f, d), (e, -d), (-e, b),
+        (-a, -b), (a, -c), (-f, c), (f, -d), (-e, d), (e, -b),
+    )))
 
 
 def dominant_chamber(w: Weight) -> tuple[int, int, int]:

@@ -7,8 +7,16 @@ import sys
 import pytest
 
 import g2kr
+from g2kr import cli
+from g2kr.characters import irreducible_character, tensor, weyl_dim
 from g2kr.cli import main
-from g2kr.kr import Family, graded_dimensions, kr_graded_character
+from g2kr.kr import (
+    Family,
+    expand_weights,
+    graded_dimensions,
+    kr_graded_character,
+)
+from g2kr.weights import height
 
 
 def run(capsys, *argv):
@@ -310,15 +318,13 @@ def test_out_file_unwritable_is_usage_error(tmp_path, capsys):
         pytest.param(["char", "7", "5"], id="char"),
         pytest.param(["kr", "--family", "t2", "--m", "8", "--basis", "weight"],
                      id="kr-weight"),
+        pytest.param(["kr", "--family", "t2", "--m", "6", "--basis", "weight"],
+                     id="kr-t2-6-weight"),
     ],
 )
 def test_optimized_run_matches_plain_run(command):
     # python -O strips assert statements; no result may depend on them
-    src = os.path.dirname(os.path.dirname(os.path.abspath(g2kr.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
+    env = _child_env()
     argv = ["-m", "g2kr.cli", *command, "--format", "json"]
     plain = subprocess.run([sys.executable, *argv], capture_output=True,
                            env=env, check=False)
@@ -330,6 +336,133 @@ def test_optimized_run_matches_plain_run(command):
     payload = json.loads(plain.stdout)
     if command[0] == "verify":
         assert payload["ok"] is True
+
+
+def _child_env():
+    """The environment of a child interpreter that imports this g2kr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(g2kr.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+def test_chevalley_loaded_only_by_its_verify_targets():
+    script = (
+        "import sys\n"
+        "from g2kr.cli import main\n"
+        "for argv in (['char', '1', '0'], ['tensor', '1', '0', '1', '0'],\n"
+        "             ['kr', '--family', 'u1', '--m', '2'],\n"
+        "             ['verify', 'conjecture', '--max-m', '1'],\n"
+        "             ['verify', 'chevalley']):\n"
+        "    main(argv + ['--out', sys.argv[1]])\n"
+        "    print('g2kr.chevalley' in sys.modules)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script, os.devnull],
+                            capture_output=True, text=True, env=_child_env(),
+                            check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"] * 4 + ["True"]
+
+
+# The JSON payloads as the CLI built them before it had its own writer,
+# rendered by json.dumps(indent=2): the oracle of the writer.
+def _char_payload(a, b):
+    char = irreducible_character((a, b))
+    return {
+        "weight": [a, b],
+        "dim": weyl_dim((a, b)),
+        "terms": [{"weight": [w.a, w.b], "mult": m}
+                  for w, m in sorted(char.items())],
+    }
+
+
+def _tensor_payload(a1, b1, a2, b2):
+    parts = tensor((a1, b1), (a2, b2))
+    ordered = sorted(parts.items(), key=lambda kv: (-height(kv[0]), kv[0]))
+    return {
+        "factors": [[a1, b1], [a2, b2]],
+        "dim": weyl_dim((a1, b1)) * weyl_dim((a2, b2)),
+        "components": [{"weight": [w.a, w.b], "mult": m, "dim": weyl_dim(w)}
+                       for w, m in ordered],
+    }
+
+
+def _kr_payload(family, m, basis="irrep"):
+    g = kr_graded_character(Family(family), m)
+    payload = {"family": family, "m": m, "source": "theorem"}
+    if basis == "weight":
+        payload["basis"] = "weight"
+        items = [(grade, w, k) for grade, char in expand_weights(g).items()
+                 for w, k in sorted(char.items())]
+    else:
+        items = list(g.items())
+    payload["components"] = [{"grade": grade, "weight": [w.a, w.b], "mult": k}
+                             for grade, w, k in items]
+    return payload
+
+
+JSON_ORACLE_CASES = [
+    ("char 40 40", lambda: _char_payload(40, 40)),
+    ("char 0 0", lambda: _char_payload(0, 0)),
+    ("tensor 6 6 6 6", lambda: _tensor_payload(6, 6, 6, 6)),
+    ("kr --family u1 --m 30 --basis weight",
+     lambda: _kr_payload("u1", 30, "weight")),
+    ("kr --family t2 --m 40", lambda: _kr_payload("t2", 40)),
+    ("kr --family u1 --m 0", lambda: _kr_payload("u1", 0)),
+    ("kr --family t2 --m 0 --basis weight",
+     lambda: _kr_payload("t2", 0, "weight")),
+]
+
+
+@pytest.mark.parametrize("command, payload", JSON_ORACLE_CASES,
+                         ids=[case[0] for case in JSON_ORACLE_CASES])
+def test_json_writer_matches_json_dumps(capsys, command, payload):
+    code, out, _ = run(capsys, *command.split(), "--format", "json")
+    assert code == 0
+    assert out == json.dumps(payload(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [(0, 0, 0, 0)],
+        [(-1, -2, 3, -4), (10**40, -(10**40), 7, 0), (2**64, -1, 0, 12)],
+    ],
+    ids=["empty", "one", "negative-and-large"],
+)
+def test_json_writer_edge_cases(rows):
+    head = {"family": "u1", "m": -5, "basis": "100%",
+            "nested": {"a": [1, [2, []]], "b": None, "c": {}}}
+    items = [{"grade": g, "weight": [a, b], "mult": m} for g, a, b, m in rows]
+    expected = json.dumps({**head, "components": items}, indent=2) + "\n"
+    assert cli._json(head, "components", cli._KR_COMPONENT, rows) == expected
+    assert cli._json(head) == json.dumps(head, indent=2) + "\n"
+    # a % in a key and nesting deeper than the CLI's items
+    sentinel = {"100%": 0, "x": {"y": [0, [0]]}}
+    template = cli._template(sentinel, 3)
+    items = [{"100%": a, "x": {"y": [b, [m]]}} for _, a, b, m in rows]
+    expected = json.dumps({**head, "k": items}, indent=2) + "\n"
+    assert cli._json(head, "k", template, [r[1:] for r in rows]) == expected
+
+
+@pytest.mark.parametrize(
+    "sentinel, fields, error",
+    [
+        ({"weight": [0, 0], "mult": 0}, 4, ValueError),
+        ({"weight": [0, 0], "mult": 0}, 2, ValueError),
+        ({"weight": [0, 0.0], "mult": 0}, 3, TypeError),
+        ({"weight": [0, 0], "mult": True}, 3, TypeError),
+        ({"weight": [0, 0], "mult": "0"}, 3, TypeError),
+        ({"weight": [0, 0], "mult": None}, 3, TypeError),
+    ],
+    ids=["too-few", "too-many", "float", "bool", "str", "none"],
+)
+def test_template_rejects_mismatched_sentinel(sentinel, fields, error):
+    with pytest.raises(error, match="template"):
+        cli._template(sentinel, fields)
 
 
 def test_width_hint(monkeypatch, capsys):

@@ -337,19 +337,36 @@ def test_expanded_masses_agree_with_graded_dimensions(family, m):
 
 
 @pytest.mark.parametrize(
-    "family, m",
-    [(Family.U1, m) for m in range(9)] + [(Family.T2, m) for m in range(7)],
+    "family, m", [(family, m) for family in Family for m in range(13)]
 )
 def test_expand_weights_matches_character_sums(family, m):
-    # one accumulated dict per grade against the character-ring sum
-    g = kr_graded_character(family, m)
-    expected = {}
-    for grade in g.grades():
-        total = Character()
-        for weight, mult in g.component(grade).items():
-            total = total + irreducible_character(weight).scaled(mult)
-        expected[grade] = total
-    assert expand_weights(g) == expected
+    # dominant parts and orbits against the whole-character ring sum
+    for g in (kr_graded_character(family, m),
+              conjecture_graded_character(family, m)):
+        expected = {}
+        for grade in g.grades():
+            total = Character()
+            for weight, mult in g.component(grade).items():
+                total = total + irreducible_character(weight).scaled(mult)
+            expected[grade] = total
+        expanded = expand_weights(g)
+        assert list(expanded) == g.grades()
+        assert expanded == expected
+        assert all(type(w) is Weight for c in expanded.values()
+                   for w in c.support())
+
+
+def test_expand_weights_drops_cancelled_weights():
+    # multiplicities of a hand-made decomposition may cancel
+    g = GradedDecomposition()
+    g.add(0, Weight(1, 0), 1)
+    g.add(0, Weight(0, 0), -1)
+    g.add(1, Weight(0, 0), 2)
+    expanded = expand_weights(g)
+    short_roots = irreducible_character(Weight(1, 0)) - Character({ZERO: 1})
+    assert expanded[0] == short_roots
+    assert ZERO not in expanded[0].support()
+    assert expanded[1] == Character({Weight(0, 0): 2})
 
 
 def test_graded_dimensions():

@@ -1,0 +1,21 @@
+"""Properties of the package source itself."""
+
+import ast
+from pathlib import Path
+
+import g2kr
+
+
+def test_no_assert_statement_in_package():
+    # python -O strips assert statements, so every check must raise instead
+    paths = sorted(Path(g2kr.__file__).parent.glob("*.py"))
+    assert {"cli.py", "characters.py", "kr.py", "weights.py"} <= {
+        path.name for path in paths
+    }
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

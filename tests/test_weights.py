@@ -109,6 +109,20 @@ def test_orbit_fixtures():
     assert len(ALL_ROOTS) == 12
 
 
+def test_orbit_matches_reflection_words():
+    # the closed form against the images under 1, s1, s2 s1, ..., s1 s2 s1
+    # s2 s1 and their negatives, on a grid with non-dominant weights
+    for a in range(-7, 8):
+        for b in range(-7, 8):
+            half = [Weight(a, b)]
+            for i in (1, 2, 1, 2, 1):
+                half.append(simple_reflection(i, half[-1]))
+            expected = set(half) | {-v for v in half}
+            orbit = weyl_orbit((a, b))
+            assert orbit == expected
+            assert all(type(v) is Weight for v in orbit)
+
+
 @given(weights)
 def test_orbit_structure(w):
     orbit = weyl_orbit(w)
