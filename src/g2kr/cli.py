@@ -264,9 +264,7 @@ def _verify_kr(conjecture_families, class_families, max_m):
                                          "differences", family=family.value,
                                          m=m))
             if family in class_families:
-                failures = equivalence.verify_partition(family, m)
-                if equivalence.rebuild_graded_character(family, m) != theorem:
-                    failures = failures + ["rebuilt graded character differs"]
+                failures = equivalence.verify_partition(family, m, theorem)
                 classes.append(_entry("classes", failures,
                                       family=family.value, m=m))
     negative_entries = [

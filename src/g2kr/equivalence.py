@@ -8,15 +8,17 @@ a class is the interval of steps along the shift that the region's
 constraints leave, read off in closed form.  The canonical
 representatives r_{j,k,s} below enumerate the classes exactly once, and
 their sizes are the generating-function coefficients of the same table.
-`verify_partition` machine-checks all of that for a given m by counting
-class members.  Rebuilding the graded character from representatives
-weighted by the coefficients gives a route to the graded character
-independent of full region enumeration.
+`verify_partition` machine-checks all of that for a given m: a kernel
+certificate valid for every m makes the classes the (wt, gr) fibres, and
+one counting pass over the keys does the rest, listing no class.
+Rebuilding the graded character from representatives weighted by the
+coefficients gives a route independent of full region enumeration.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from math import gcd
 from typing import Iterator
 
 from .kr import (
@@ -29,8 +31,9 @@ from .kr import (
     _region,
     _signed,
     _span,
-    enumerate_region,
+    compare,
     in_region,
+    kr_graded_character,
 )
 
 
@@ -71,6 +74,11 @@ def representative(family: Family, m: int, j: int, k: int, s: int) -> QuadIndex:
     """Canonical region point of the class labelled (j, k, s)."""
     region = _region(family)
     _validate(region, m, j, k, s)
+    return _representative(region, m, j, k, s)
+
+
+def _representative(region, m, j, k, s) -> QuadIndex:
+    # (j, k, s) is a valid key, as `class_keys` yields them
     if region.family is Family.U1:
         r4, r1 = divmod(j - 2 * k, 3)  # j - 2k = r1 + 3*r4, 0 <= r1 <= 2
         return (r1, k + r4 - s, s, r4)
@@ -97,21 +105,13 @@ def class_members(family: Family, m: int, r) -> list[QuadIndex]:
         raise ValueError(
             f"{r} is not in the {region.family.value} region for m={m}"
         )
-    steps = _span(
-        _affine(region.constraints, m, r),
-        *_shift_bounds(region.family),
-    )
+    # each constraint's rate of change along the shift, split by sign
+    bounds = _signed(enumerate(_affine(region.constraints, 0, region.shift)))
+    steps = _span(_affine(region.constraints, m, r), *bounds)
     (r1, r2, r3, r4), (s1, s2, s3, s4) = r, region.shift
     return [
         (r1 + t * s1, r2 + t * s2, r3 + t * s3, r4 + t * s4) for t in steps
     ]
-
-
-@cache
-def _shift_bounds(family: Family) -> tuple[list, list]:
-    # each constraint's rate of change along the shift, split by sign
-    region = _region(family)
-    return _signed(enumerate(_affine(region.constraints, 0, region.shift)))
 
 
 def class_keys(family: Family, m: int) -> Iterator[tuple[int, int, int]]:
@@ -132,50 +132,58 @@ def class_keys(family: Family, m: int) -> Iterator[tuple[int, int, int]]:
                 yield j, k, s
 
 
-def verify_partition(family: Family, m: int) -> list[str]:
-    """Check that the representative classes partition the region.
+@cache
+def _certificate(region) -> tuple[str, ...]:
+    # The signed 3x3 minors of the linear part of (wt, gr) span its kernel
+    # over Q; equal to +-shift, a primitive vector, they make the integer
+    # kernel Z*shift for every m.
+    a, b, c, d = zip(*(row for row, _ in region.wt_gr))
+    minors = (_det3(b, c, d), -_det3(a, c, d), _det3(a, b, d), -_det3(a, b, c))
+    shift = region.shift
+    if minors in (shift, tuple(-x for x in shift)) and gcd(*shift) == 1:
+        return ()
+    return (f"kernel certificate fails: signed minors {minors} of the "
+            f"(wt, gr) rows are not +-shift {shift} with gcd 1",)
 
-    Empty report iff the classes of all valid keys are pairwise disjoint,
-    their union is the whole region, and every class size matches
-    `class_size_formula`.
+
+def _det3(u, v, w) -> int:
+    # u . (v x w), indices mod 3
+    return sum(u[i] * (v[i - 2] * w[i - 1] - v[i - 1] * w[i - 2])
+               for i in range(3))
+
+
+def verify_partition(family: Family, m: int, graded=None) -> list[str]:
+    """Check that the representative classes are the (wt, gr) fibres.
+
+    Empty report iff the kernel certificate holds, the representatives lie
+    in the region with pairwise distinct (wt, gr), and the keys weighted by
+    `class_size_formula` give graded (default `kr_graded_character(family,
+    m)`), which counts region points per (wt, gr).  Then the classes of all
+    keys partition the region into its fibres, with the formula's sizes.
     """
-    failures: list[str] = []
-    coefficient = _region(family).coefficient
-    region = set(enumerate_region(family, m))
-    seen: dict[QuadIndex, tuple[int, int, int]] = {}
-    for j, k, s in class_keys(family, m):
-        try:
-            rep = representative(family, m, j, k, s)
-            members = class_members(family, m, rep)
-        except ValueError as exc:
-            failures.append(f"m={m} key ({j},{k},{s}): {exc}")
-            continue
-        # representative has validated the key: the size is the coefficient
-        expected = coefficient(m, j, k)
-        if len(members) != expected:
-            failures.append(
-                f"m={m} key ({j},{k},{s}): class has {len(members)} points, "
-                f"formula gives {expected}"
-            )
-        for point in members:
-            if point in seen:
-                failures.append(
-                    f"m={m} point {point} in classes {seen[point]} "
-                    f"and ({j},{k},{s})"
-                )
-            else:
-                seen[point] = (j, k, s)
-    missing = region - seen.keys()
-    if missing:
+    region = _region(family)
+    _check_m(m)
+    failures = list(_certificate(region))
+    rows, bound = region.constraints + region.wt_gr, len(region.constraints)
+    owners = {}
+    for key in class_keys(family, m):
+        rep = _representative(region, m, *key)
+        values = _affine(rows, m, rep)
+        point = tuple(values[bound:])
+        if min(values[:bound]) < 0:
+            failures.append(f"m={m} key {key}: {rep} is outside the region")
+        elif owners.setdefault(point, key) != key:
+            failures.append(f"m={m} keys {owners[point]} and {key} share "
+                            f"(wt, gr) {point}")
+    if graded is None:
+        graded = kr_graded_character(region.family, m)
+    sizes = {p: region.coefficient(m, j, k) for p, (j, k, _) in owners.items()}
+    for grade, (a, b), size, n in compare(_graded(sizes), graded):
+        point = (a, b, grade)
         failures.append(
-            f"m={m}: {len(missing)} region points uncovered, e.g. "
-            f"{sorted(missing)[0]}"
-        )
-    stray = seen.keys() - region
-    if stray:
-        failures.append(
-            f"m={m}: {len(stray)} class points outside region, e.g. "
-            f"{sorted(stray)[0]}"
+            f"m={m} key {owners[point]}: coefficient {size} != region count "
+            f"{n} at (wt, gr) {point}" if size else
+            f"m={m}: no key has (wt, gr) {point}; region count {n}"
         )
     return failures
 
@@ -187,10 +195,10 @@ def rebuild_graded_character(family: Family, m: int) -> GradedDecomposition:
     only the class keys and the closed-form sizes.
     """
     region = _region(family)
+    _check_m(m)
     counts: dict[tuple[int, int, int], int] = {}
     for j, k, s in class_keys(family, m):
-        # representative has validated the key: the size is the coefficient
-        rep = representative(family, m, j, k, s)
+        rep = _representative(region, m, j, k, s)
         key = tuple(_affine(region.wt_gr, m, rep))
         counts[key] = counts.get(key, 0) + region.coefficient(m, j, k)
     return _graded(counts)

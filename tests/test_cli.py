@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import g2kr
-from g2kr import cli
+from g2kr import cli, equivalence
 from g2kr.characters import irreducible_character, tensor, weyl_dim
 from g2kr.cli import main
 from g2kr.kr import (
@@ -227,6 +227,18 @@ def test_verify_classes(capsys):
     assert families == {"u1", "t2"}
 
 
+def test_verify_classes_reuses_the_graded_character(monkeypatch, capsys):
+    # verify hands the character it holds to the class check
+    def recompute(*args):
+        raise AssertionError("graded character computed twice")
+
+    monkeypatch.setattr(equivalence, "kr_graded_character", recompute)
+    code, out, _ = run(capsys, "verify", "classes", "--max-m", "6",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["ok"] is True
+
+
 def test_verify_classes_rejects_ladder_family(capsys):
     code, _, err = run(capsys, "verify", "classes", "--family", "u2",
                        "--max-m", "3")
@@ -314,6 +326,8 @@ def test_out_file_unwritable_is_usage_error(tmp_path, capsys):
     [
         pytest.param(["verify", "all", "--max-m", "10"], id="verify-all"),
         pytest.param(["verify", "chevalley"], id="verify-chevalley"),
+        pytest.param(["verify", "classes", "--max-m", "12"],
+                     id="verify-classes"),
         pytest.param(["tensor", "3", "2", "2", "3"], id="tensor"),
         pytest.param(["char", "7", "5"], id="char"),
         pytest.param(["kr", "--family", "t2", "--m", "8", "--basis", "weight"],
@@ -540,6 +554,12 @@ OUTPUT_DIGESTS = [
      "7c926a6d666ae3a2f0273a10858c9974e8ac6947dfd39402a5369ad98e691433", 0),
     ("verify all --max-m 8 --format table",
      "33b03f86f259910256824c273fe93576ec073570bb1c8712963e1c3cc126bebb", 0),
+    ("verify classes --max-m 12 --format json",
+     "8adc40809df637321648832155c1628239f77c7c8520606203de3dc63e3aaa19", 0),
+    ("verify classes --max-m 12 --format table",
+     "85e69dfe4240058165ae28cac5170478d96060e4dbc3a5d89c2daa3ffee595e2", 0),
+    ("verify classes --family t2 --max-m 20 --format csv",
+     "d5f60f5e911767aae12dbd848014fff3fabd584105932ff72fd96d0eaa1f4b24", 0),
     ("verify chevalley --format json",
      "6c1fad430b637c18da323b5f678415cb289a606861d360a360fc0f512ccb8c17", 0),
     ("verify chevalley --format csv",

@@ -1,8 +1,13 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2kr import equivalence
+from g2kr.cli import main
 from g2kr.equivalence import (
+    _certificate,
     class_keys,
     class_members,
     class_size_formula,
@@ -12,9 +17,45 @@ from g2kr.equivalence import (
     validate_key,
     verify_partition,
 )
-from g2kr.kr import Family, enumerate_region, kr_graded_character, wt_gr
+from g2kr.kr import (
+    _REGIONS,
+    Family,
+    Weight,
+    enumerate_region,
+    kr_graded_character,
+    wt_gr,
+)
 
 QUAD = (Family.U1, Family.T2)
+
+
+def listing_partition(family, m):
+    """The listing route, the oracle of `verify_partition`: every key's
+    class_members against a set of the whole region.
+
+    Empty iff the classes are pairwise disjoint, cover the region and have
+    the coefficients as sizes.  Keys, representatives and coefficients are
+    looked up at call time, so injected faults reach this route too.
+    """
+    failures = []
+    coefficient = _REGIONS[family].coefficient
+    region = set(enumerate_region(family, m))
+    seen = {}
+    for j, k, s in equivalence.class_keys(family, m):
+        try:
+            rep = equivalence.representative(family, m, j, k, s)
+            members = class_members(family, m, rep)
+        except ValueError as exc:
+            failures.append(f"key ({j},{k},{s}): {exc}")
+            continue
+        if len(members) != coefficient(m, j, k):
+            failures.append(f"key ({j},{k},{s}): {len(members)} members")
+        for point in members:
+            if seen.setdefault(point, (j, k, s)) != (j, k, s):
+                failures.append(f"{point} in {seen[point]} and ({j},{k},{s})")
+    if region != seen.keys():
+        failures.append(f"{len(region - seen.keys())} points uncovered")
+    return failures
 
 
 def test_shift_vectors():
@@ -143,6 +184,7 @@ def test_class_size_fixtures():
 def test_partition_sweep(family):
     for m in range(31):
         assert verify_partition(family, m) == []
+        assert listing_partition(family, m) == []
 
 
 @pytest.mark.parametrize("family", QUAD)
@@ -176,3 +218,177 @@ def test_family_names_accepted(family):
     )
     assert verify_partition(name, 6) == []
     assert rebuild_graded_character(name, 6) == kr_graded_character(family, 6)
+
+
+@pytest.mark.parametrize(
+    "family, minors", [(Family.U1, (-3, 1, 0, 1)), (Family.T2, (1, 0, 1, -1))]
+)
+def test_kernel_certificate(family, minors):
+    region = _REGIONS[family]
+    assert _certificate(region) == ()
+    assert minors in (region.shift, tuple(-c for c in region.shift))
+    # the minors do not depend on m: only the linear part of (wt, gr) counts
+    moved = tuple((c, d + 5) for c, d in region.wt_gr)
+    assert _certificate(region._replace(wt_gr=moved)) == ()
+    assert _certificate(region._replace(shift=(0, 0, 0, 0))) == (
+        f"kernel certificate fails: signed minors {minors} of the (wt, gr) "
+        "rows are not +-shift (0, 0, 0, 0) with gcd 1",
+    )
+
+
+def test_kernel_certificate_needs_primitive_shift():
+    # doubling the grade row doubles the minors: a shift equal to them is
+    # still not the generator of the integer kernel
+    region = _REGIONS[Family.T2]
+    wt_a, wt_b, (c, d) = region.wt_gr
+    doubled = region._replace(
+        wt_gr=(wt_a, wt_b, (tuple(2 * x for x in c), d)), shift=(2, 0, 2, -2)
+    )
+    assert _certificate(doubled) == (
+        "kernel certificate fails: signed minors (2, 0, 2, -2) of the "
+        "(wt, gr) rows are not +-shift (2, 0, 2, -2) with gcd 1",
+    )
+
+
+def run_classes(capsys, fmt, max_m):
+    code = main(["verify", "classes", "--max-m", str(max_m), "--format", fmt])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "field, value, minors, listing_fails",
+    [
+        # a wrong grade row: the shift-line classes stop being (wt, gr)
+        # fibres; the listing route never reads (wt, gr) and misses it
+        ("wt_gr", (((-1, -3, -3, 0), 1), ((0, 1, 1, -1), 0),
+                   ((1, 1, 2, 3), 0)), (-3, 2, -1, 1), False),
+        # a shift in the kernel but not its generator: the counting pass
+        # never reads the shift, the listing route sees half-size classes
+        ("shift", (6, -2, 0, -2), (-3, 1, 0, 1), True),
+    ],
+    ids=["wt_gr", "shift"],
+)
+def test_mutated_table_fails_certificate(monkeypatch, capsys, field, value,
+                                         minors, listing_fails):
+    region = _REGIONS[Family.U1]._replace(**{field: value})
+    monkeypatch.setitem(_REGIONS, Family.U1, region)
+    message = (f"kernel certificate fails: signed minors {minors} of the "
+               f"(wt, gr) rows are not +-shift {region.shift} with gcd 1")
+    assert verify_partition(Family.U1, 4) == [message]
+    assert (listing_partition(Family.U1, 6) != []) == listing_fails
+    code, out = run_classes(capsys, "json", 4)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    # the family's existing entries fail; no entry is added
+    assert payload["checks"] == [
+        {"check": "classes", "family": "u1", "m": m, "ok": False,
+         "failures": [message]} for m in range(5)
+    ] + [{"check": "classes", "family": "t2", "m": m, "ok": True}
+         for m in range(5)]
+    code, out = run_classes(capsys, "table", 4)
+    assert code == 1
+    assert "classes u1 (m <= 4): FAIL at m = 0, 1, 2, 3, 4\n" in out
+    assert out.count(f"    {message}\n") == 5
+    assert "classes t2 (m <= 4): ok\n" in out
+
+
+def _representatives(monkeypatch, moved):
+    # moved: {(m, j, k, s): point} replaces those U1 representatives
+    original = equivalence._representative
+
+    def fake(region, m, j, k, s):
+        if region.family is Family.U1 and (m, j, k, s) in moved:
+            return moved[m, j, k, s]
+        return original(region, m, j, k, s)
+
+    monkeypatch.setattr(equivalence, "_representative", fake)
+
+
+def _outside(monkeypatch):
+    # (4,0,0) at m=6 is (1,1,0,1), its whole class; one shift further
+    # breaks only 2r1 + 3r2 + 3r3 <= m and keeps the (wt, gr)
+    _representatives(monkeypatch, {(6, 4, 0, 0): (4, 0, 0, 0)})
+
+
+def _shared(monkeypatch):
+    # (4,0,0) gets the representative of (3,0,0)
+    _representatives(monkeypatch, {(6, 4, 0, 0): (0, 1, 0, 1)})
+
+
+def _coefficient(monkeypatch):
+    region = _REGIONS[Family.U1]
+
+    def coefficient(m, j, k):
+        return region.coefficient(m, j, k) + ((m, j, k) == (6, 3, 0))
+
+    monkeypatch.setitem(_REGIONS, Family.U1,
+                        region._replace(coefficient=coefficient))
+
+
+def _dropped(monkeypatch):
+    original = equivalence.class_keys
+
+    def class_keys(family, m):
+        keys = original(family, m)
+        if family not in (Family.U1, "u1") or m != 6:
+            return keys
+        return (key for key in keys if key != (5, 1, 1))
+
+    monkeypatch.setattr(equivalence, "class_keys", class_keys)
+
+
+FAULTS = [
+    (_outside, [
+        "m=6 key (4, 0, 0): (4, 0, 0, 0) is outside the region",
+        "m=6: no key has (wt, gr) (2, 0, 4); region count 1",
+    ]),
+    (_shared, [
+        "m=6 keys (3, 0, 0) and (4, 0, 0) share (wt, gr) (3, 0, 3)",
+        "m=6: no key has (wt, gr) (2, 0, 4); region count 1",
+    ]),
+    (_coefficient, [
+        "m=6 key (3, 0, 0): coefficient 3 != region count 2 at (wt, gr) "
+        "(3, 0, 3)",
+    ]),
+    (_dropped, ["m=6: no key has (wt, gr) (0, 1, 5); region count 1"]),
+]
+
+
+@pytest.mark.parametrize("inject, expected", FAULTS,
+                         ids=[f.__name__[1:] for f, _ in FAULTS])
+def test_injected_faults(monkeypatch, capsys, inject, expected):
+    inject(monkeypatch)
+    assert verify_partition(Family.U1, 6) == expected
+    assert listing_partition(Family.U1, 6) != []
+    for m in (5, 7):
+        assert verify_partition(Family.U1, m) == []
+    code, out = run_classes(capsys, "json", 7)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert [c for c in payload["checks"] if not c["ok"]] == [
+        {"check": "classes", "family": "u1", "m": 6, "ok": False,
+         "failures": expected}
+    ]
+    code, out = run_classes(capsys, "table", 7)
+    assert code == 1
+    assert "".join(f"    {line}\n" for line in expected) in out
+    assert "classes u1 (m <= 7): FAIL at m = 6\n" in out
+
+
+def test_partition_compares_the_given_graded_character():
+    graded = kr_graded_character(Family.U1, 6)
+    graded.add(3, Weight(3, 0), 1)
+    assert verify_partition(Family.U1, 6, graded) == [
+        "m=6 key (3, 0, 0): coefficient 2 != region count 3 at (wt, gr) "
+        "(3, 0, 3)"
+    ]
+
+
+@pytest.mark.parametrize("bad", [6.0, True, "6", None, -1])
+@pytest.mark.parametrize("function", [verify_partition,
+                                      rebuild_graded_character])
+def test_partition_routes_check_m(function, bad):
+    with pytest.raises(ValueError, match="m must be"):
+        function("u1", bad)
