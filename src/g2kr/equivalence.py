@@ -5,14 +5,13 @@ pair, which happens exactly when they differ by an integer multiple of a
 family-specific shift vector.  The region and the shift vector come from
 the family's table in the kr module, the one definition of each region:
 a class is the interval of steps along the shift that the region's
-constraints leave, read off in closed form.  The canonical
-representatives r_{j,k,s} below enumerate the classes exactly once, and
-their sizes are the generating-function coefficients of the same table.
-`verify_partition` machine-checks all of that for a given m: a kernel
-certificate valid for every m makes the classes the (wt, gr) fibres, and
-one counting pass over the keys does the rest, listing no class.
-Rebuilding the graded character from representatives weighted by the
-coefficients gives a route independent of full region enumeration.
+constraints leave, read off in closed form.  The class keys (j, k, s)
+are the generating function's labels, and the canonical representatives
+r_{j,k,s} and the class sizes (the coefficients) come from the same
+table.  `verify_partition` machine-checks for a given m that these keys
+label each class exactly once: a kernel certificate valid for every m
+makes the classes the (wt, gr) fibres, and one counting pass over the
+keys does the rest, listing no class and enumerating no region point.
 """
 
 from __future__ import annotations
@@ -23,16 +22,15 @@ from typing import Iterator
 
 from .kr import (
     Family,
-    GradedDecomposition,
     QuadIndex,
     _affine,
     _check_m,
+    _check_quad,
     _graded,
     _region,
     _signed,
     _span,
     compare,
-    in_region,
     kr_graded_character,
 )
 
@@ -74,15 +72,7 @@ def representative(family: Family, m: int, j: int, k: int, s: int) -> QuadIndex:
     """Canonical region point of the class labelled (j, k, s)."""
     region = _region(family)
     _validate(region, m, j, k, s)
-    return _representative(region, m, j, k, s)
-
-
-def _representative(region, m, j, k, s) -> QuadIndex:
-    # (j, k, s) is a valid key, as `class_keys` yields them
-    if region.family is Family.U1:
-        r4, r1 = divmod(j - 2 * k, 3)  # j - 2k = r1 + 3*r4, 0 <= r1 <= 2
-        return (r1, k + r4 - s, s, r4)
-    return (j - s, s, 0, m - j - k)
+    return region.representative(m, j, k, s)
 
 
 def class_size_formula(family: Family, m: int, j: int, k: int, s: int) -> int:
@@ -99,15 +89,15 @@ def class_members(family: Family, m: int, r) -> list[QuadIndex]:
     shift, so the class is the interval of t that the constraints leave.
     """
     region = _region(family)
-    _check_m(m)
-    r = tuple(r)
-    if not in_region(region.family, m, r):
+    r = _check_quad(m, r)
+    values = _affine(region.constraints, m, r)
+    if min(values) < 0:
         raise ValueError(
             f"{r} is not in the {region.family.value} region for m={m}"
         )
     # each constraint's rate of change along the shift, split by sign
     bounds = _signed(enumerate(_affine(region.constraints, 0, region.shift)))
-    steps = _span(_affine(region.constraints, m, r), *bounds)
+    steps = _span(values, *bounds)
     (r1, r2, r3, r4), (s1, s2, s3, s4) = r, region.shift
     return [
         (r1 + t * s1, r2 + t * s2, r3 + t * s3, r4 + t * s4) for t in steps
@@ -117,16 +107,7 @@ def class_members(family: Family, m: int, r) -> list[QuadIndex]:
 def class_keys(family: Family, m: int) -> Iterator[tuple[int, int, int]]:
     """All valid (j, k, s) keys for the family at this m."""
     region = _region(family)
-    if region.family is Family.U1:
-        # (j, k, largest s)
-        pairs = (
-            (j, k, k)
-            for k in range(m // 3 + 1)
-            for j in range(2 * k, m - k + 1)
-        )
-    else:
-        pairs = ((j, k, j) for j in range(m + 1) for k in range(m - j + 1))
-    for j, k, top in pairs:
+    for j, k, top in region.labels(m):
         if region.coefficient(m, j, k) > 0:
             for s in range(top + 1):
                 yield j, k, s
@@ -167,7 +148,7 @@ def verify_partition(family: Family, m: int, graded=None) -> list[str]:
     rows, bound = region.constraints + region.wt_gr, len(region.constraints)
     owners = {}
     for key in class_keys(family, m):
-        rep = _representative(region, m, *key)
+        rep = region.representative(m, *key)
         values = _affine(rows, m, rep)
         point = tuple(values[bound:])
         if min(values[:bound]) < 0:
@@ -186,19 +167,3 @@ def verify_partition(family: Family, m: int, graded=None) -> list[str]:
             f"m={m}: no key has (wt, gr) {point}; region count {n}"
         )
     return failures
-
-
-def rebuild_graded_character(family: Family, m: int) -> GradedDecomposition:
-    """Graded character from representatives weighted by class sizes.
-
-    Independent of `kr_graded_character`: it never enumerates the region,
-    only the class keys and the closed-form sizes.
-    """
-    region = _region(family)
-    _check_m(m)
-    counts: dict[tuple[int, int, int], int] = {}
-    for j, k, s in class_keys(family, m):
-        rep = _representative(region, m, j, k, s)
-        key = tuple(_affine(region.wt_gr, m, rep))
-        counts[key] = counts.get(key, 0) + region.coefficient(m, j, k)
-    return _graded(counts)

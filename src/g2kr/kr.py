@@ -11,17 +11,21 @@ points r of a region in Z+^4:
     T2: wt(r) = (r1 + r2 - r3)*omega1 + (m - r1 - r2 - r4)*omega2,
         gr(r) = r1 + 2r2 + 2r3 + 3r4.
 
-Each region is defined once, in the `_REGIONS` table (affine constraints,
-the affine (wt, gr) map, shift vector, generating-function coefficient);
-membership, enumeration, the graded character and the equivalence
-classes are all read off it.  The graded character never visits region
-points one by one: along each run of r4 through the region, (wt, gr) is
-an arithmetic progression, and C-level maps over r3 hand the runs of one
-(r1, r2) slab to a single Counter.
+Each family is defined once, in the `_REGIONS` table: the region's
+affine constraints, the affine (wt, gr) map and the shift vector, and the
+generating function's labels, terms, coefficients and class
+representatives.  Membership, enumeration, both forms of the graded
+character and the equivalence classes are all read off it.  The graded
+character never visits region points one by one: along each run of r4
+through the region, (wt, gr) is an arithmetic progression, and C-level
+maps over r3 hand the runs of one (r1, r2) slab to a single Counter.
 
-The second form is a generating function whose coefficients count the
-points of equivalence classes inside the region (see the equivalence
-module); `compare` checks the two forms against each other exactly.
+The second form is the generating function: the label (j, k, s) carries
+coefficient(m, j, k) copies of one irreducible, and the coefficients
+count the points of equivalence classes inside the region (see the
+equivalence module); `compare` checks the two forms against each other
+exactly.  Quad indices must be four ints and m, j, k nonnegative ints
+(bool excluded); anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -69,14 +73,18 @@ class _Region(NamedTuple):
     shift: QuadIndex
     #: Generating-function coefficient at (m, j, k), before clamping at 0.
     coefficient: Callable[[int, int, int], int]
+    #: The generating function's labels at m: (j, k, top), with s in 0..top.
+    labels: Callable[[int], Iterable[tuple[int, int, int]]]
+    #: (a, b, base) at (m, j, k): the label (j, k, s) carries V(a, b) in
+    #: grade base + s.
+    term: Callable[[int, int, int], tuple[int, int, int]]
+    #: Canonical region point of the class labelled (j, k, s) at m.
+    representative: Callable[[int, int, int, int], QuadIndex]
 
 
-def _u1_coefficient(m: int, j: int, k: int) -> int:
-    return 1 + (j - 2 * k) // 3 + min(0, (m + k - 2 * j) // 3)
-
-
-def _t2_coefficient(m: int, j: int, k: int) -> int:
-    return 1 + min(k, m - j - k)
+def _u1_representative(m: int, j: int, k: int, s: int) -> QuadIndex:
+    r4, r1 = divmod(j - 2 * k, 3)  # j - 2k = r1 + 3*r4, 0 <= r1 <= 2
+    return (r1, k + r4 - s, s, r4)
 
 
 _NONNEGATIVE = (((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0),
@@ -91,14 +99,24 @@ _REGIONS = {
             _NONNEGATIVE + (((0, 1, 0, -1), 0), ((-2, -3, -3, 0), 1)),
             (((-1, -3, -3, 0), 1), ((0, 1, 1, -1), 0), ((1, 1, 2, 2), 0)),
             (3, -1, 0, -1),
-            _u1_coefficient,
+            lambda m, j, k: (
+                1 + (j - 2 * k) // 3 + min(0, (m + k - 2 * j) // 3)
+            ),
+            lambda m: ((j, k, k) for k in range(m // 3 + 1)
+                       for j in range(2 * k, m - k + 1)),
+            lambda m, j, k: (m - j - k, k, j - k),
+            _u1_representative,
         ),
         _Region(
             Family.T2,
             _NONNEGATIVE + (((1, 0, -1, 0), 0), ((-1, -1, -1, -1), 1)),
             (((1, 1, -1, 0), 0), ((-1, -1, 0, -1), 1), ((1, 2, 2, 3), 0)),
             (1, 0, 1, -1),
-            _t2_coefficient,
+            lambda m, j, k: 1 + min(k, m - j - k),
+            lambda m: ((j, k, j) for j in range(m + 1)
+                       for k in range(m - j + 1)),
+            lambda m, j, k: (j, k, 3 * m - 2 * j - 3 * k),
+            lambda m, j, k, s: (j - s, s, 0, m - j - k),
         ),
     )
 }
@@ -122,6 +140,17 @@ def _check_m(m, name: str = "m") -> None:
         raise ValueError(f"{name} must be an int, got {m!r}")
     if m < 0:
         raise ValueError(f"{name} must be nonnegative, got {m}")
+
+
+def _check_quad(m, r) -> QuadIndex:
+    """r as a tuple, after `_check_m(m)`; ValueError unless r is exactly
+    four ints (bool excluded).  Negative coordinates are legal: (wt, gr)
+    is an affine map on Z^4."""
+    _check_m(m)
+    quad = tuple(r) if isinstance(r, (tuple, list)) else ()
+    if len(quad) != 4 or not all(type(x) is int for x in quad):
+        raise ValueError(f"a quad index is four ints, got {r!r}")
+    return quad
 
 
 def _affine(rows, m: int, r) -> list[int]:
@@ -213,7 +242,7 @@ def _graded(counts) -> GradedDecomposition:
 
 def wt_gr(family: Family, m: int, r) -> tuple[Weight, int]:
     """(weight, grade) of a quad index for the quad-indexed families."""
-    a, b, grade = _affine(_region(family).wt_gr, m, r)
+    a, b, grade = _affine(_region(family).wt_gr, m, _check_quad(m, r))
     return Weight(a, b), grade
 
 
@@ -288,7 +317,8 @@ def enumerate_region(family: Family, m: int) -> list[QuadIndex]:
 
 def in_region(family: Family, m: int, r) -> bool:
     """Membership test for the family's region."""
-    return min(_affine(_region(family).constraints, m, r)) >= 0
+    region = _region(family)
+    return min(_affine(region.constraints, m, _check_quad(m, r))) >= 0
 
 
 def _ladder(family: Family, m: int) -> GradedDecomposition:
@@ -343,9 +373,13 @@ def conjecture_coefficient(family, m, j, k, negatives=None):
 
     Defined for arbitrary j, k >= 0 and clamped below at zero; a strictly
     negative pre-clamp value is logged and, when a `negatives` list is
-    supplied, recorded as (family, m, j, k, value).
+    supplied, recorded as (family, m, j, k, value).  m, j and k must be
+    nonnegative ints (bool excluded).
     """
     region = _region(family)
+    if not type(m) is type(j) is type(k) is int or min(m, j, k) < 0:
+        for name, value in (("m", m), ("j", j), ("k", k)):
+            _check_m(value, name)
     family = region.family
     raw = region.coefficient(m, j, k)
     if raw < 0:
@@ -365,34 +399,25 @@ def conjecture_graded_character(
     """Generating-function form of the graded character.
 
     For U2/T1 the expression is the same ladder as the closed form.  For
-    U1/T2 it runs over (j, k) and spreads `conjecture_coefficient` copies
-    of one irreducible across a band of grades.
+    U1/T2 it runs over the table's labels (j, k, top) and puts
+    `conjecture_coefficient` copies of the term's irreducible in each
+    grade of its band base..base + top.
     """
     family = Family(family)
     _check_m(m)
     if not family.quad_indexed:
         return _ladder(family, m)
-    g = GradedDecomposition()
-    if family is Family.U1:
-        for k in range(m // 3 + 1):
-            for j in range(2 * k, m - k + 1):
-                coeff = conjecture_coefficient(family, m, j, k, negatives)
-                if coeff == 0:
-                    continue
-                weight = Weight(m - j - k, k)
-                for s in range(k + 1):
-                    g.add(j - k + s, weight, coeff)
-    else:
-        for j in range(m + 1):
-            for k in range(m - j + 1):
-                coeff = conjecture_coefficient(family, m, j, k, negatives)
-                if coeff == 0:
-                    continue
-                weight = Weight(j, k)
-                base = 3 * m - 2 * j - 3 * k
-                for s in range(j + 1):
-                    g.add(base + s, weight, coeff)
-    return g
+    region = _REGIONS[family]
+    grades: dict[int, dict[Weight, int]] = {}
+    for j, k, top in region.labels(m):
+        coeff = conjecture_coefficient(family, m, j, k, negatives)
+        if coeff:
+            a, b, base = region.term(m, j, k)
+            weight = Weight(a, b)
+            for grade in range(base, base + top + 1):
+                component = grades.setdefault(grade, {})
+                component[weight] = component.get(weight, 0) + coeff
+    return GradedDecomposition._wrap(grades)
 
 
 def compare(

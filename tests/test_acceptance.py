@@ -19,7 +19,6 @@ from g2kr.characters import (
 from g2kr.equivalence import (
     class_keys,
     class_size_formula,
-    rebuild_graded_character,
     verify_partition,
 )
 from g2kr.kr import (
@@ -148,9 +147,9 @@ def test_criterion_06_partition_sweep():
 def test_criterion_07_two_route_equality():
     for family in (Family.U1, Family.T2):
         for m in SWEEP:
-            assert rebuild_graded_character(family, m) == kr_graded_character(
-                family, m
-            ), (family, m)
+            assert verify_partition(
+                family, m, conjecture_graded_character(family, m)
+            ) == [], (family, m)
     _report(7, "representatives x class sizes rebuild the graded character "
                "exactly for m<=30")
 

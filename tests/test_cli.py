@@ -334,6 +334,8 @@ def test_out_file_unwritable_is_usage_error(tmp_path, capsys):
                      id="kr-weight"),
         pytest.param(["kr", "--family", "t2", "--m", "6", "--basis", "weight"],
                      id="kr-t2-6-weight"),
+        pytest.param(["kr", "--family", "u1", "--m", "12", "--conjecture"],
+                     id="kr-u1-12-conjecture"),
     ],
 )
 def test_optimized_run_matches_plain_run(command):
@@ -566,6 +568,12 @@ OUTPUT_DIGESTS = [
      "7632189a1c2310ab8087535a20f14711d37392ea06cbd47db108f86717324d5f", 0),
     ("verify chevalley --format table",
      "51daccc938816904a14754baf0c1b90d260874e5eec317a4448a6729b5ef4873", 0),
+    ("kr --family t2 --m 30 --conjecture --format json",
+     "a556e427a625918cabaa564a2a676464ec64e3d46e3fab8090b2433f48e7d406", 0),
+    ("kr --family u1 --m 30 --conjecture --format csv",
+     "dee7e5cd42a5398adcf58f20c60e717f9fc477bb60ef9d219a0aee9953bd9712", 0),
+    ("verify conjecture --max-m 40 --format json",
+     "8424a4eeb32a795d2db15e2dc2fc3c4451e3faaf57de9531ba6d36daebc4eadd", 0),
     ("char 2 -1 --format json",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     ("tensor 1 0 0 -2 --format json",

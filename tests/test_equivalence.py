@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -11,7 +12,6 @@ from g2kr.equivalence import (
     class_keys,
     class_members,
     class_size_formula,
-    rebuild_graded_character,
     representative,
     shift_vector,
     validate_key,
@@ -21,6 +21,7 @@ from g2kr.kr import (
     _REGIONS,
     Family,
     Weight,
+    conjecture_graded_character,
     enumerate_region,
     kr_graded_character,
     wt_gr,
@@ -188,6 +189,22 @@ def test_partition_sweep(family):
 
 
 @pytest.mark.parametrize("family", QUAD)
+def test_class_keys_are_the_valid_keys(family):
+    # the table's labels against the inequalities of `validate_key`
+    for m in range(13):
+        valid = set()
+        for key in itertools.product(range(m + 1), repeat=3):
+            try:
+                validate_key(family, m, *key)
+            except ValueError:
+                continue
+            valid.add(key)
+        keys = list(class_keys(family, m))
+        assert len(keys) == len(set(keys))
+        assert set(keys) == valid
+
+
+@pytest.mark.parametrize("family", QUAD)
 def test_class_sizes_sum_to_region(family):
     for m in range(31):
         total = sum(
@@ -199,10 +216,11 @@ def test_class_sizes_sum_to_region(family):
 
 @pytest.mark.parametrize("family", QUAD)
 def test_two_route_equality(family):
+    # representatives x class sizes rebuild the generating-function form
     for m in range(31):
-        assert rebuild_graded_character(family, m) == kr_graded_character(
-            family, m
-        )
+        assert verify_partition(
+            family, m, conjecture_graded_character(family, m)
+        ) == []
 
 
 @pytest.mark.parametrize("family", QUAD)
@@ -217,7 +235,6 @@ def test_family_names_accepted(family):
         class_members(family, 6, (1, 1, 0, 1))
     )
     assert verify_partition(name, 6) == []
-    assert rebuild_graded_character(name, 6) == kr_graded_character(family, 6)
 
 
 @pytest.mark.parametrize(
@@ -295,14 +312,15 @@ def test_mutated_table_fails_certificate(monkeypatch, capsys, field, value,
 
 def _representatives(monkeypatch, moved):
     # moved: {(m, j, k, s): point} replaces those U1 representatives
-    original = equivalence._representative
+    region = _REGIONS[Family.U1]
 
-    def fake(region, m, j, k, s):
-        if region.family is Family.U1 and (m, j, k, s) in moved:
+    def representative(m, j, k, s):
+        if (m, j, k, s) in moved:
             return moved[m, j, k, s]
-        return original(region, m, j, k, s)
+        return region.representative(m, j, k, s)
 
-    monkeypatch.setattr(equivalence, "_representative", fake)
+    monkeypatch.setitem(_REGIONS, Family.U1,
+                        region._replace(representative=representative))
 
 
 def _outside(monkeypatch):
@@ -387,8 +405,7 @@ def test_partition_compares_the_given_graded_character():
 
 
 @pytest.mark.parametrize("bad", [6.0, True, "6", None, -1])
-@pytest.mark.parametrize("function", [verify_partition,
-                                      rebuild_graded_character])
+@pytest.mark.parametrize("function", [verify_partition])
 def test_partition_routes_check_m(function, bad):
     with pytest.raises(ValueError, match="m must be"):
         function("u1", bad)

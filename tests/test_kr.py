@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2kr.characters import Character, irreducible_character
-from g2kr.equivalence import shift_vector
+from g2kr.equivalence import class_members, shift_vector
 from g2kr.kr import (
     Family,
     GradedDecomposition,
@@ -211,6 +211,16 @@ def test_conjecture_coefficient_records_negatives(caplog):
     assert "negative pre-clamp" in caplog.text
 
 
+@pytest.mark.parametrize("bad", [3.0, True, "3", None, -3])
+@pytest.mark.parametrize("position", range(3))
+def test_conjecture_coefficient_arguments_checked(position, bad):
+    # (m, j, k) = (3, 3, 0) is a cell of U1 at m = 3
+    args = [3, 3, 0]
+    args[position] = bad
+    with pytest.raises(ValueError, match=f"{'mjk'[position]} must be"):
+        conjecture_coefficient(Family.U1, *args)
+
+
 def test_conjecture_fixtures():
     # ladder families: identical expressions
     for family in LADDER:
@@ -256,6 +266,37 @@ def test_shift_in_kernel_of_wt_gr(family):
     shift = shift_vector(family)
     assert wt_gr(family, 0, shift) == (ZERO, 0)
     assert wt_gr(family, 0, tuple(-2 * c for c in shift)) == (ZERO, 0)
+
+
+@pytest.mark.parametrize("function", [in_region, wt_gr, class_members])
+@pytest.mark.parametrize(
+    "m, r, message",
+    [
+        (3, (True, 0, 0, 0), "a quad index is four ints"),
+        (3, [0.0, 0, 0, 0], "a quad index is four ints"),
+        (3, (1.5, 0, 0, 0), "a quad index is four ints"),
+        (3, (0, 0, 0), "a quad index is four ints"),
+        (3, (0, 0, 0, 0, 0), "a quad index is four ints"),
+        (3, True, "a quad index is four ints"),
+        (3, "0000", "a quad index is four ints"),
+        (-3, (0, 0, 0, 0), "m must be nonnegative"),
+        (3.0, (0, 0, 0, 0), "m must be an int"),
+        (True, (0, 0, 0, 0), "m must be an int"),
+    ],
+    ids=["bool-coordinate", "float-list", "fraction", "three", "five",
+         "bool", "str", "negative-m", "float-m", "bool-m"],
+)
+def test_quad_index_boundary(function, m, r, message):
+    with pytest.raises(ValueError, match=message):
+        function(Family.U1, m, r)
+
+
+def test_quad_index_legal_forms():
+    # a list is accepted, and a negative coordinate is a point of Z^4
+    assert in_region(Family.U1, 3, [0, 1, 0, 1])
+    assert not in_region(Family.U1, 3, (-1, 0, 0, 0))
+    assert wt_gr(Family.U1, 3, [0, 1, 0, 1]) == (ZERO, 3)
+    assert class_members(Family.U1, 3, [0, 1, 0, 1]) == [(0, 1, 0, 1)]
 
 
 def test_compare_lists_every_difference_sorted():

@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import g2kr
@@ -19,3 +20,15 @@ def test_no_assert_statement_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_all_lists_every_public_import():
+    names = g2kr.__all__
+    assert names == sorted(names)
+    assert [name for name in names if not hasattr(g2kr, name)] == []
+    imported = {
+        name for name, value in vars(g2kr).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+    }
+    assert sorted(imported - set(names)) == []
