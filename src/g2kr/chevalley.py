@@ -2,7 +2,9 @@
 
 Basis order: x+_gamma for the six positive roots in height order, then
 x-_gamma in the same order, then the simple coroots h1, h2 (14 elements,
-integer structure constants throughout).
+integer structure constants throughout).  The table is held once, in one
+sparse integer form (the nonzero (k, c) of each bracket), and ranks use
+fraction-free integer elimination: no value is ever a fraction.
 
 Sign convention.  The constants are extracted from the 7-dimensional
 fundamental representation, built on an admissible lattice so that all
@@ -29,8 +31,8 @@ algebra itself and C the grade-one piece.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .weights import (
     OMEGA2,
@@ -73,102 +75,66 @@ BASIS_NAMES = tuple(
 )
 
 
-# --- 7x7 integer matrix helpers (representation space) ---------------------
+# --- sparse 7x7 integer matrices on the representation space --------------
+# A matrix is the dict {(row, col): entry} of its nonzero entries.
 
-def _unit(i, j):
-    m = [[0] * 7 for _ in range(7)]
-    m[i][j] = 1
-    return m
-
-
-def _add(*mats):
-    out = [[0] * 7 for _ in range(7)]
-    for m in mats:
-        for i in range(7):
-            for j in range(7):
-                out[i][j] += m[i][j]
-    return out
-
-
-def _scale(m, c):
-    return [[c * x for x in row] for row in m]
-
-
-def _matmul(a, b):
-    out = [[0] * 7 for _ in range(7)]
-    for i in range(7):
-        arow = a[i]
-        orow = out[i]
-        for k in range(7):
-            c = arow[k]
-            if c:
-                brow = b[k]
-                for j in range(7):
-                    if brow[j]:
-                        orow[j] += c * brow[j]
-    return out
+def _lincomb(*terms):
+    """The matrix sum of c * m over the (c, m) terms."""
+    out = {}
+    for c, m in terms:
+        for ij, x in m.items():
+            out[ij] = out.get(ij, 0) + c * x
+    return {ij: x for ij, x in out.items() if x}
 
 
 def _comm(a, b):
-    ab = _matmul(a, b)
-    ba = _matmul(b, a)
-    return [[ab[i][j] - ba[i][j] for j in range(7)] for i in range(7)]
+    """The commutator ab - ba."""
+    out = {}
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
+        for (i, k), u in x.items():
+            for (l, j), v in y.items():
+                if k == l:
+                    out[i, j] = out.get((i, j), 0) + sign * u * v
+    return {ij: c for ij, c in out.items() if c}
 
 
 def _exact_div(m, d):
-    out = []
-    for row in m:
-        new = []
-        for x in row:
-            q, r = divmod(x, d)
-            if r:
-                raise ArithmeticError(
-                    "chevalley construction: non-exact division"
-                )
-            new.append(q)
-        out.append(new)
+    out = {}
+    for ij, x in m.items():
+        q, r = divmod(x, d)
+        if r:
+            raise ArithmeticError("chevalley construction: non-exact division")
+        out[ij] = q
     return out
-
-
-def _is_zero(m):
-    return all(x == 0 for row in m for x in row)
 
 
 def _ratio(m, base):
     """The integer c with m == c * base; ArithmeticError unless one exists."""
-    for i in range(7):
-        for j in range(7):
-            if base[i][j]:
-                q, r = divmod(m[i][j], base[i][j])
-                if r:
-                    raise ArithmeticError(
-                        "chevalley construction: non-integer constant"
-                    )
-                if any(
-                    m[a][b] != q * base[a][b]
-                    for a in range(7)
-                    for b in range(7)
-                ):
-                    raise ArithmeticError(
-                        "chevalley construction: bracket not proportional "
-                        "to root vector"
-                    )
-                return q
-    raise ArithmeticError("chevalley construction: zero root vector")
+    if not base:
+        raise ArithmeticError("chevalley construction: zero root vector")
+    ij = min(base)
+    q, r = divmod(m.get(ij, 0), base[ij])
+    if r:
+        raise ArithmeticError("chevalley construction: non-integer constant")
+    if m != _lincomb((q, base)):
+        raise ArithmeticError(
+            "chevalley construction: bracket not proportional to root vector"
+        )
+    return q
 
 
 def _build_representation():
-    """The 14 basis elements as 7x7 integer matrices.
+    """The 14 basis elements as sparse 7x7 integer matrices.
 
     The representation space has weight basis v0..v6 with weights
     omega1, omega1-a1, omega1-a1-a2, 0, -omega1+a1+a2, -omega1+a1, -omega1;
     the simple generators act along the alpha-strings with the usual
     divided-power integer entries.
     """
-    e1 = _add(_unit(0, 1), _scale(_unit(2, 3), 2), _unit(3, 4), _unit(5, 6))
-    f1 = _add(_unit(1, 0), _unit(3, 2), _scale(_unit(4, 3), 2), _unit(6, 5))
-    e2 = _add(_unit(1, 2), _unit(4, 5))
-    f2 = _add(_unit(2, 1), _unit(5, 4))
+    e1 = {(0, 1): 1, (2, 3): 2, (3, 4): 1, (5, 6): 1}
+    f1 = {(1, 0): 1, (3, 2): 1, (4, 3): 2, (6, 5): 1}
+    e2 = {(1, 2): 1, (4, 5): 1}
+    f2 = {(2, 1): 1, (5, 4): 1}
 
     h1 = _comm(e1, f1)
     h2 = _comm(e2, f2)
@@ -188,72 +154,66 @@ def _build_representation():
     neg = [f1, f2]
     for idx in range(2, 6):
         c1, c2 = coroot_coefficients(_POS_WEIGHTS[idx])
-        coroot = _add(_scale(h1, c1), _scale(h2, c2))
-        c = _ratio(_comm(pos[idx], raw[idx]), coroot)
+        c = _ratio(_comm(pos[idx], raw[idx]), _lincomb((c1, h1), (c2, h2)))
         neg.append(_exact_div(raw[idx], c))
 
-    return pos + neg + [h1, h2], h1, h2
+    return pos + neg + [h1, h2]
 
 
-def _extract_table(matrices, h1, h2):
-    """Express every basis bracket over the basis; all entries integer."""
-    table = []
+def _coroot(c1, c2):
+    """The sparse basis coefficients of c1*h1 + c2*h2."""
+    return tuple((k, c) for k, c in ((H1, c1), (H2, c2)) if c)
+
+
+def _extract_table(matrices):
+    """rows[i][j]: the nonzero (k, c) of [b_i, b_j] = sum c*b_k, by k."""
+    h1, h2 = matrices[H1], matrices[H2]
+    rows = []
     for i in range(DIM):
         row = []
         for j in range(DIM):
             b = _comm(matrices[i], matrices[j])
-            vec = [0] * DIM
-            if not _is_zero(b):
-                delta = BASIS_WEIGHTS[i] + BASIS_WEIGHTS[j]
-                if delta == ZERO:
-                    # Cartan subalgebra: both h1 and h2 act diagonally with
-                    # entries 1, 0 on v0 and -1, 1 on v1, so this 2x2 solve
-                    # is exact.
-                    c1 = b[0][0]
-                    c2 = b[1][1] + c1
-                    if b != _add(_scale(h1, c1), _scale(h2, c2)):
-                        raise ArithmeticError("chevalley: bad Cartan bracket")
-                    vec[H1], vec[H2] = c1, c2
-                else:
-                    sign = 1 if delta in _ROOT_INDEX else -1
-                    root = delta if sign == 1 else -delta
-                    if root not in _ROOT_INDEX:
-                        raise ArithmeticError("chevalley: bracket off lattice")
-                    k = _ROOT_INDEX[root] + (0 if sign == 1 else 6)
-                    vec[k] = _ratio(b, matrices[k])
-            row.append(tuple(vec))
-        table.append(tuple(row))
-    return tuple(table)
-
-
-def _sparse_rows(brackets):
-    """rows[i][j]: the nonzero (k, c) of [b_i, b_j] = sum c*b_k."""
-    return tuple(
-        tuple(tuple((k, c) for k, c in enumerate(vec) if c) for vec in row)
-        for row in brackets
-    )
+            delta = BASIS_WEIGHTS[i] + BASIS_WEIGHTS[j]
+            if not b:
+                row.append(())
+            elif delta == ZERO:
+                # Cartan subalgebra: both h1 and h2 act diagonally with
+                # entries 1, 0 on v0 and -1, 1 on v1, so this 2x2 solve
+                # is exact.
+                c1 = b.get((0, 0), 0)
+                c2 = b.get((1, 1), 0) + c1
+                if b != _lincomb((c1, h1), (c2, h2)):
+                    raise ArithmeticError("chevalley: bad Cartan bracket")
+                row.append(_coroot(c1, c2))
+            else:
+                sign = 1 if delta in _ROOT_INDEX else -1
+                root = delta if sign == 1 else -delta
+                if root not in _ROOT_INDEX:
+                    raise ArithmeticError("chevalley: bracket off lattice")
+                k = _ROOT_INDEX[root] + (0 if sign == 1 else 6)
+                row.append(((k, _ratio(b, matrices[k])),))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 class BracketTable:
     """Structure constants and Killing form on the 14-element basis.
 
-    Sparse forms, derived once per table: `rows[i][j]` lists the nonzero
-    (k, c) of [b_i, b_j] = sum c*b_k, and `action[p][i][w]` the nonzero
-    (u, c) of (b_i (x) t^p) applied to basis vector w of K (w < DIM: the
-    adjoint copy; w = DIM: the grade-one line C), for p = 0, 1, 2.
+    `rows[i][j]` lists the nonzero (k, c) of [b_i, b_j] = sum c*b_k in
+    increasing k, `killing[i][j]` is <b_i, b_j>, and `action[p][i][w]`
+    lists the nonzero (u, c) of (b_i (x) t^p) applied to basis vector w
+    of K (w < DIM: the adjoint copy; w = DIM: the grade-one line C), for
+    p = 0, 1, 2.
     """
 
-    __slots__ = ("brackets", "killing", "weights", "names", "rows", "action")
+    __slots__ = ("rows", "killing", "action")
 
-    def __init__(self, brackets, killing):
-        self.brackets = brackets
+    def __init__(self, rows, killing):
+        self.rows = rows
         self.killing = killing
-        self.weights = BASIS_WEIGHTS
-        self.names = BASIS_NAMES
-        self.rows = _sparse_rows(brackets)
         # (x (x) t^p)(y, a) = (delta_{p,0} [x, y], delta_{p,1} <x, y>)
         self.action = (
-            tuple(row + ((),) for row in self.rows),
+            tuple(row + ((),) for row in rows),
             tuple(
                 tuple(((DIM, c),) if c else () for c in krow) + ((),)
                 for krow in killing
@@ -261,47 +221,21 @@ class BracketTable:
             (((),) * (DIM + 1),) * DIM,
         )
 
-    def bracket(self, x, y) -> tuple[int, ...]:
-        acc = [0] * DIM
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            row = self.rows[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, v in row[j]:
-                    acc[k] += c * v
-        return tuple(acc)
-
-    def killing_form(self, x, y) -> int:
-        total = 0
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            krow = self.killing[i]
-            for j, yj in enumerate(y):
-                if yj:
-                    total += xi * yj * krow[j]
-        return total
-
 
 @lru_cache(maxsize=None)
 def build_bracket_table() -> BracketTable:
     """Build (once) the verified structure-constant table."""
-    matrices, h1, h2 = _build_representation()
-    table = _extract_table(matrices, h1, h2)
-    rows = _sparse_rows(table)
+    rows = _extract_table(_build_representation())
     # tr(ad b_i . ad b_j): the sum over l and k of [b_i, b_l]_k [b_j, b_k]_l
     killing = tuple(
         tuple(
-            sum(c * table[j][k][l] for l in range(DIM) for k, c in rows[i][l])
+            sum(c * d for l in range(DIM) for k, c in rows[i][l]
+                for u, d in rows[j][k] if u == l)
             for j in range(DIM)
         )
         for i in range(DIM)
     )
-    return BracketTable(table, killing)
+    return BracketTable(rows, killing)
 
 
 def basis_vector(i: int) -> tuple[int, ...]:
@@ -326,59 +260,63 @@ def cartan(i: int) -> tuple[int, ...]:
 
 def bracket(x, y) -> tuple[int, ...]:
     """Lie bracket of two elements given by basis coefficients."""
-    return build_bracket_table().bracket(x, y)
+    rows = build_bracket_table().rows
+    acc = [0] * DIM
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                if yj:
+                    for k, c in rows[i][j]:
+                        acc[k] += xi * yj * c
+    return tuple(acc)
 
 
 def killing_form(x, y) -> int:
     """Trace form tr(ad x . ad y); exact integer."""
-    return build_bracket_table().killing_form(x, y)
+    killing = build_bracket_table().killing
+    return sum(
+        xi * yj * killing[i][j]
+        for i, xi in enumerate(x)
+        if xi
+        for j, yj in enumerate(y)
+        if yj
+    )
 
 
 # --- verification: Lie algebra axioms --------------------------------------
 
 def verify_structure() -> list[str]:
     """Antisymmetry, Jacobi on all 14^3 triples, Cartan actions, coroots."""
-    t = build_bracket_table()
+    rows, names = build_bracket_table().rows, BASIS_NAMES
     failures = []
     for i in range(DIM):
         for j in range(DIM):
-            lhs = t.brackets[i][j]
-            rhs = tuple(-v for v in t.brackets[j][i])
-            if lhs != rhs:
+            if rows[i][j] != tuple((k, -c) for k, c in rows[j][i]):
                 failures.append(
-                    f"antisymmetry fails at ({t.names[i]}, {t.names[j]})"
+                    f"antisymmetry fails at ({names[i]}, {names[j]})"
                 )
     # Root-space grading: a bracket lands in the root space of the weight sum.
     for i in range(DIM):
         for j in range(DIM):
             delta = BASIS_WEIGHTS[i] + BASIS_WEIGHTS[j]
-            for k, v in enumerate(t.brackets[i][j]):
+            for k, v in rows[i][j]:
                 if v and BASIS_WEIGHTS[k] != delta:
                     failures.append(
-                        f"grading fails at ({t.names[i]}, {t.names[j]})"
+                        f"grading fails at ({names[i]}, {names[j]})"
                     )
     # Cartan eigenvalues.
     for hidx, hi in ((H1, 1), (H2, 2)):
         for j in range(DIM):
             expected = pairing(BASIS_WEIGHTS[j], hi)
-            vec = t.brackets[hidx][j]
-            ok = all(
-                v == (expected if k == j else 0) for k, v in enumerate(vec)
-            )
-            if not ok:
-                failures.append(f"[h{hi}, {t.names[j]}] has wrong eigenvalue")
+            if rows[hidx][j] != (((j, expected),) if expected else ()):
+                failures.append(f"[h{hi}, {names[j]}] has wrong eigenvalue")
     # [x+_gamma, x-_gamma] must be exactly the coroot.
     for idx, root in enumerate(_POS_WEIGHTS):
-        c1, c2 = coroot_coefficients(root)
-        vec = t.brackets[X_PLUS[idx]][X_MINUS[idx]]
-        want = tuple(
-            c1 if k == H1 else c2 if k == H2 else 0 for k in range(DIM)
-        )
-        if vec != want:
+        want = _coroot(*coroot_coefficients(root))
+        if rows[X_PLUS[idx]][X_MINUS[idx]] != want:
             failures.append(f"[x+{_root_label(root)}, x-{_root_label(root)}]"
                             " is not the coroot")
     # Jacobi identity on every ordered triple of basis elements.
-    rows = t.rows
     for i in range(DIM):
         for j in range(DIM):
             for k in range(DIM):
@@ -391,27 +329,27 @@ def verify_structure() -> list[str]:
                 if any(total):
                     failures.append(
                         "Jacobi fails at "
-                        f"({t.names[i]}, {t.names[j]}, {t.names[k]})"
+                        f"({names[i]}, {names[j]}, {names[k]})"
                     )
     return failures
 
 
 def verify_killing() -> list[str]:
     """Symmetry, invariance, weight orthogonality, root-length uniformity."""
-    t = build_bracket_table()
+    t, names = build_bracket_table(), BASIS_NAMES
+    kil = t.killing
     failures = []
     for i in range(DIM):
         for j in range(DIM):
-            if t.killing[i][j] != t.killing[j][i]:
+            if kil[i][j] != kil[j][i]:
                 failures.append(
-                    f"killing symmetry fails at ({t.names[i]}, {t.names[j]})"
+                    f"killing symmetry fails at ({names[i]}, {names[j]})"
                 )
-            if t.killing[i][j] and BASIS_WEIGHTS[i] + BASIS_WEIGHTS[j] != ZERO:
+            if kil[i][j] and BASIS_WEIGHTS[i] + BASIS_WEIGHTS[j] != ZERO:
                 failures.append(
-                    f"<{t.names[i]}, {t.names[j]}> nonzero across weight spaces"
+                    f"<{names[i]}, {names[j]}> nonzero across weight spaces"
                 )
     # <[x,y],z> + <y,[x,z]> = 0 on all basis triples.
-    kil = t.killing
     for i in range(DIM):
         row = t.rows[i]
         for j in range(DIM):
@@ -421,23 +359,19 @@ def verify_killing() -> list[str]:
                 if lhs + rhs != 0:
                     failures.append(
                         "killing invariance fails at "
-                        f"({t.names[i]}, {t.names[j]}, {t.names[k]})"
+                        f"({names[i]}, {names[j]}, {names[k]})"
                     )
-    shorts = {
-        t.killing[X_PLUS[i]][X_MINUS[i]]
-        for i, r in enumerate(POSITIVE_ROOTS)
-        if not r.long
-    }
-    longs = {
-        t.killing[X_PLUS[i]][X_MINUS[i]]
-        for i, r in enumerate(POSITIVE_ROOTS)
-        if r.long
-    }
-    if len(shorts) != 1 or 0 in shorts:
-        failures.append("<x+, x-> not a single nonzero value on short roots")
-    if len(longs) != 1 or 0 in longs:
-        failures.append("<x+, x-> not a single nonzero value on long roots")
-    if _rank(list(map(list, t.killing))) != DIM:
+    for long, kind in ((False, "short"), (True, "long")):
+        values = {
+            kil[X_PLUS[i]][X_MINUS[i]]
+            for i, r in enumerate(POSITIVE_ROOTS)
+            if r.long == long
+        }
+        if len(values) != 1 or 0 in values:
+            failures.append(
+                f"<x+, x-> not a single nonzero value on {kind} roots"
+            )
+    if _rank(kil) != DIM:
         failures.append("killing form is degenerate")
     return failures
 
@@ -447,17 +381,17 @@ def adjoint_weights() -> list[Weight]:
 
     Raises ArithmeticError if a basis vector is not an eigenvector.
     """
-    t = build_bracket_table()
+    rows, names = build_bracket_table().rows, BASIS_NAMES
     out = []
     for j in range(DIM):
         coeffs = []
         for hidx in (H1, H2):
-            vec = t.brackets[hidx][j]
-            if any(v for k, v in enumerate(vec) if k != j):
+            cell = rows[hidx][j]
+            if any(c for k, c in cell if k != j):
                 raise ArithmeticError(
-                    f"{t.names[j]} is not an ad({t.names[hidx]}) eigenvector"
+                    f"{names[j]} is not an ad({names[hidx]}) eigenvector"
                 )
-            coeffs.append(vec[j])
+            coeffs.append(dict(cell).get(j, 0))
         out.append(Weight(coeffs[0], coeffs[1]))
     return out
 
@@ -465,24 +399,29 @@ def adjoint_weights() -> list[Weight]:
 # --- exact rank / span utilities -------------------------------------------
 
 def _rank(rows) -> int:
-    pivots: dict[int, list[Fraction]] = {}
+    pivots: dict[int, list[int]] = {}
     for row in rows:
         _reduce_into(row, pivots)
     return len(pivots)
 
 
 def _reduce_into(vec, pivots) -> bool:
-    """Reduce vec against the echelon rows; add it if independent."""
-    v = [Fraction(c) for c in vec]
+    """Reduce vec against the echelon rows; add it if independent.
+
+    Fraction-free: each step cross-multiplies vec and a pivot row so the
+    pivot entry cancels, and a new pivot row is divided by the gcd of its
+    entries, so every value stays a small integer.
+    """
+    v = list(vec)
     for p, row in pivots.items():
         if v[p]:
-            f = v[p]
-            v = [a - f * b for a, b in zip(v, row)]
-    for i, c in enumerate(v):
-        if c:
-            pivots[i] = [a / c for a in v]
-            return True
-    return False
+            g = gcd(row[p], v[p])
+            a, b = row[p] // g, v[p] // g
+            v = [a * x - b * y for x, y in zip(v, row)]
+    g = gcd(*v)
+    if g:
+        pivots[next(i for i, c in enumerate(v) if c)] = [x // g for x in v]
+    return bool(g)
 
 
 # --- the graded module K = V(omega2) + C -----------------------------------
@@ -593,19 +532,19 @@ def verify_kr1_relations() -> list[str]:
                         if any(diff):
                             failures.append(
                                 "module axiom fails at "
-                                f"({t.names[i]} (x) t^{p}, "
-                                f"{t.names[j]} (x) t^{q})"
+                                f"({BASIS_NAMES[i]} (x) t^{p}, "
+                                f"{BASIS_NAMES[j]} (x) t^{q})"
                             )
 
     # The degree-zero action generates the whole adjoint copy from v.
-    pivots: dict[int, list[Fraction]] = {}
+    pivots: dict[int, list[int]] = {}
     frontier = [v[0]]
     _reduce_into(v[0], pivots)
     while frontier and len(pivots) < DIM:
         fresh = []
         for y in frontier:
             for i in range(DIM):
-                z = t.bracket(basis_vector(i), y)
+                z = bracket(basis_vector(i), y)
                 if any(z) and _reduce_into(z, pivots):
                     fresh.append(z)
         frontier = fresh

@@ -49,7 +49,8 @@ def validate_key(family: Family, m: int, j: int, k: int, s: int) -> None:
 
 
 def _validate(region, m, j, k, s) -> None:
-    if not type(m) is type(j) is type(k) is type(s) is int or min(j, k, s) < 0:
+    if (not type(m) is type(j) is type(k) is type(s) is int
+            or min(m, j, k, s) < 0):
         for name, value in (("m", m), ("j", j), ("k", k), ("s", s)):
             _check_m(value, name)
     if region.family is Family.U1:
@@ -106,6 +107,7 @@ def class_members(family: Family, m: int, r) -> list[QuadIndex]:
 
 def class_keys(family: Family, m: int) -> Iterator[tuple[int, int, int]]:
     """All valid (j, k, s) keys for the family at this m."""
+    _check_m(m)
     region = _region(family)
     for j, k, top in region.labels(m):
         if region.coefficient(m, j, k) > 0:

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from g2kr import chevalley
@@ -11,6 +13,7 @@ from g2kr.chevalley import (
     X_MINUS,
     X_PLUS,
     ZERO14,
+    BASIS_WEIGHTS,
     BracketTable,
     adjoint_weights,
     basis_vector,
@@ -59,17 +62,16 @@ def test_structure_constant_magnitudes_from_root_strings():
     # beta - k*alpha is a root
     t = build_bracket_table()
     roots = set(ALL_ROOTS)
-    weights = t.weights
     for i in list(X_PLUS) + list(X_MINUS):
         for j in list(X_PLUS) + list(X_MINUS):
-            alpha, beta = weights[i], weights[j]
+            alpha, beta = BASIS_WEIGHTS[i], BASIS_WEIGHTS[j]
             gamma = alpha + beta
             if gamma not in roots:
                 continue
             p = 0
             while beta - (p + 1) * alpha in roots:
                 p += 1
-            constants = [v for v in t.brackets[i][j] if v]
+            constants = [c for _, c in t.rows[i][j]]
             assert len(constants) == 1
             assert abs(constants[0]) == p + 1
 
@@ -183,9 +185,17 @@ def test_grade_masses_match_ladder_character():
     assert [expanded[n].mass() for n in sorted(expanded)] == [DIM, 1]
 
 
-def _use_table(monkeypatch, brackets, killing):
-    table = BracketTable(brackets, killing)
+def _use_table(monkeypatch, rows, killing):
+    table = BracketTable(tuple(map(tuple, rows)), tuple(map(tuple, killing)))
     monkeypatch.setattr(chevalley, "build_bracket_table", lambda: table)
+
+
+def _scaled_rows(factor, *cells):
+    """The good table's sparse rows with the brackets at cells scaled."""
+    rows = [list(row) for row in build_bracket_table().rows]
+    for i, j in cells:
+        rows[i][j] = tuple((k, factor * c) for k, c in rows[i][j])
+    return rows
 
 
 def _failure_counts():
@@ -194,12 +204,9 @@ def _failure_counts():
 
 def test_doubled_structure_constant_is_caught(monkeypatch):
     # [x+a1, x+a2] and its antisymmetric partner doubled, Killing form kept
-    good = build_bracket_table()
-    brackets = [list(row) for row in good.brackets]
     i, j = X_PLUS[0], X_PLUS[1]
-    brackets[i][j] = tuple(2 * c for c in brackets[i][j])
-    brackets[j][i] = tuple(2 * c for c in brackets[j][i])
-    _use_table(monkeypatch, tuple(map(tuple, brackets)), good.killing)
+    rows = _scaled_rows(2, (i, j), (j, i))
+    _use_table(monkeypatch, rows, build_bracket_table().killing)
     assert _failure_counts() == {
         "structure": 66,
         "killing": 4,
@@ -210,11 +217,50 @@ def test_doubled_structure_constant_is_caught(monkeypatch):
     assert any(f.startswith("module axiom fails") for f in verify_kr1_relations())
 
 
+def test_flipped_cartan_bracket_is_caught(monkeypatch):
+    # [h1, x+a1] and its antisymmetric partner negated, Killing form kept
+    rows = _scaled_rows(-1, (H1, X_PLUS[0]), (X_PLUS[0], H1))
+    _use_table(monkeypatch, rows, build_bracket_table().killing)
+    assert _failure_counts() == {
+        "structure": 85,
+        "killing": 4,
+        "kr-relations": 92,
+        "adjoint-weights": 1,
+    }
+    assert verify_structure()[:2] == [
+        "[h1, x+[1,0]] has wrong eigenvalue",
+        "Jacobi fails at (x+[1,0], x+[0,1], h1)",
+    ]
+    assert verify_all()["adjoint-weights"][0].startswith(
+        "adjoint weights {Weight(a=-2, b=-1): 1, Weight(a=-3, b=2): 1,"
+    )
+
+
+def test_tripled_coroot_bracket_is_caught(monkeypatch):
+    # [x+g, x-g] for g = a1+a2 and its antisymmetric partner tripled
+    i, j = X_PLUS[2], X_MINUS[2]
+    rows = _scaled_rows(3, (i, j), (j, i))
+    _use_table(monkeypatch, rows, build_bracket_table().killing)
+    assert _failure_counts() == {
+        "structure": 85,
+        "killing": 8,
+        "kr-relations": 100,
+        "adjoint-weights": 0,
+    }
+    assert verify_structure()[:2] == [
+        "[x+[1,1], x-[1,1]] is not the coroot",
+        "Jacobi fails at (x+[1,0], x+[0,1], x-[1,1])",
+    ]
+    assert verify_killing()[0] == (
+        "killing invariance fails at (x+[1,1], x-[1,1], h1)"
+    )
+
+
 def test_altered_killing_entry_is_caught(monkeypatch):
     good = build_bracket_table()
     killing = [list(row) for row in good.killing]
     killing[X_PLUS[0]][X_MINUS[0]] += 1
-    _use_table(monkeypatch, good.brackets, tuple(map(tuple, killing)))
+    _use_table(monkeypatch, good.rows, killing)
     assert _failure_counts() == {
         "structure": 0,
         "killing": 19,
@@ -224,19 +270,74 @@ def test_altered_killing_entry_is_caught(monkeypatch):
     assert verify_killing()[0] == "killing symmetry fails at (x+[1,0], x-[1,0])"
 
 
+def test_zero_killing_row_is_degenerate(monkeypatch):
+    good = build_bracket_table()
+    killing = [list(row) for row in good.killing]
+    killing[X_PLUS[3]] = [0] * DIM
+    _use_table(monkeypatch, good.rows, killing)
+    assert _failure_counts() == {
+        "structure": 0,
+        "killing": 18,
+        "kr-relations": 28,
+        "adjoint-weights": 0,
+    }
+    assert verify_killing()[-2:] == [
+        "<x+, x-> not a single nonzero value on short roots",
+        "killing form is degenerate",
+    ]
+
+
+def test_zero_highest_vector_spans_nothing(monkeypatch):
+    monkeypatch.setattr(chevalley, "kr1_highest_vector", lambda: K_ZERO)
+    assert verify_kr1_relations() == [
+        "(x-_{theta} (x) t) kills the highest vector",
+        "degree-zero span of the highest vector has dimension 0, expected 14",
+    ]
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        ([], 0),
+        ([[0, 0, 0]], 0),
+        ([[2, 4, 6], [3, 6, 9], [1, 0, 1]], 2),
+        ([[0, 3, 6], [2, 4, 6], [4, 2, 0]], 2),
+        ([[2, 1, 0], [0, 3, 1], [6, 0, 5]], 3),
+        ([[6, 10], [15, 25], [9, 15]], 1),
+    ],
+)
+def test_rank_by_integer_elimination(rows, rank):
+    pivots = {}
+    for row in rows:
+        chevalley._reduce_into(row, pivots)
+    assert len(pivots) == chevalley._rank(rows) == rank
+    earlier = []
+    for p, row in pivots.items():
+        # a primitive integer row, led by its pivot, zero at earlier pivots
+        assert all(type(x) is int for x in row) and gcd(*row) == 1
+        assert row[p] and not any(row[:p])
+        assert [row[q] for q in earlier] == [0] * len(earlier)
+        earlier.append(p)
+
+
+def test_rank_of_the_killing_form():
+    killing = build_bracket_table().killing
+    assert chevalley._rank(killing) == DIM
+    assert chevalley._rank(killing[:-1] + killing[:1]) == DIM - 1
+
+
 def test_construction_failures_raise_arithmetic_error():
     # explicit exceptions, so that python -O keeps these checks
     with pytest.raises(ArithmeticError, match="non-exact division"):
-        chevalley._exact_div([[2, 3]], 2)
-    base = [[0] * 7 for _ in range(7)]
-    base[0][1], base[2][3] = 1, 2
+        chevalley._exact_div({(0, 0): 2, (0, 1): 3}, 2)
+    base = {(0, 1): 1, (2, 3): 2}
     with pytest.raises(ArithmeticError, match="non-integer"):
-        chevalley._ratio([[3 * x for x in row] for row in base], [
-            [2 * x for x in row] for row in base
-        ])
-    skewed = [row[:] for row in base]
-    skewed[2][3] = 5
+        chevalley._ratio(
+            {ij: 3 * x for ij, x in base.items()},
+            {ij: 2 * x for ij, x in base.items()},
+        )
+    skewed = {**base, (2, 3): 5}
     with pytest.raises(ArithmeticError, match="not proportional"):
         chevalley._ratio(skewed, base)
     with pytest.raises(ArithmeticError, match="zero root vector"):
-        chevalley._ratio(base, [[0] * 7 for _ in range(7)])
+        chevalley._ratio(base, {})

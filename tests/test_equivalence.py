@@ -134,6 +134,16 @@ def test_key_arguments_must_be_ints(key_function, position, bad):
         key_function("u1", *args)
 
 
+@pytest.mark.parametrize("family", ["u1", "t2"])
+@pytest.mark.parametrize(
+    "key_function", [validate_key, representative, class_size_formula]
+)
+def test_key_functions_reject_negative_m(key_function, family):
+    # a negative m is named as such, before any inequality of the key
+    with pytest.raises(ValueError, match="^m must be nonnegative, got -3$"):
+        key_function(family, -3, 0, 0, 0)
+
+
 @pytest.mark.parametrize("bad", [6.0, True, "6", None])
 def test_class_members_m_must_be_an_int(bad):
     with pytest.raises(ValueError, match="m must be an int"):
@@ -404,8 +414,14 @@ def test_partition_compares_the_given_graded_character():
     ]
 
 
+def _listed_class_keys(family, m):
+    # class_keys is a generator: its check runs at the first key drawn
+    return list(class_keys(family, m))
+
+
 @pytest.mark.parametrize("bad", [6.0, True, "6", None, -1])
-@pytest.mark.parametrize("function", [verify_partition])
+@pytest.mark.parametrize("function", [verify_partition, _listed_class_keys])
 def test_partition_routes_check_m(function, bad):
-    with pytest.raises(ValueError, match="m must be"):
-        function("u1", bad)
+    for family in ("u1", "t2"):
+        with pytest.raises(ValueError, match="m must be"):
+            function(family, bad)
