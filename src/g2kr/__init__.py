@@ -8,14 +8,6 @@ from .characters import (
     tensor,
     weyl_dim,
 )
-from .equivalence import (
-    class_keys,
-    class_members,
-    class_size_formula,
-    representative,
-    shift_vector,
-    verify_partition,
-)
 from .kr import (
     Family,
     GradedDecomposition,
@@ -97,3 +89,26 @@ __all__ = [
     "weyl_orbit",
     "wt_gr",
 ]
+
+#: Served on first access by `__getattr__`, so that importing the package
+#: (every CLI process does) does not load `equivalence`.
+_EQUIVALENCE_NAMES = frozenset({
+    "class_keys",
+    "class_members",
+    "class_size_formula",
+    "representative",
+    "shift_vector",
+    "verify_partition",
+})
+
+
+def __getattr__(name):
+    if name in _EQUIVALENCE_NAMES:
+        from . import equivalence
+
+        return getattr(equivalence, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _EQUIVALENCE_NAMES)

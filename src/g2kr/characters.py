@@ -1,13 +1,15 @@
 """Characters of irreducible G2 modules and the character ring.
 
-Weight multiplicities come from Freudenthal's recursion, dimensions from
-the Weyl product formula.  The two are independent computations and the
-test suite plays them against each other.  Tensor products are decomposed
-by the Brauer-Klimyk rule (Humphreys, Introduction to Lie Algebras and
-Representation Theory, 24): each weight nu of the smaller factor puts
-+-mult(nu) on the highest weight obtained by reflecting big + nu + rho
-into the dominant chamber, minus rho.  `decompose(multiply(...))` is an
-independent route to the same result and the tests keep it as the oracle.
+Weight multiplicities come from Racah's formula on the dominant chamber,
+dimensions from the Weyl product formula.  The two are independent
+computations and the test suite plays them against each other, and
+against Freudenthal's recursion, which it keeps as an oracle.  Tensor
+products are decomposed by the Brauer-Klimyk rule (Humphreys,
+Introduction to Lie Algebras and Representation Theory, 24): each weight
+nu of the smaller factor puts +-mult(nu) on the highest weight obtained by
+reflecting big + nu + rho into the dominant chamber, minus rho.
+`decompose(multiply(...))` is an independent route to the same result and
+the tests keep it as the oracle.
 
 Everything is exact integer arithmetic.  Every division is checked to be
 exact, and every multiplicity that must be positive is checked, by an
@@ -20,10 +22,9 @@ The inner loops run on plain (a, b) int pairs; the Weyl group action
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 
 from .weights import (
-    OMEGA1,
-    OMEGA2,
     POSITIVE_ROOTS,
     RHO,
     Weight,
@@ -155,23 +156,50 @@ def weyl_dim(lam: Weight) -> int:
     return q
 
 
-#: Each positive root as (a, b, fa, fb), where (nu, root) = fa*nu.a + fb*nu.b.
-_ROOTS = tuple(
-    (r.weight.a, r.weight.b, inner(OMEGA1, r.weight), inner(OMEGA2, r.weight))
-    for r in POSITIVE_ROOTS
-)
+def _racah_shifts() -> tuple[tuple[int, int, int], ...]:
+    # (da, db, c) for each w != 1: rho - w(rho) = (da, db), c = -det(w).
+    # rho is regular, so dominant_chamber's sign is det of the unique x
+    # with x(w rho) = rho, and det(x) = det(w).
+    shifts = []
+    for v in weyl_orbit(RHO):
+        if v != RHO:
+            _, _, sign = dominant_chamber(v)
+            shifts.append((RHO.a - v.a, RHO.b - v.b, -sign))
+    return tuple(sorted(shifts))
 
 
-def _freudenthal(a: int, b: int) -> dict[Weight, int]:
-    """Multiplicities of all weights of V(a, b).
+#: Racah's formula: m(mu) = sum of c * m(mu + (da, db)) over these.
+_SHIFTS = _racah_shifts()
+#: At x >= _INNER_A and y >= _INNER_B every shifted point is dominant.
+_INNER_A = -min(da for da, _, _ in _SHIFTS)
+_INNER_B = -min(db for _, db, _ in _SHIFTS)
+
+
+@lru_cache(maxsize=None)
+def _wall_terms(x: int, y: int) -> tuple[tuple[tuple[int, int], int], ...]:
+    """Racah's terms at a dominant (x, y) near a wall: each shifted point
+    reflected into the dominant chamber (multiplicities are Weyl
+    invariant), equal points merged, zero coefficients dropped."""
+    terms: dict[tuple[int, int], int] = {}
+    for da, db, c in _SHIFTS:
+        na, nb = x + da, y + db
+        if na < 0 or nb < 0:
+            na, nb, _ = dominant_chamber((na, nb))
+        terms[na, nb] = terms.get((na, nb), 0) + c
+    return tuple((w, c) for w, c in terms.items() if c)
+
+
+@lru_cache(maxsize=None)
+def _dominant_multiplicities(a: int, b: int) -> dict[Weight, int]:
+    """Multiplicities of the dominant weights of V(a, b); do not mutate.
 
     The dominant weights mu of V(a, b) are the dominant mu with
-    (a, b) - mu in Q+; they are solved in order of decreasing
-    |mu + rho|^2, and each result is written to the whole Weyl orbit of mu
-    at once.  Every weight mu + k*alpha (k >= 1) of a root string lies in
-    the orbit of a dominant weight solved earlier, so the string walk is a
-    plain lookup; weight strings are unbroken, so it stops at the first
-    weight outside the support.
+    (a, b) - mu in Q+.  For mu != (a, b) the coefficient of e^(mu + rho)
+    in the Weyl character formula gives Racah's formula
+    m(mu) = -sum over w != 1 of det(w) * m(mu + rho - w(rho)).  Each
+    mu + rho - w(rho) has a dominant representative strictly above mu, so
+    solving in order of decreasing |mu + rho|^2 makes every term a lookup
+    of a weight already solved (or outside the support, 0).
     """
     lp, lq = 2 * a + 3 * b, a + 2 * b  # root coordinates of (a, b)
     top = inner((a + 1, b + 1), (a + 1, b + 1))
@@ -182,38 +210,37 @@ def _freudenthal(a: int, b: int) -> dict[Weight, int]:
         if 2 * x + 3 * y <= lp and x + 2 * y <= lq
     )
     mult: dict[Weight, int] = {}
-    for denom, x, y in candidates:
+    get = mult.get
+    for _, x, y in candidates:
         if x == a and y == b:
             m = 1
+        elif x >= _INNER_A and y >= _INNER_B:
+            m = 0
+            for da, db, c in _SHIFTS:
+                k = get((x + da, y + db))
+                if k:
+                    m += c * k
         else:
-            total = 0
-            for ra, rb, fa, fb in _ROOTS:
-                na, nb = x + ra, y + rb
-                k = mult.get((na, nb))
-                while k:
-                    total += k * (fa * na + fb * nb)
-                    na += ra
-                    nb += rb
-                    k = mult.get((na, nb))
-            if denom <= 0:
-                raise ArithmeticError(
-                    f"Freudenthal denominator {denom} at ({x},{y}) "
-                    f"in V({a},{b})"
-                )
-            m, r = divmod(2 * total, denom)
-            if r or m <= 0:
-                raise ArithmeticError(
-                    f"Freudenthal recursion gives {2 * total}/{denom} "
-                    f"at ({x},{y}) in V({a},{b})"
-                )
-        for w in weyl_orbit((x, y)):
-            mult[w] = m
+            m = 0
+            for w, c in _wall_terms(x, y):
+                k = get(w)
+                if k:
+                    m += c * k
+        if m <= 0:
+            raise ArithmeticError(
+                f"Racah's formula gives multiplicity {m} at ({x},{y}) "
+                f"in V({a},{b})"
+            )
+        mult[Weight(x, y)] = m
     return mult
 
 
 @lru_cache(maxsize=None)
 def _irreducible_character(lam: Weight) -> Character:
-    return Character._wrap(_freudenthal(*lam))
+    terms: dict[Weight, int] = {}
+    for w, m in _dominant_multiplicities(*lam).items():
+        terms.update(zip(weyl_orbit(w), repeat(m)))
+    return Character._wrap(terms)
 
 
 def irreducible_character(lam) -> Character:
@@ -226,7 +253,8 @@ def decompose(c: Character) -> dict[Weight, int]:
 
     Peels repeatedly at the height-maximal dominant support weight.  A
     Weyl-invariant character is determined by its dominant part, so only
-    dominant weights are tracked.  Raises ValueError if the input is not
+    dominant weights are tracked, and each peel subtracts the dominant
+    multiplicities of one irreducible.  Raises ValueError if the input is not
     Weyl-invariant or not a nonnegative integer combination of
     irreducible characters.
     """
@@ -240,13 +268,12 @@ def decompose(c: Character) -> dict[Weight, int]:
         if m < 0:
             raise ValueError("not a nonnegative sum of irreducible characters")
         out[mu] = m
-        for w, k in irreducible_character(mu).items():
-            if w.a >= 0 and w.b >= 0:
-                left = remaining.get(w, 0) - m * k
-                if left:
-                    remaining[w] = left
-                else:
-                    remaining.pop(w, None)
+        for w, k in _dominant_multiplicities(*mu).items():
+            left = remaining.get(w, 0) - m * k
+            if left:
+                remaining[w] = left
+            else:
+                remaining.pop(w, None)
     return out
 
 

@@ -10,13 +10,11 @@ variable consulted is G2KR_WIDTH, a width hint for table output.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 
-from . import equivalence
 from .characters import irreducible_character, tensor, weyl_dim
 from .kr import (
     Family,
@@ -108,6 +106,8 @@ def _render(fmt: str, payload, header, rows, table) -> str:
     if fmt == "json":
         return _json(*payload())
     if fmt == "csv":
+        import csv  # loaded only for the format that writes it
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -264,6 +264,8 @@ def _verify_kr(conjecture_families, class_families, max_m):
                                          "differences", family=family.value,
                                          m=m))
             if family in class_families:
+                from . import equivalence  # loaded only for the class checks
+
                 failures = equivalence.verify_partition(family, m, theorem)
                 classes.append(_entry("classes", failures,
                                       family=family.value, m=m))

@@ -30,16 +30,18 @@ exactly.  Quad indices must be four ints and m, j, k nonnegative ints
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from enum import Enum
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .characters import Character, irreducible_character, weyl_dim
+from .characters import (
+    Character,
+    _dominant_multiplicities,
+    _highest_weight,
+    weyl_dim,
+)
 from .weights import OMEGA1, OMEGA2, Weight, weyl_orbit
-
-logger = logging.getLogger(__name__)
 
 QuadIndex = tuple[int, int, int, int]
 
@@ -383,7 +385,9 @@ def conjecture_coefficient(family, m, j, k, negatives=None):
     family = region.family
     raw = region.coefficient(m, j, k)
     if raw < 0:
-        logger.warning(
+        import logging  # only this path logs; most processes never load it
+
+        logging.getLogger(__name__).warning(
             "negative pre-clamp coefficient %d for %s at m=%d, j=%d, k=%d",
             raw, family.value, m, j, k,
         )
@@ -444,24 +448,23 @@ def expand_weights(g: GradedDecomposition) -> dict[int, Character]:
     order.
 
     A Weyl-invariant character is fixed by its dominant part, so a grade
-    sums only the dominant parts of its components' characters, and then
+    sums only the dominant multiplicities of its components, and then
     writes each dominant weight's multiplicity to its Weyl orbit.  Each
-    distinct highest weight's character and each orbit is computed once
-    per call.
+    orbit is computed once per call.  Raises ValueError for a component
+    weight that is not dominant.
     """
-    dominant_parts: dict[Weight, list[tuple[Weight, int]]] = {}
+    parts: dict[Weight, dict[Weight, int]] = {}
     orbits: dict[Weight, frozenset[Weight]] = {}
     out: dict[int, Character] = {}
     for grade in g.grades():
         total: dict[Weight, int] = {}
         for weight, mult in g.component(grade).items():
-            part = dominant_parts.get(weight)
+            part = parts.get(weight)
             if part is None:
-                part = dominant_parts[weight] = [
-                    (w, k) for w, k in irreducible_character(weight).items()
-                    if w.a >= 0 and w.b >= 0
-                ]
-            for w, k in part:
+                part = parts[weight] = _dominant_multiplicities(
+                    *_highest_weight(weight, "component")
+                )
+            for w, k in part.items():
                 total[w] = total.get(w, 0) + mult * k
         terms: dict[Weight, int] = {}
         for w, k in total.items():

@@ -16,7 +16,7 @@ inconsistent with 3*alpha1 + 2*alpha2 being the highest long root.
 The invariant bilinear form is normalised so that short roots have squared
 length 2; its Gram matrix in fundamental-weight coordinates is
 [[2, 3], [3, 6]].  With this normalisation every quantity in the package
-(Freudenthal numerators, Weyl-dimension factors) is an exact integer.
+(inner products, Weyl-dimension factors) is an exact integer.
 """
 
 from __future__ import annotations

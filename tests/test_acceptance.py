@@ -67,7 +67,7 @@ def test_criterion_02_dimension_oracle_agreement():
     elapsed = time.perf_counter() - start
     assert checked == 28
     assert elapsed < 1.0
-    _report(2, f"Freudenthal mass == Weyl dimension for all {checked} "
+    _report(2, f"Racah mass == Weyl dimension for all {checked} "
                f"dominant weights with a+b<=6 ({elapsed:.3f} s)")
 
 

@@ -1,9 +1,14 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2kr import characters
 from g2kr.characters import (
     Character,
+    _dominant_multiplicities,
     character_in_cone,
     decompose,
     irreducible_character,
@@ -15,10 +20,12 @@ from g2kr.weights import (
     ALL_ROOTS,
     OMEGA1,
     OMEGA2,
+    POSITIVE_ROOTS,
     RHO,
     SHORT_ROOTS,
     Weight,
     in_root_cone,
+    inner,
     simple_reflection,
     weyl_orbit,
 )
@@ -88,7 +95,7 @@ def test_weyl_dim_frozen_values(lam, dim):
 @given(dominants)
 @settings(deadline=None)
 def test_mass_agrees_with_weyl_dim(lam):
-    # Freudenthal and the product formula are independent routes
+    # Racah's formula and the product formula are independent routes
     assert irreducible_character(lam).mass() == weyl_dim(lam)
 
 
@@ -255,8 +262,141 @@ def signed_orbit_sum(w):
 @given(dominants)
 @settings(deadline=None, max_examples=20)
 def test_weyl_character_formula_identity(lam):
-    # third route, independent of both Freudenthal and the product formula:
+    # the identity behind Racah's formula, checked in the character ring
+    # (independent of the product formula and of Freudenthal's recursion):
     # ch V(lam) * (sum_g det(g) e(g(rho))) = sum_g det(g) e(g(lam + rho))
     numerator = signed_orbit_sum(lam + RHO)
     denominator = signed_orbit_sum(RHO)
     assert multiply(irreducible_character(lam), denominator) == numerator
+
+
+#: Each positive root as (a, b, fa, fb), where (nu, root) = fa*nu.a + fb*nu.b.
+_ROOTS = tuple(
+    (r.weight.a, r.weight.b, inner(OMEGA1, r.weight), inner(OMEGA2, r.weight))
+    for r in POSITIVE_ROOTS
+)
+
+
+def _freudenthal(a: int, b: int) -> dict[Weight, int]:
+    """Multiplicities of all weights of V(a, b).
+
+    The dominant weights mu of V(a, b) are the dominant mu with
+    (a, b) - mu in Q+; they are solved in order of decreasing
+    |mu + rho|^2, and each result is written to the whole Weyl orbit of mu
+    at once.  Every weight mu + k*alpha (k >= 1) of a root string lies in
+    the orbit of a dominant weight solved earlier, so the string walk is a
+    plain lookup; weight strings are unbroken, so it stops at the first
+    weight outside the support.
+    """
+    lp, lq = 2 * a + 3 * b, a + 2 * b  # root coordinates of (a, b)
+    top = inner((a + 1, b + 1), (a + 1, b + 1))
+    candidates = sorted(
+        (top - inner((x + 1, y + 1), (x + 1, y + 1)), x, y)
+        for x in range(lp // 2 + 1)
+        for y in range((lq - x) // 2 + 1)
+        if 2 * x + 3 * y <= lp and x + 2 * y <= lq
+    )
+    mult: dict[Weight, int] = {}
+    for denom, x, y in candidates:
+        if x == a and y == b:
+            m = 1
+        else:
+            total = 0
+            for ra, rb, fa, fb in _ROOTS:
+                na, nb = x + ra, y + rb
+                k = mult.get((na, nb))
+                while k:
+                    total += k * (fa * na + fb * nb)
+                    na += ra
+                    nb += rb
+                    k = mult.get((na, nb))
+            if denom <= 0:
+                raise ArithmeticError(
+                    f"Freudenthal denominator {denom} at ({x},{y}) "
+                    f"in V({a},{b})"
+                )
+            m, r = divmod(2 * total, denom)
+            if r or m <= 0:
+                raise ArithmeticError(
+                    f"Freudenthal recursion gives {2 * total}/{denom} "
+                    f"at ({x},{y}) in V({a},{b})"
+                )
+        for w in weyl_orbit((x, y)):
+            mult[w] = m
+    return mult
+
+
+def test_racah_matches_freudenthal_oracle():
+    # Freudenthal's recursion (Casimir, root strings) against Racah's
+    # formula (Weyl character formula, dominant chamber): a+b <= 20 puts
+    # every wall case (x < 4 or y < 2) into some V(a, b)
+    for a in range(21):
+        for b in range(21 - a):
+            oracle = _freudenthal(a, b)
+            assert dict(irreducible_character((a, b)).items()) == oracle
+            assert _dominant_multiplicities(a, b) == {
+                w: m for w, m in oracle.items() if w.a >= 0 and w.b >= 0
+            }, (a, b)
+
+
+@pytest.fixture
+def fresh_racah_caches():
+    caches = (characters._irreducible_character,
+              characters._dominant_multiplicities, characters._wall_terms)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+#: A script that flips the sign of Racah's term at shift (da, db), and
+#: prints the failure text for V(a, b): python SCRIPT da db a b.
+_FLIPPED_SIGN = """
+import sys
+from g2kr import characters
+da, db, a, b = map(int, sys.argv[1:])
+characters._SHIFTS = tuple(
+    (x, y, -c if (x, y) == (da, db) else c) for x, y, c in characters._SHIFTS
+)
+try:
+    characters.irreducible_character((a, b))
+except ArithmeticError as exc:
+    print(exc)
+"""
+
+_FLIPPED_CASES = [
+    # the s1 term, failing at a wall point (x < 4)
+    ((2, -1), (1, 0),
+     "Racah's formula gives multiplicity -1 at (0,0) in V(1,0)"),
+    # failing at an interior point (x >= 4, y >= 2)
+    ((6, -2), (5, 5),
+     "Racah's formula gives multiplicity -2 at (4,3) in V(5,5)"),
+    # a multiplicity of zero fails too
+    ((-3, 2), (0, 1),
+     "Racah's formula gives multiplicity 0 at (0,0) in V(0,1)"),
+]
+
+
+@pytest.mark.parametrize("shift, lam, text", _FLIPPED_CASES,
+                         ids=["wall", "interior", "zero"])
+def test_racah_failure_text(monkeypatch, fresh_racah_caches, shift, lam, text):
+    monkeypatch.setattr(characters, "_SHIFTS", tuple(
+        (da, db, -c if (da, db) == shift else c)
+        for da, db, c in characters._SHIFTS
+    ))
+    with pytest.raises(ArithmeticError) as info:
+        irreducible_character(lam)
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize("shift, lam, text", _FLIPPED_CASES,
+                         ids=["wall", "interior", "zero"])
+def test_racah_failure_text_optimized(child_env, shift, lam, text):
+    # an explicit check, so python -O raises the same error
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _FLIPPED_SIGN, *map(str, shift + lam)],
+        capture_output=True, text=True, env=child_env, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == text + "\n"

@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-import g2kr
 from g2kr import cli, equivalence
 from g2kr.characters import irreducible_character, tensor, weyl_dim
 from g2kr.cli import main
@@ -338,14 +337,13 @@ def test_out_file_unwritable_is_usage_error(tmp_path, capsys):
                      id="kr-u1-12-conjecture"),
     ],
 )
-def test_optimized_run_matches_plain_run(command):
+def test_optimized_run_matches_plain_run(command, child_env):
     # python -O strips assert statements; no result may depend on them
-    env = _child_env()
     argv = ["-m", "g2kr.cli", *command, "--format", "json"]
     plain = subprocess.run([sys.executable, *argv], capture_output=True,
-                           env=env, check=False)
+                           env=child_env, check=False)
     optimized = subprocess.run([sys.executable, "-O", *argv],
-                               capture_output=True, env=env, check=False)
+                               capture_output=True, env=child_env, check=False)
     assert plain.returncode == 0, plain.stderr
     assert optimized.returncode == 0, optimized.stderr
     assert optimized.stdout == plain.stdout
@@ -354,32 +352,65 @@ def test_optimized_run_matches_plain_run(command):
         assert payload["ok"] is True
 
 
-def _child_env():
-    """The environment of a child interpreter that imports this g2kr."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(g2kr.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    return env
-
-
-def test_chevalley_loaded_only_by_its_verify_targets():
+def test_chevalley_loaded_only_by_its_verify_targets(child_env):
+    # each command imports only what it runs: chevalley for verify
+    # chevalley|all, equivalence for the class checks, csv for --format
+    # csv, and logging only when a coefficient is negative
     script = (
         "import sys\n"
         "from g2kr.cli import main\n"
         "for argv in (['char', '1', '0'], ['tensor', '1', '0', '1', '0'],\n"
-        "             ['kr', '--family', 'u1', '--m', '2'],\n"
+        "             ['kr', '--family', 'u1', '--m', '2', '--format', 'json'],\n"
+        "             ['kr', '--family', 't2', '--m', '3', '--basis', 'weight',\n"
+        "              '--format', 'json'],\n"
         "             ['verify', 'conjecture', '--max-m', '1'],\n"
-        "             ['verify', 'chevalley']):\n"
+        "             ['verify', 'chevalley'],\n"
+        "             ['verify', 'classes', '--max-m', '1'],\n"
+        "             ['char', '1', '0', '--format', 'csv']):\n"
         "    main(argv + ['--out', sys.argv[1]])\n"
-        "    print('g2kr.chevalley' in sys.modules)\n"
+        "    print(*(int(name in sys.modules) for name in (\n"
+        "        'g2kr.chevalley', 'g2kr.equivalence', 'csv', 'logging')))\n"
     )
     result = subprocess.run([sys.executable, "-c", script, os.devnull],
-                            capture_output=True, text=True, env=_child_env(),
+                            capture_output=True, text=True, env=child_env,
                             check=False)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False"] * 4 + ["True"]
+    assert result.stdout.splitlines() == [
+        "0 0 0 0",  # char
+        "0 0 0 0",  # tensor
+        "0 0 0 0",  # kr json
+        "0 0 0 0",  # kr weight basis json
+        "0 0 0 0",  # verify conjecture
+        "1 0 0 0",  # verify chevalley
+        "1 1 0 0",  # verify classes
+        "1 1 1 0",  # csv
+    ]
+
+
+def test_package_serves_every_name_lazily(child_env):
+    script = (
+        "import sys\n"
+        "import g2kr\n"
+        "print(int('g2kr.equivalence' in sys.modules))\n"
+        "print(sorted(set(g2kr.__all__) - set(dir(g2kr))))\n"
+        "from g2kr import *\n"
+        "names = vars()\n"
+        "print(sorted(n for n in g2kr.__all__ if n not in names))\n"
+        "print(verify_partition is sys.modules['g2kr.equivalence']"
+        ".verify_partition)\n"
+        "try:\n"
+        "    g2kr.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, env=child_env,
+                            check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "0", "[]", "[]", "True",
+        "module 'g2kr' has no attribute 'no_such_name'",
+    ]
 
 
 # The JSON payloads as the CLI built them before it had its own writer,

@@ -1,5 +1,7 @@
 import itertools
 import logging
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -211,6 +213,26 @@ def test_conjecture_coefficient_records_negatives(caplog):
     assert "negative pre-clamp" in caplog.text
 
 
+def test_negative_coefficient_warning_reaches_stderr(child_env):
+    # kr imports logging only when it warns; in a fresh interpreter with no
+    # handler configured the warning still reaches stderr, through
+    # logging's last-resort handler
+    script = (
+        "import sys\n"
+        "from g2kr.kr import Family, conjecture_coefficient\n"
+        "print('logging' in sys.modules)\n"
+        "print(conjecture_coefficient(Family.U1, 1, 4, 0))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, env=child_env,
+                            check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "0"]
+    assert result.stderr == (
+        "negative pre-clamp coefficient -1 for u1 at m=1, j=4, k=0\n"
+    )
+
+
 @pytest.mark.parametrize("bad", [3.0, True, "3", None, -3])
 @pytest.mark.parametrize("position", range(3))
 def test_conjecture_coefficient_arguments_checked(position, bad):
@@ -369,7 +391,7 @@ def test_expand_weights_masses():
 @pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("m", range(4))
 def test_expanded_masses_agree_with_graded_dimensions(family, m):
-    # two routes per grade: total Freudenthal mass vs sum of Weyl dimensions
+    # two routes per grade: total Racah mass vs sum of Weyl dimensions
     g = kr_graded_character(family, m)
     expanded = expand_weights(g)
     assert [(n, expanded[n].mass()) for n in sorted(expanded)] == (
@@ -395,6 +417,14 @@ def test_expand_weights_matches_character_sums(family, m):
         assert expanded == expected
         assert all(type(w) is Weight for c in expanded.values()
                    for w in c.support())
+
+
+def test_expand_weights_rejects_non_dominant_component():
+    g = GradedDecomposition()
+    g.add(0, Weight(-1, 1))
+    with pytest.raises(ValueError,
+                       match=r"component \(-1,1\) is not dominant"):
+        expand_weights(g)
 
 
 def test_expand_weights_drops_cancelled_weights():
