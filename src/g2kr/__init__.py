@@ -90,16 +90,10 @@ __all__ = [
     "wt_gr",
 ]
 
-#: Served on first access by `__getattr__`, so that importing the package
-#: (every CLI process does) does not load `equivalence`.
-_EQUIVALENCE_NAMES = frozenset({
-    "class_keys",
-    "class_members",
-    "class_size_formula",
-    "representative",
-    "shift_vector",
-    "verify_partition",
-})
+#: The names of `__all__` not imported above, those of `equivalence`: served
+#: on first access by `__getattr__`, so that importing the package (every
+#: CLI process does) does not load `equivalence`.
+_EQUIVALENCE_NAMES = frozenset(__all__).difference(globals())
 
 
 def __getattr__(name):

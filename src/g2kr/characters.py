@@ -30,7 +30,6 @@ from .weights import (
     Weight,
     dominant_chamber,
     height,
-    in_root_cone,
     inner,
     simple_reflection,
     weyl_orbit,
@@ -303,8 +302,3 @@ def tensor(lam, mu) -> dict[Weight, int]:
         if m:
             parts[Weight(x, y)] = m
     return parts
-
-
-def character_in_cone(c: Character, top: Weight) -> bool:
-    """True iff every support weight lies in top - Q+."""
-    return all(in_root_cone(top - w) for w in c.support())

@@ -16,9 +16,9 @@ keys does the rest, listing no class and enumerating no region point.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cache
 from math import gcd
-from typing import Iterator
 
 from .kr import (
     Family,

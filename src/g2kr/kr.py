@@ -30,10 +30,10 @@ exactly.  Quad indices must be four ints and m, j, k nonnegative ints
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import chain, repeat
-from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .characters import (
     Character,
@@ -65,23 +65,25 @@ class Family(Enum):
         return self in _REGIONS
 
 
-class _Region(NamedTuple):
-    family: Family
-    #: (c, d) pairs; the region is {r in Z^4 : c.r + d*m >= 0 for each pair}.
-    constraints: tuple[tuple[QuadIndex, int], ...]
-    #: (c, d) rows of wt = (a, b) and gr: a = c.r + d*m, then b, then gr.
-    wt_gr: tuple[tuple[QuadIndex, int], ...]
-    #: wt and gr are constant along this vector.
-    shift: QuadIndex
-    #: Generating-function coefficient at (m, j, k), before clamping at 0.
-    coefficient: Callable[[int, int, int], int]
-    #: The generating function's labels at m: (j, k, top), with s in 0..top.
-    labels: Callable[[int], Iterable[tuple[int, int, int]]]
-    #: (a, b, base) at (m, j, k): the label (j, k, s) carries V(a, b) in
-    #: grade base + s.
-    term: Callable[[int, int, int], tuple[int, int, int]]
-    #: Canonical region point of the class labelled (j, k, s) at m.
-    representative: Callable[[int, int, int, int], QuadIndex]
+#: One quad-indexed family, the one definition of its region and of its
+#: generating function:
+#:   family          U1 or T2;
+#:   constraints     (c, d) pairs; the region is {r in Z^4 : c.r + d*m >= 0
+#:                   for each pair};
+#:   wt_gr           (c, d) rows of wt = (a, b) and gr: a = c.r + d*m, then
+#:                   b, then gr;
+#:   shift           wt and gr are constant along this vector;
+#:   coefficient     (m, j, k) -> the generating-function coefficient,
+#:                   before clamping at 0;
+#:   labels          m -> the labels (j, k, top), with s in 0..top;
+#:   term            (m, j, k) -> (a, b, base): the label (j, k, s) carries
+#:                   V(a, b) in grade base + s;
+#:   representative  (m, j, k, s) -> the canonical region point of the
+#:                   class labelled (j, k, s).
+_Region = namedtuple(
+    "_Region",
+    "family constraints wt_gr shift coefficient labels term representative",
+)
 
 
 def _u1_representative(m: int, j: int, k: int, s: int) -> QuadIndex:

@@ -21,15 +21,14 @@ length 2; its Gram matrix in fundamental-weight coordinates is
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partial
-from typing import NamedTuple
 
 
-class Weight(NamedTuple):
+class Weight(namedtuple("Weight", "a b")):
     """Lattice point a*omega1 + b*omega2."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
     def __add__(self, other):
         return Weight(self.a + other.a, self.b + other.b)
@@ -57,9 +56,7 @@ ALPHA1 = Weight(2, -1)
 ALPHA2 = Weight(-3, 2)
 
 
-class PositiveRoot(NamedTuple):
-    weight: Weight
-    long: bool
+PositiveRoot = namedtuple("PositiveRoot", "weight long")
 
 
 #: The six positive roots in height order: alpha1, alpha2, alpha1+alpha2,
@@ -122,7 +119,8 @@ def simple_reflection(i: int, w: Weight) -> Weight:
     raise ValueError(f"simple reflection index must be 1 or 2, got {i!r}")
 
 
-#: Weight(a, b) from the pair (a, b), without NamedTuple's argument parsing.
+#: Weight(a, b) from the pair (a, b), without the Python-level `__new__`
+#: that namedtuple generates.
 _weight = partial(tuple.__new__, Weight)
 
 

@@ -1,9 +1,11 @@
+import json
 from math import gcd
 
 import pytest
 
 from g2kr import chevalley
 from g2kr.characters import irreducible_character
+from g2kr.cli import main
 from g2kr.chevalley import (
     DIM,
     H1,
@@ -234,6 +236,33 @@ def test_flipped_cartan_bracket_is_caught(monkeypatch):
     assert verify_all()["adjoint-weights"][0].startswith(
         "adjoint weights {Weight(a=-2, b=-1): 1, Weight(a=-3, b=2): 1,"
     )
+
+
+def test_non_eigenvector_is_reported_not_raised(monkeypatch, capsys):
+    # [h1, x+a1] = 2*x+a2 and its antisymmetric partner: adjoint_weights
+    # raises, and verify_all records its message as the check's failure
+    rows = [list(row) for row in build_bracket_table().rows]
+    rows[H1][X_PLUS[0]] = ((X_PLUS[1], 2),)
+    rows[X_PLUS[0]][H1] = ((X_PLUS[1], -2),)
+    _use_table(monkeypatch, rows, build_bracket_table().killing)
+    with pytest.raises(ArithmeticError, match="not an ad"):
+        adjoint_weights()
+    assert _failure_counts() == {
+        "structure": 111,
+        "killing": 8,
+        "kr-relations": 124,
+        "adjoint-weights": 1,
+    }
+    assert verify_all()["adjoint-weights"] == [
+        "x+[1,0] is not an ad(h1) eigenvector"
+    ]
+    assert main(["verify", "chevalley", "--format", "json"]) == 1
+    entries = json.loads(capsys.readouterr().out)["checks"]
+    assert {
+        "check": "chevalley-adjoint-weights",
+        "ok": False,
+        "failures": ["x+[1,0] is not an ad(h1) eigenvector"],
+    } in entries
 
 
 def test_tripled_coroot_bracket_is_caught(monkeypatch):

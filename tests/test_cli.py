@@ -387,6 +387,20 @@ def test_chevalley_loaded_only_by_its_verify_targets(child_env):
     ]
 
 
+def test_no_module_loads_typing(child_env):
+    # -S skips site, which may import typing itself; the package must not
+    script = (
+        "import sys\n"
+        "import g2kr.cli, g2kr.equivalence, g2kr.chevalley\n"
+        "print(int('typing' in sys.modules))\n"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", script],
+                            capture_output=True, text=True, env=child_env,
+                            check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
+
+
 def test_package_serves_every_name_lazily(child_env):
     script = (
         "import sys\n"
