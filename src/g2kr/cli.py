@@ -19,9 +19,11 @@ from .characters import irreducible_character, tensor, weyl_dim
 from .kr import (
     Family,
     compare,
+    conjecture_differences,
     conjecture_graded_character,
     expand_weights,
     kr_graded_character,
+    region_counts,
 )
 from .weights import height
 
@@ -243,30 +245,41 @@ def _entry(check, problems, key="failures", **where):
 def _verify_kr(conjecture_families, class_families, max_m):
     """Conjecture checks, then class checks, for each family and m <= max_m.
 
-    Each closed-form graded character is computed once and serves both.
+    The closed form of U1 and T2 is one region count per family, grown
+    over m (`region_counts`), and serves both checks.
     """
     conjecture, classes, negatives = [], [], []
-    for family in Family:
-        if family not in conjecture_families and family not in class_families:
-            continue
-        for m in range(max_m + 1):
-            theorem = kr_graded_character(family, m)
-            if family in conjecture_families:
-                diffs = compare(
-                    theorem, conjecture_graded_character(family, m, negatives)
-                )
-                differences = [
-                    {"grade": g, "weight": [w.a, w.b], "theorem": ma,
-                     "conjecture": mb}
-                    for g, w, ma, mb in diffs
-                ]
-                conjecture.append(_entry("conjecture", differences,
-                                         "differences", family=family.value,
-                                         m=m))
-            if family in class_families:
-                from . import equivalence  # loaded only for the class checks
 
-                failures = equivalence.verify_partition(family, m, theorem)
+    def conjecture_entry(family, m, diffs):
+        differences = [
+            {"grade": g, "weight": [w.a, w.b], "theorem": ma, "conjecture": mb}
+            for g, w, ma, mb in diffs
+        ]
+        return _entry("conjecture", differences, "differences",
+                      family=family.value, m=m)
+
+    for family in Family:
+        checks_conjecture = family in conjecture_families
+        checks_classes = family in class_families
+        if checks_classes:
+            from . import equivalence  # loaded only for the class checks
+        elif not checks_conjecture:
+            continue
+        elif not family.quad_indexed:
+            for m in range(max_m + 1):
+                diffs = compare(
+                    kr_graded_character(family, m),
+                    conjecture_graded_character(family, m, negatives),
+                )
+                conjecture.append(conjecture_entry(family, m, diffs))
+            continue
+        # raises ValueError for the classes of a ladder family: no region
+        for m, count in region_counts(family, max_m):
+            if checks_conjecture:
+                diffs = conjecture_differences(family, m, count, negatives)
+                conjecture.append(conjecture_entry(family, m, diffs))
+            if checks_classes:
+                failures = equivalence.verify_partition(family, m, count)
                 classes.append(_entry("classes", failures,
                                       family=family.value, m=m))
     negative_entries = [

@@ -22,16 +22,20 @@ from math import gcd
 
 from .kr import (
     Family,
+    GradedDecomposition,
     QuadIndex,
     _affine,
     _check_m,
     _check_quad,
-    _graded,
+    _count,
+    _decode,
+    _key,
+    _packing,
     _region,
     _signed,
     _span,
+    _wt_gr_slabs,
     compare,
-    kr_graded_character,
 )
 
 
@@ -140,32 +144,54 @@ def verify_partition(family: Family, m: int, graded=None) -> list[str]:
 
     Empty report iff the kernel certificate holds, the representatives lie
     in the region with pairwise distinct (wt, gr), and the keys weighted by
-    `class_size_formula` give graded (default `kr_graded_character(family,
-    m)`), which counts region points per (wt, gr).  Then the classes of all
-    keys partition the region into its fibres, with the formula's sizes.
+    `class_size_formula` give graded, which counts region points per
+    (wt, gr).  Then the classes of all keys partition the region into its
+    fibres, with the formula's sizes.  graded is the closed form at m: a
+    GradedDecomposition, the (packing, counts) that `kr.region_counts`
+    yields for m, or by default the region counted afresh.
     """
     region = _region(family)
     _check_m(m)
-    failures = list(_certificate(region))
-    rows, bound = region.constraints + region.wt_gr, len(region.constraints)
-    owners = {}
-    for key in class_keys(family, m):
-        rep = region.representative(m, *key)
-        values = _affine(rows, m, rep)
-        point = tuple(values[bound:])
-        if min(values[:bound]) < 0:
-            failures.append(f"m={m} key {key}: {rep} is outside the region")
-        elif owners.setdefault(point, key) != key:
-            failures.append(f"m={m} keys {owners[point]} and {key} share "
-                            f"(wt, gr) {point}")
     if graded is None:
-        graded = kr_graded_character(region.family, m)
-    sizes = {p: region.coefficient(m, j, k) for p, (j, k, _) in owners.items()}
-    for grade, (a, b), size, n in compare(_graded(sizes), graded):
+        graded = _count(region, m)
+    if isinstance(graded, GradedDecomposition):
+        packing = _packing(region, m, _wt_gr_slabs(region, m))
+    else:
+        packing, counts = graded
+    # One pass over the keys: each representative is checked against the
+    # constraints and packed with one dot product.
+    failures = list(_certificate(region))
+    bounds = [(*c, d * m) for c, d in region.constraints]
+    p1, p2, p3, p4 = packing.row
+    owners, sizes = {}, {}
+    for key in class_keys(region.family, m):
+        rep = region.representative(m, *key)
+        r1, r2, r3, r4 = rep
+        for c1, c2, c3, c4, e in bounds:
+            if c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4 + e < 0:
+                failures.append(
+                    f"m={m} key {key}: {rep} is outside the region"
+                )
+                break
+        else:
+            point = p1 * r1 + p2 * r2 + p3 * r3 + p4 * r4
+            owner = owners.setdefault(point, key)
+            if owner == key:
+                sizes[point] = region.coefficient(m, key[0], key[1])
+            else:
+                failures.append(
+                    f"m={m} keys {owner} and {key} share (wt, gr) "
+                    f"{tuple(_affine(region.wt_gr, m, rep))}"
+                )
+    if not isinstance(graded, GradedDecomposition):
+        if sizes == counts:  # a plain dict first: dict equality, in C
+            return failures
+        graded = _decode(counts, packing, m)
+    for grade, (a, b), size, n in compare(_decode(sizes, packing, m), graded):
         point = (a, b, grade)
         failures.append(
-            f"m={m} key {owners[point]}: coefficient {size} != region count "
-            f"{n} at (wt, gr) {point}" if size else
+            f"m={m} key {owners[_key(packing, m, *point)]}: coefficient "
+            f"{size} != region count {n} at (wt, gr) {point}" if size else
             f"m={m}: no key has (wt, gr) {point}; region count {n}"
         )
     return failures

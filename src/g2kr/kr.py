@@ -16,9 +16,13 @@ affine constraints, the affine (wt, gr) map and the shift vector, and the
 generating function's labels, terms, coefficients and class
 representatives.  Membership, enumeration, both forms of the graded
 character and the equivalence classes are all read off it.  The graded
-character never visits region points one by one: along each run of r4
-through the region, (wt, gr) is an arithmetic progression, and C-level
-maps over r3 hand the runs of one (r1, r2) slab to a single Counter.
+character never visits region points one by one.  (wt, gr) is packed
+into one int key, affine in the point, so along each run of r4 through
+the region the keys are an arithmetic progression, and C-level maps over
+r3 hand the runs of one (r1, r2) slab to a single Counter.  Every
+constraint loosens as m grows, so region(m - 1) lies in region(m), and
+in m-free coordinates a point keeps its key: `region_counts` grows one
+count over m = 0, 1, ... by only the points each m adds.
 
 The second form is the generating function: the label (j, k, s) carries
 coefficient(m, j, k) copies of one irreducible, and the coefficients
@@ -227,23 +231,6 @@ class GradedDecomposition:
         return f"GradedDecomposition({self._grades!r})"
 
 
-def _graded(counts) -> GradedDecomposition:
-    """The decomposition with multiplicity n at each (a, b, grade) -> n."""
-    grades: dict[int, dict[Weight, int]] = {}
-    weights: dict[tuple[int, int], Weight] = {}
-    for key, n in counts.items():
-        if n:
-            ab = key[:2]
-            weight = weights.get(ab)
-            if weight is None:
-                weight = weights[ab] = Weight(*ab)
-            component = grades.get(key[2])
-            if component is None:
-                component = grades[key[2]] = {}
-            component[weight] = n
-    return GradedDecomposition._wrap(grades)
-
-
 def wt_gr(family: Family, m: int, r) -> tuple[Weight, int]:
     """(weight, grade) of a quad index for the quad-indexed families."""
     a, b, grade = _affine(_region(family).wt_gr, m, _check_quad(m, r))
@@ -268,13 +255,13 @@ def _signed(pairs) -> tuple[list, list]:
     )
 
 
-def _slabs(region: _Region, m: int) -> Iterator[tuple]:
+def _slabs(region: _Region, m: int, rows=()) -> Iterator[tuple]:
     """The region as slabs of fixed (r1, r2), in lexicographic order.
 
     Yields ((r1, r2), r3s, (n, dn), keys): r3s is the range of r3, and for
     r3 in r3s the region points are (r1, r2, r3, r4) for the n + dn*r3
-    values of r4 from 0 on.  keys holds (v, dv, step) for each (wt, gr)
-    row: the row is v + dv*r3 at r4 = 0 and grows by step with r4.
+    values of r4 from 0 on.  keys holds (v, dv, step) for each (c, d) of
+    rows: the row is v + dv*r3 at r4 = 0 and grows by step with r4.
 
     r_i is bounded by the constraints nonzero at i with no positive later
     coefficient: the later coordinates are >= 0, so dropping them loosens
@@ -282,7 +269,6 @@ def _slabs(region: _Region, m: int) -> Iterator[tuple]:
     coordinate, so the loops give the region and nothing else.
     """
     constraints = region.constraints
-    rows = constraints + region.wt_gr
     b1, b2, b3, (lower, upper) = (
         _signed(
             (n, c[i]) for n, (c, _) in enumerate(constraints)
@@ -296,6 +282,7 @@ def _slabs(region: _Region, m: int) -> Iterator[tuple]:
     ):
         raise NotImplementedError("r4 needs r4 >= 0 and one unit bound")
     ((top, _),) = upper
+    rows = constraints + tuple(rows)
     c1, c2, c3, c4 = ([c[i] for c, _ in rows] for i in range(4))
     key_rows = range(len(constraints), len(rows))
     v0 = [d * m for _, d in rows]
@@ -333,36 +320,98 @@ def _ladder(family: Family, m: int) -> GradedDecomposition:
     return g
 
 
-def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
-    """Closed-form graded character in the irreducible basis.
+#: How (wt, gr) = (a, b, grade) is packed into one int key.  With drift
+#: the d column of the family's wt_gr rows, the m-free values are
+#: (a, b, grade) - m*drift, and the key is (a'*radix + b')*radix + grade'
+#: of the m-free (a', b', grade').  The key is injective on the box of
+#: m-free values from low to low + radix - 1 in each coordinate, which
+#: `_packing` builds around the region's points.  A region point r has
+#: key row . r at every m, so a count of region keys needs no update when
+#: m grows.
+_Packing = namedtuple("_Packing", "radix low drift row")
 
-    Counts the (a, b, grade) keys of the region points in one C-level
-    pass, with no Python step per point or per run of r4.
+
+def _wt_gr_slabs(region: _Region, m: int) -> Iterator[tuple]:
+    """`_slabs` of region(m) with the m-free (wt, gr) rows as keys."""
+    return _slabs(region, m, tuple((c, 0) for c, _ in region.wt_gr))
+
+
+def _packing(region: _Region, m: int, slabs) -> _Packing:
+    """The packing whose box holds the m-free (wt, gr) of the points of
+    region(m), from its slabs (`_wt_gr_slabs`).
+
+    Each (wt, gr) row is affine on a slab, so its extremes over the slab
+    lie at the ends of its first and last run.
     """
-    family = Family(family)
-    _check_m(m)
-    if not family.quad_indexed:
-        return _ladder(family, m)
-    keys = chain.from_iterable(_slab_keys(_REGIONS[family], m))
-    return _graded(Counter(keys))
+    columns = [], [], []
+    for _, r3s, (n, dn), keys in slabs:
+        if r3s:
+            first, last = r3s[0], r3s[-1]
+            ends = n - 1 + dn * first, n - 1 + dn * last
+            for column, (v, dv, step) in zip(columns, keys):
+                v, w = v + dv * first, v + dv * last
+                column += v, w, v + step * ends[0], w + step * ends[1]
+    low = [min(column, default=0) for column in columns]
+    radix = 1 + max(max(column, default=0) - lo
+                    for column, lo in zip(columns, low))
+    drift = [d for _, d in region.wt_gr]
+    return _Packing(radix, low, drift,
+                    _combine(radix, [c for c, _ in region.wt_gr]))
 
 
-def _slab_keys(region: _Region, m: int) -> Iterator[Iterator[tuple]]:
-    # Along each run of r4 the (wt, gr) rows are arithmetic progressions:
-    # one zip per run, made by C-level maps over the r3 of a slab.
-    for _, r3s, (n, dn), keys in _slabs(region, m):
-        k, t = len(r3s), r3s.start
-        n += t * dn
-        columns = []
-        for v, dv, step in keys:
-            v += t * dv
-            starts = _progression(v, dv, k)
-            if step:
-                stops = _progression(v + n * step, dv + dn * step, k)
-                columns.append(map(range, starts, stops, repeat(step)))
-            else:
-                columns.append(map(repeat, starts, _progression(n, dn, k)))
-        yield chain.from_iterable(map(zip, *columns))
+def _combine(radix: int, triples) -> tuple:
+    """The packed combination (a*radix + b)*radix + grade of the (a, b,
+    grade) rows, taken coordinate by coordinate."""
+    return tuple((a * radix + b) * radix + g for a, b, g in zip(*triples))
+
+
+def _key(packing: _Packing, m: int, a: int, b: int, grade: int) -> int:
+    """The key of (wt, gr) = (a, b, grade) at m, for a value in the box."""
+    radix, _, (da, db, dg), _ = packing
+    return ((a - m * da) * radix + b - m * db) * radix + grade - m * dg
+
+
+def _decode(counts, packing: _Packing, m: int) -> GradedDecomposition:
+    """The decomposition with multiplicity n at the (wt, gr) at m of each
+    key -> n of counts; zero multiplicities are dropped."""
+    radix, (la, lb, lg), (da, db, dg), _ = packing
+    base = (la * radix + lb) * radix + lg
+    oa, ob = la + m * da, lb + m * db
+    grades: dict[int, dict[Weight, int]] = {}
+    weights: dict[int, Weight] = {}
+    for key, n in counts.items():
+        if n:
+            ab, grade = divmod(key - base, radix)
+            weight = weights.get(ab)
+            if weight is None:
+                a, b = divmod(ab, radix)
+                weight = weights[ab] = Weight(a + oa, b + ob)
+            component = grades.get(grade)
+            if component is None:
+                component = grades[grade] = {}
+            component[weight] = n
+    og = lg + m * dg
+    return GradedDecomposition._wrap(
+        {grade + og: component for grade, component in grades.items()}
+    )
+
+
+def _runs(v, dv, step, r3s, run) -> Iterator[Iterable[int]]:
+    """The keys v + dv*r3 + step*r4 for r4 in range(n + dn*r3), (n, dn) =
+    run, one iterable for each r3 in r3s.
+
+    Along each run of r4 the keys are an arithmetic progression, and over
+    r3 the runs' ends are too: C-level maps over them make the runs, with
+    no Python step per point or per run.
+    """
+    k, t = len(r3s), r3s.start
+    n, dn = run
+    v, n = v + t * dv, n + t * dn
+    starts = _progression(v, dv, k)
+    if step:
+        ends = _progression(v + n * step, dv + dn * step, k)
+        return map(range, starts, ends, repeat(step))
+    return map(repeat, starts, _progression(n, dn, k))
 
 
 def _progression(start: int, step: int, n: int) -> Iterable[int]:
@@ -370,6 +419,73 @@ def _progression(start: int, step: int, n: int) -> Iterable[int]:
     if step:
         return range(start, start + n * step, step)
     return repeat(start, n)
+
+
+def _count(region: _Region, m: int) -> tuple:
+    """(packing, Counter of the keys of region(m)): one pass over the slabs
+    finds the packing, and with the (wt, gr) rows packed, the keys."""
+    slabs = list(_wt_gr_slabs(region, m))
+    packing = _packing(region, m, slabs)
+    radix = packing.radix
+    runs = (_runs(*_combine(radix, keys), r3s, run)
+            for _, r3s, run, keys in slabs)
+    return packing, Counter(chain.from_iterable(chain.from_iterable(runs)))
+
+
+def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
+    """Closed-form graded character in the irreducible basis.
+
+    Counts the packed (wt, gr) keys of the region points in one C-level
+    pass, with no Python step per point or per run of r4.
+    """
+    family = Family(family)
+    _check_m(m)
+    if not family.quad_indexed:
+        return _ladder(family, m)
+    packing, counts = _count(_REGIONS[family], m)
+    return _decode(counts, packing, m)
+
+
+def region_counts(family: Family, top: int) -> Iterator[tuple]:
+    """The closed form of U1 or T2 for m = 0, 1, ..., top, in packed form.
+
+    Yields (m, (packing, counts)) for each m: counts is one Counter of the
+    keys of region(m) under packing, grown in place from m - 1 to m by the
+    points that region(m) adds to region(m - 1), so each region point is
+    counted once; read it before drawing the next m.  Every constraint
+    has d >= 0, so region(m - 1) lies in region(m) slab by slab; a slab
+    adds the r3 that are new, with whole runs, and the new tail of each
+    old run, whose i-th points are again a progression in r3.
+    """
+    region = _region(family)
+    _check_m(top, "top")
+    if min(d for _, d in region.constraints) < 0:
+        raise ValueError("a count grown over m needs a region that grows "
+                         "with m: every constraint's d >= 0")
+    packing = _packing(region, top, _wt_gr_slabs(region, top))
+    counts = Counter()
+    rows = ((packing.row, 0),)
+    before = {}  # (r1, r2) -> (r3s, n) of the slab in region(m - 1)
+    for m in range(top + 1):
+        pieces, slabs = [], {}
+        for r12, r3s, run, ((v, dv, step),) in _slabs(region, m, rows):
+            old, old_n = before.get(r12, (range(0), 0))
+            slabs[r12] = r3s, run[0]
+            if not old:
+                pieces.append(_runs(v, dv, step, r3s, run))
+                continue
+            for new in (range(r3s.start, old.start),
+                        range(old.stop, r3s.stop)):
+                if new:
+                    pieces.append(_runs(v, dv, step, new, run))
+            # r4 = i + dn*r3 for r3 in old, for each old_n <= i < n
+            (n, dn), t, k = run, old.start, len(old)
+            dr = dv + step * dn
+            pieces.append([_progression(v + step * i + dr * t, dr, k)
+                           for i in range(old_n, n)])
+        counts.update(chain.from_iterable(chain.from_iterable(pieces)))
+        before = slabs
+        yield m, (packing, counts)
 
 
 def conjecture_coefficient(family, m, j, k, negatives=None):
@@ -399,31 +515,78 @@ def conjecture_coefficient(family, m, j, k, negatives=None):
     return raw
 
 
+def _terms(region: _Region, m: int, negatives=None) -> Iterator[tuple]:
+    """The generating function at m: (a, b, base, top, coefficient) for
+    each label (j, k, top) with a positive `conjecture_coefficient`; it
+    puts that many copies of V(a, b) in each grade base..base + top."""
+    family = region.family
+    for j, k, top in region.labels(m):
+        coeff = conjecture_coefficient(family, m, j, k, negatives)
+        if coeff:
+            yield (*region.term(m, j, k), top, coeff)
+
+
 def conjecture_graded_character(
     family: Family, m: int, negatives: list | None = None
 ) -> GradedDecomposition:
     """Generating-function form of the graded character.
 
     For U2/T1 the expression is the same ladder as the closed form.  For
-    U1/T2 it runs over the table's labels (j, k, top) and puts
-    `conjecture_coefficient` copies of the term's irreducible in each
-    grade of its band base..base + top.
+    U1/T2 it sums the terms of the table's labels (see `_terms`).
     """
     family = Family(family)
     _check_m(m)
     if not family.quad_indexed:
         return _ladder(family, m)
-    region = _REGIONS[family]
+    return _nested(_terms(_REGIONS[family], m, negatives))
+
+
+def _nested(terms) -> GradedDecomposition:
+    """The decomposition of the (a, b, base, top, multiplicity) terms."""
     grades: dict[int, dict[Weight, int]] = {}
-    for j, k, top in region.labels(m):
-        coeff = conjecture_coefficient(family, m, j, k, negatives)
-        if coeff:
-            a, b, base = region.term(m, j, k)
-            weight = Weight(a, b)
-            for grade in range(base, base + top + 1):
-                component = grades.setdefault(grade, {})
-                component[weight] = component.get(weight, 0) + coeff
+    for a, b, base, top, coeff in terms:
+        weight = Weight(a, b)
+        for grade in range(base, base + top + 1):
+            component = grades.setdefault(grade, {})
+            component[weight] = component.get(weight, 0) + coeff
     return GradedDecomposition._wrap(grades)
+
+
+def _packed(terms, packing: _Packing, m: int):
+    """{key: multiplicity} of the (a, b, base, top, multiplicity) terms at
+    m, each V(a, b) in the grades base..base + top, or None where a dict
+    of keys cannot stand for them: a term leaves the packing's box (its
+    (wt, gr) is then no region point's), or two terms share a (wt, gr)."""
+    radix, low, drift, _ = packing
+    la, lb, lg = (lo + m * d for lo, d in zip(low, drift))
+    bands, cells = [], 0
+    for a, b, base, top, coeff in terms:
+        if not (la <= a < la + radix and lb <= b < lb + radix
+                and lg <= base and base + top < lg + radix):
+            return None
+        first = _key(packing, m, a, b, base)
+        band = range(first, first + top + 1)
+        bands.append(zip(band, repeat(coeff)))
+        cells += len(band)
+    counts = dict(chain.from_iterable(bands))
+    return counts if len(counts) == cells else None
+
+
+def conjecture_differences(
+    family: Family, m: int, count: tuple, negatives: list | None = None
+) -> list[tuple[int, Weight, int, int]]:
+    """compare(closed form, generating function) of U1 or T2 at m, for the
+    closed form held as the (packing, counts) of `region_counts`.
+
+    The two forms are compared as dicts of keys (a plain dict first: a
+    Counter's own == walks both sides in Python); they are decoded to
+    GradedDecompositions only when they differ, to list the differences.
+    """
+    packing, counts = count
+    terms = list(_terms(_region(family), m, negatives))
+    if _packed(terms, packing, m) == counts:
+        return []
+    return compare(_decode(counts, packing, m), _nested(terms))
 
 
 def compare(

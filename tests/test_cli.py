@@ -10,7 +10,10 @@ from g2kr import cli, equivalence
 from g2kr.characters import irreducible_character, tensor, weyl_dim
 from g2kr.cli import main
 from g2kr.kr import (
+    _REGIONS,
     Family,
+    compare,
+    conjecture_graded_character,
     expand_weights,
     graded_dimensions,
     kr_graded_character,
@@ -227,11 +230,11 @@ def test_verify_classes(capsys):
 
 
 def test_verify_classes_reuses_the_graded_character(monkeypatch, capsys):
-    # verify hands the character it holds to the class check
+    # verify hands the region count it holds to the class check
     def recompute(*args):
-        raise AssertionError("graded character computed twice")
+        raise AssertionError("region counted twice")
 
-    monkeypatch.setattr(equivalence, "kr_graded_character", recompute)
+    monkeypatch.setattr(equivalence, "_count", recompute)
     code, out, _ = run(capsys, "verify", "classes", "--max-m", "6",
                        "--format", "json")
     assert code == 0
@@ -277,26 +280,83 @@ def test_verify_csv(capsys):
     assert lines[1] == "conjecture,u2,0,ok"
 
 
-def test_verify_failure_exits_one(monkeypatch, capsys):
-    # inject a fake discrepancy to exercise the failure contract
-    from g2kr.weights import Weight
+def _u1_coefficient_fault(monkeypatch):
+    # one copy too many of the label (0, 0) at every m, and at m = 8 a
+    # negative pre-clamp coefficient that drops the label (2, 0)
+    region = _REGIONS[Family.U1]
 
-    monkeypatch.setattr(
-        "g2kr.cli.compare", lambda a, b: [(0, Weight(1, 0), 1, 2)]
-    )
+    def coefficient(m, j, k):
+        if (m, j, k) == (8, 2, 0):
+            return -1
+        return region.coefficient(m, j, k) + ((j, k) == (0, 0))
+
+    monkeypatch.setitem(_REGIONS, Family.U1,
+                        region._replace(coefficient=coefficient))
+
+
+def test_verify_failure_exits_one(monkeypatch, capsys):
+    # a wrong table coefficient exercises the failure contract
+    _u1_coefficient_fault(monkeypatch)
     code, out, _ = run(capsys, "verify", "conjecture", "--family", "u1",
                        "--max-m", "1", "--format", "json")
     assert code == 1
     payload = json.loads(out)
     assert payload["ok"] is False
     assert all(not c["ok"] for c in payload["checks"])
-    assert payload["checks"][0]["differences"] == [
-        {"grade": 0, "weight": [1, 0], "theorem": 1, "conjecture": 2}
+    assert [c["differences"] for c in payload["checks"]] == [
+        [{"grade": 0, "weight": [0, 0], "theorem": 1, "conjecture": 2}],
+        [{"grade": 0, "weight": [1, 0], "theorem": 1, "conjecture": 2}],
     ]
     code_table, out_table, _ = run(capsys, "verify", "conjecture", "--family",
                                    "u1", "--max-m", "1")
     assert code_table == 1
     assert "FAIL" in out_table
+
+
+def _per_m_verify_kr(conjecture_families, class_families, max_m):
+    # the verify runner as one call of the public functions per check
+    conjecture, classes, negatives = [], [], []
+    for family in Family:
+        for m in range(max_m + 1):
+            theorem = kr_graded_character(family, m)
+            if family in conjecture_families:
+                diffs = compare(
+                    theorem, conjecture_graded_character(family, m, negatives)
+                )
+                differences = [
+                    {"grade": g, "weight": [w.a, w.b], "theorem": ma,
+                     "conjecture": mb}
+                    for g, w, ma, mb in diffs
+                ]
+                conjecture.append(cli._entry(
+                    "conjecture", differences, "differences",
+                    family=family.value, m=m,
+                ))
+            if family in class_families:
+                failures = equivalence.verify_partition(family, m, theorem)
+                classes.append(cli._entry("classes", failures,
+                                          family=family.value, m=m))
+    return conjecture + classes, [
+        {"family": f.value, "m": m, "j": j, "k": k, "coefficient": c}
+        for f, m, j, k, c in negatives
+    ]
+
+
+@pytest.mark.parametrize("max_m", ["0", "1", "8"])
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_failing_verify_matches_per_m_functions(monkeypatch, capsys, fmt,
+                                                max_m):
+    _u1_coefficient_fault(monkeypatch)
+    argv = ("verify", "all", "--max-m", max_m, "--format", fmt)
+    code, out, _ = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_verify_kr", _per_m_verify_kr)
+    expected_code, expected, _ = run(capsys, *argv)
+    assert code == expected_code == 1
+    assert out == expected
+    assert "coefficient 2 != region count 1" in out
+    if max_m == "8":
+        quote = "'" if fmt == "table" else '"'
+        assert f"{quote}coefficient{quote}: -1" in out
 
 
 def test_out_file(tmp_path, capsys):

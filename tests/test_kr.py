@@ -2,6 +2,7 @@ import itertools
 import logging
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,16 +11,20 @@ from hypothesis import strategies as st
 from g2kr.characters import Character, irreducible_character
 from g2kr.equivalence import class_members, shift_vector
 from g2kr.kr import (
+    _REGIONS,
     Family,
     GradedDecomposition,
+    _decode,
     compare,
     conjecture_coefficient,
+    conjecture_differences,
     conjecture_graded_character,
     enumerate_region,
     expand_weights,
     graded_dimensions,
     in_region,
     kr_graded_character,
+    region_counts,
     wt_gr,
 )
 from g2kr.weights import OMEGA1, OMEGA2, Weight, in_root_cone, is_dominant
@@ -268,18 +273,105 @@ def test_conjecture_matches_theorem_sweep(family):
     assert negatives == []
 
 
+def per_point(family, m):
+    """Oracle: one wt_gr per region point, counted."""
+    return Counter(wt_gr(family, m, r) for r in enumerate_region(family, m))
+
+
+def counted(g):
+    """A GradedDecomposition as the Counter of its (weight, grade) keys."""
+    return Counter({(weight, grade): n for grade, weight, n in g.items()})
+
+
+def swept(family, top):
+    """The count of `region_counts` at each m <= top, decoded."""
+    return [counted(_decode(counts, packing, m))
+            for m, (packing, counts) in region_counts(family, top)]
+
+
 @pytest.mark.parametrize("family", QUAD)
 def test_closed_form_matches_per_point_oracle(family):
-    # oracle: one wt_gr and one GradedDecomposition.add per region point
-    for m in range(31):
-        oracle = GradedDecomposition()
-        for r in enumerate_region(family, m):
-            weight, grade = wt_gr(family, m, r)
-            oracle.add(grade, weight, 1)
+    oracles = [per_point(family, m) for m in range(41)]
+    for m, oracle in enumerate(oracles):
         fast = kr_graded_character(family, m)
-        assert fast == oracle, m
-        assert list(fast.items()) == list(oracle.items())
+        assert counted(fast) == oracle, m
         assert all(type(w) is Weight for _, w, _ in fast.items())
+    # the count grown over m, up to tops where the packing's box is tiny
+    for top in (0, 1, 30):
+        assert swept(family, top) == oracles[:top + 1], top
+
+
+@pytest.mark.parametrize(
+    "family, field, moved",
+    [
+        # b = r2 + r3 - r4 - m goes negative on the whole region
+        (Family.U1, "wt_gr", {1: ((0, 1, 1, -1), -1)}),
+        # grades far above 3m
+        (Family.T2, "wt_gr", {2: ((5, 11, 7, 3), 9)}),
+        # a with a negative drift: the m-free values move up the box
+        (Family.T2, "wt_gr", {0: ((1, 1, -1, 2), -2)}),
+        # (wt, gr) constant along r4: each run is one key, repeated
+        (Family.U1, "wt_gr", {1: ((0, 1, 1, 0), 0), 2: ((1, 1, 2, 0), 0)}),
+        # layers two points thick: tails of two points, two new r3 a slab
+        (Family.T2, "constraints", {5: ((-1, -1, -1, -1), 2)}),
+        (Family.U1, "constraints", {5: ((-2, -3, -3, 0), 2)}),
+        # a new constraint r3 >= 2r2 - m: new r3 below the old ones too
+        (Family.T2, "constraints", {6: ((0, -2, 1, 0), 1)}),
+    ],
+    ids=["u1-b-negative", "t2-gr-large", "t2-a-drift", "u1-r4-kernel",
+         "t2-thick", "u1-thick", "t2-r3-floor"],
+)
+def test_mutated_table_still_packs(monkeypatch, family, field, moved):
+    # the packing's box comes from the values, never from the family
+    region = _REGIONS[family]
+    rows = {**dict(enumerate(getattr(region, field))), **moved}
+    monkeypatch.setitem(_REGIONS, family, region._replace(
+        **{field: tuple(rows[n] for n in sorted(rows))}
+    ))
+    oracles = [per_point(family, m) for m in range(13)]
+    for top in (0, 1, 5, 12):
+        assert swept(family, top) == oracles[:top + 1], top
+    assert [counted(kr_graded_character(family, m)) for m in range(13)] == (
+        oracles
+    )
+
+
+def _aliased(region, radix):
+    # one radix step moved from b to the grade: the same key, unchecked
+    def term(m, j, k):
+        a, b, base = region.term(m, j, k)
+        return (a, b - 1, base + radix) if (j, k) == (1, 1) else (a, b, base)
+
+    return region._replace(term=term)
+
+
+def _repeated(region, radix):
+    # a label listed twice: a dict of keys would hold one copy of it
+    return region._replace(
+        labels=lambda m: itertools.chain(region.labels(m), [(0, 0, 0)])
+    )
+
+
+@pytest.mark.parametrize("fault", [_aliased, _repeated],
+                         ids=["aliased", "repeated"])
+def test_packed_compare_sees_faults_keys_hide(monkeypatch, fault):
+    family, m = Family.T2, 6
+    *_, (_, count) = region_counts(family, m)
+    region = fault(_REGIONS[family], count[0].radix)
+    monkeypatch.setitem(_REGIONS, family, region)
+    expected = compare(kr_graded_character(family, m),
+                       conjecture_graded_character(family, m))
+    assert expected != []
+    assert conjecture_differences(family, m, count) == expected
+
+
+def test_region_counts_need_a_growing_region(monkeypatch):
+    region = _REGIONS[Family.T2]
+    *kept, (c, _) = region.constraints
+    shrinking = region._replace(constraints=(*kept, (c, -1)))
+    monkeypatch.setitem(_REGIONS, Family.T2, shrinking)
+    with pytest.raises(ValueError, match="every constraint's d >= 0"):
+        next(region_counts(Family.T2, 3))
 
 
 @pytest.mark.parametrize("family", QUAD)
