@@ -18,12 +18,12 @@ import sys
 from .characters import irreducible_character, tensor, weyl_dim
 from .kr import (
     Family,
+    _region_counts,
     compare,
     conjecture_differences,
     conjecture_graded_character,
     expand_weights,
     kr_graded_character,
-    region_counts,
 )
 from .weights import height
 
@@ -246,7 +246,7 @@ def _verify_kr(conjecture_families, class_families, max_m):
     """Conjecture checks, then class checks, for each family and m <= max_m.
 
     The closed form of U1 and T2 is one region count per family, grown
-    over m (`region_counts`), and serves both checks.
+    over m (`kr._region_counts`), and serves both checks.
     """
     conjecture, classes, negatives = [], [], []
 
@@ -274,7 +274,7 @@ def _verify_kr(conjecture_families, class_families, max_m):
                 conjecture.append(conjecture_entry(family, m, diffs))
             continue
         # raises ValueError for the classes of a ladder family: no region
-        for m, count in region_counts(family, max_m):
+        for m, count in _region_counts(family, max_m):
             if checks_conjecture:
                 diffs = conjecture_differences(family, m, count, negatives)
                 conjecture.append(conjecture_entry(family, m, diffs))

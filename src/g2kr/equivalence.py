@@ -22,20 +22,14 @@ from math import gcd
 
 from .kr import (
     Family,
-    GradedDecomposition,
     QuadIndex,
     _affine,
     _check_m,
     _check_quad,
-    _count,
-    _decode,
-    _key,
-    _packing,
+    _packed_check,
     _region,
     _signed,
     _span,
-    _wt_gr_slabs,
-    compare,
 )
 
 
@@ -147,22 +141,17 @@ def verify_partition(family: Family, m: int, graded=None) -> list[str]:
     `class_size_formula` give graded, which counts region points per
     (wt, gr).  Then the classes of all keys partition the region into its
     fibres, with the formula's sizes.  graded is the closed form at m: a
-    GradedDecomposition, the (packing, counts) that `kr.region_counts`
-    yields for m, or by default the region counted afresh.
+    GradedDecomposition, the count that `kr._region_counts` yields for m,
+    or by default the region counted afresh.
     """
     region = _region(family)
     _check_m(m)
-    if graded is None:
-        graded = _count(region, m)
-    if isinstance(graded, GradedDecomposition):
-        packing = _packing(region, m, _wt_gr_slabs(region, m))
-    else:
-        packing, counts = graded
+    row, differences = _packed_check(region, m, graded)
     # One pass over the keys: each representative is checked against the
-    # constraints and packed with one dot product.
+    # constraints, and its (wt, gr) is the dot product with row.
     failures = list(_certificate(region))
     bounds = [(*c, d * m) for c, d in region.constraints]
-    p1, p2, p3, p4 = packing.row
+    p1, p2, p3, p4 = row
     owners, sizes = {}, {}
     for key in class_keys(region.family, m):
         rep = region.representative(m, *key)
@@ -183,15 +172,10 @@ def verify_partition(family: Family, m: int, graded=None) -> list[str]:
                     f"m={m} keys {owner} and {key} share (wt, gr) "
                     f"{tuple(_affine(region.wt_gr, m, rep))}"
                 )
-    if not isinstance(graded, GradedDecomposition):
-        if sizes == counts:  # a plain dict first: dict equality, in C
-            return failures
-        graded = _decode(counts, packing, m)
-    for grade, (a, b), size, n in compare(_decode(sizes, packing, m), graded):
-        point = (a, b, grade)
+    for point, wt_gr, size, n in differences(sizes):
         failures.append(
-            f"m={m} key {owners[_key(packing, m, *point)]}: coefficient "
-            f"{size} != region count {n} at (wt, gr) {point}" if size else
-            f"m={m}: no key has (wt, gr) {point}; region count {n}"
+            f"m={m} key {owners[point]}: coefficient {size} != region "
+            f"count {n} at (wt, gr) {wt_gr}" if size else
+            f"m={m}: no key has (wt, gr) {wt_gr}; region count {n}"
         )
     return failures

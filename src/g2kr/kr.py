@@ -21,8 +21,11 @@ into one int key, affine in the point, so along each run of r4 through
 the region the keys are an arithmetic progression, and C-level maps over
 r3 hand the runs of one (r1, r2) slab to a single Counter.  Every
 constraint loosens as m grows, so region(m - 1) lies in region(m), and
-in m-free coordinates a point keeps its key: `region_counts` grows one
-count over m = 0, 1, ... by only the points each m adds.
+in m-free coordinates a point keeps its key: `_region_counts` grows one
+count over m = 0, 1, ... by only the points each m adds.  The packed
+form stays inside this module: `conjecture_differences` and
+`_packed_check` (the class check's view of it) decode it only to report
+a difference.
 
 The second form is the generating function: the label (j, k, s) carries
 coefficient(m, j, k) copies of one irreducible, and the coefficients
@@ -446,7 +449,7 @@ def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
     return _decode(counts, packing, m)
 
 
-def region_counts(family: Family, top: int) -> Iterator[tuple]:
+def _region_counts(family: Family, top: int) -> Iterator[tuple]:
     """The closed form of U1 or T2 for m = 0, 1, ..., top, in packed form.
 
     Yields (m, (packing, counts)) for each m: counts is one Counter of the
@@ -486,6 +489,38 @@ def region_counts(family: Family, top: int) -> Iterator[tuple]:
         counts.update(chain.from_iterable(chain.from_iterable(pieces)))
         before = slabs
         yield m, (packing, counts)
+
+
+def _packed_check(region: _Region, m: int, graded=None) -> tuple:
+    """How to check a dict of packed (wt, gr) keys against the closed form
+    at m, graded: a GradedDecomposition, the count that `_region_counts`
+    yields for m, or by default region(m) counted afresh.
+
+    Returns (row, differences): row . r is the key of the (wt, gr) of a
+    point r of region(m), and differences(sizes), for sizes a dict key ->
+    size over such keys, lists (key, (a, b, grade), size, count) for each
+    (wt, gr) = (a, b, grade) where sizes and graded differ, in the order
+    of `compare`.
+    """
+    if graded is None:
+        graded = _count(region, m)
+    if isinstance(graded, GradedDecomposition):
+        packing, counts = _packing(region, m, _wt_gr_slabs(region, m)), None
+    else:
+        packing, counts = graded
+
+    def differences(sizes) -> list:
+        if sizes == counts:  # a plain dict first: dict equality, in C
+            return []
+        closed = graded if counts is None else _decode(counts, packing, m)
+        return [
+            (_key(packing, m, a, b, grade), (a, b, grade), size, n)
+            for grade, (a, b), size, n in compare(
+                _decode(sizes, packing, m), closed
+            )
+        ]
+
+    return packing.row, differences
 
 
 def conjecture_coefficient(family, m, j, k, negatives=None):
@@ -576,7 +611,7 @@ def conjecture_differences(
     family: Family, m: int, count: tuple, negatives: list | None = None
 ) -> list[tuple[int, Weight, int, int]]:
     """compare(closed form, generating function) of U1 or T2 at m, for the
-    closed form held as the (packing, counts) of `region_counts`.
+    closed form held as the count that `_region_counts` yields for m.
 
     The two forms are compared as dicts of keys (a plain dict first: a
     Counter's own == walks both sides in Python); they are decoded to

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from g2kr import cli, equivalence
+from g2kr import cli, equivalence, kr
 from g2kr.characters import irreducible_character, tensor, weyl_dim
 from g2kr.cli import main
 from g2kr.kr import (
@@ -234,7 +234,7 @@ def test_verify_classes_reuses_the_graded_character(monkeypatch, capsys):
     def recompute(*args):
         raise AssertionError("region counted twice")
 
-    monkeypatch.setattr(equivalence, "_count", recompute)
+    monkeypatch.setattr(kr, "_count", recompute)
     code, out, _ = run(capsys, "verify", "classes", "--max-m", "6",
                        "--format", "json")
     assert code == 0
