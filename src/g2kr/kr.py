@@ -19,13 +19,15 @@ character and the equivalence classes are all read off it.  The graded
 character never visits region points one by one.  (wt, gr) is packed
 into one int key, affine in the point, so along each run of r4 through
 the region the keys are an arithmetic progression, and C-level maps over
-r3 hand the runs of one (r1, r2) slab to a single Counter.  Every
-constraint loosens as m grows, so region(m - 1) lies in region(m), and
-in m-free coordinates a point keeps its key: `_region_counts` grows one
-count over m = 0, 1, ... by only the points each m adds.  The packed
-form stays inside this module: `conjecture_differences` and
-`_packed_check` (the class check's view of it) decode it only to report
-a difference.
+r3 hand the runs of one (r1, r2) slab to a single Counter.
+`_region_counts` is the one counter: it counts region(start) whole,
+and since every constraint loosens as m grows, region(m - 1) lies in
+region(m) and in m-free coordinates a point keeps its key, so it grows
+that count over m = start + 1, ..., top by only the points each m
+adds.  A single m (`kr_graded_character`, a class check given no count)
+is its first step.  The packed form stays inside this module:
+`conjecture_differences` and `_packed_check` (the class check's view of
+it) decode it only to report a difference.
 
 The second form is the generating function: the label (j, k, s) carries
 coefficient(m, j, k) copies of one irreducible, and the coefficients
@@ -334,20 +336,16 @@ def _ladder(family: Family, m: int) -> GradedDecomposition:
 _Packing = namedtuple("_Packing", "radix low drift row")
 
 
-def _wt_gr_slabs(region: _Region, m: int) -> Iterator[tuple]:
-    """`_slabs` of region(m) with the m-free (wt, gr) rows as keys."""
-    return _slabs(region, m, tuple((c, 0) for c, _ in region.wt_gr))
-
-
-def _packing(region: _Region, m: int, slabs) -> _Packing:
+def _packing(region: _Region, m: int) -> _Packing:
     """The packing whose box holds the m-free (wt, gr) of the points of
-    region(m), from its slabs (`_wt_gr_slabs`).
+    region(m).
 
     Each (wt, gr) row is affine on a slab, so its extremes over the slab
     lie at the ends of its first and last run.
     """
+    linear = [c for c, _ in region.wt_gr]
     columns = [], [], []
-    for _, r3s, (n, dn), keys in slabs:
+    for _, r3s, (n, dn), keys in _slabs(region, m, [(c, 0) for c in linear]):
         if r3s:
             first, last = r3s[0], r3s[-1]
             ends = n - 1 + dn * first, n - 1 + dn * last
@@ -358,14 +356,9 @@ def _packing(region: _Region, m: int, slabs) -> _Packing:
     radix = 1 + max(max(column, default=0) - lo
                     for column, lo in zip(columns, low))
     drift = [d for _, d in region.wt_gr]
-    return _Packing(radix, low, drift,
-                    _combine(radix, [c for c, _ in region.wt_gr]))
-
-
-def _combine(radix: int, triples) -> tuple:
-    """The packed combination (a*radix + b)*radix + grade of the (a, b,
-    grade) rows, taken coordinate by coordinate."""
-    return tuple((a * radix + b) * radix + g for a, b, g in zip(*triples))
+    # the packed combination (a*radix + b)*radix + grade, coordinate-wise
+    row = tuple((a * radix + b) * radix + g for a, b, g in zip(*linear))
+    return _Packing(radix, low, drift, row)
 
 
 def _key(packing: _Packing, m: int, a: int, b: int, grade: int) -> int:
@@ -424,52 +417,43 @@ def _progression(start: int, step: int, n: int) -> Iterable[int]:
     return repeat(start, n)
 
 
-def _count(region: _Region, m: int) -> tuple:
-    """(packing, Counter of the keys of region(m)): one pass over the slabs
-    finds the packing, and with the (wt, gr) rows packed, the keys."""
-    slabs = list(_wt_gr_slabs(region, m))
-    packing = _packing(region, m, slabs)
-    radix = packing.radix
-    runs = (_runs(*_combine(radix, keys), r3s, run)
-            for _, r3s, run, keys in slabs)
-    return packing, Counter(chain.from_iterable(chain.from_iterable(runs)))
-
-
 def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
     """Closed-form graded character in the irreducible basis.
 
     Counts the packed (wt, gr) keys of the region points in one C-level
-    pass, with no Python step per point or per run of r4.
+    pass, with no Python step per point or per run of r4: the count of
+    `_region_counts` started at m.
     """
     family = Family(family)
     _check_m(m)
     if not family.quad_indexed:
         return _ladder(family, m)
-    packing, counts = _count(_REGIONS[family], m)
+    _, (packing, counts) = next(_region_counts(family, m, m))
     return _decode(counts, packing, m)
 
 
-def _region_counts(family: Family, top: int) -> Iterator[tuple]:
-    """The closed form of U1 or T2 for m = 0, 1, ..., top, in packed form.
+def _region_counts(family: Family, top: int, start=0) -> Iterator[tuple]:
+    """The closed form of U1 or T2 for m = start, ..., top, in packed form.
 
     Yields (m, (packing, counts)) for each m: counts is one Counter of the
-    keys of region(m) under packing, grown in place from m - 1 to m by the
-    points that region(m) adds to region(m - 1), so each region point is
-    counted once; read it before drawing the next m.  Every constraint
-    has d >= 0, so region(m - 1) lies in region(m) slab by slab; a slab
-    adds the r3 that are new, with whole runs, and the new tail of each
-    old run, whose i-th points are again a progression in r3.
+    keys of region(m) under packing, counted whole at m = start and then
+    grown in place from m - 1 to m by the points that region(m) adds to
+    region(m - 1), so each region point is counted once; read it before
+    drawing the next m.  Growing needs every constraint's d >= 0, so that
+    region(m - 1) lies in region(m) slab by slab; a slab adds the r3 that
+    are new, with whole runs, and the new tail of each old run, whose i-th
+    points are again a progression in r3.
     """
     region = _region(family)
     _check_m(top, "top")
-    if min(d for _, d in region.constraints) < 0:
+    if start < top and min(d for _, d in region.constraints) < 0:
         raise ValueError("a count grown over m needs a region that grows "
                          "with m: every constraint's d >= 0")
-    packing = _packing(region, top, _wt_gr_slabs(region, top))
+    packing = _packing(region, top)
     counts = Counter()
     rows = ((packing.row, 0),)
     before = {}  # (r1, r2) -> (r3s, n) of the slab in region(m - 1)
-    for m in range(top + 1):
+    for m in range(start, top + 1):
         pieces, slabs = [], {}
         for r12, r3s, run, ((v, dv, step),) in _slabs(region, m, rows):
             old, old_n = before.get(r12, (range(0), 0))
@@ -503,9 +487,9 @@ def _packed_check(region: _Region, m: int, graded=None) -> tuple:
     of `compare`.
     """
     if graded is None:
-        graded = _count(region, m)
+        _, graded = next(_region_counts(region.family, m, m))
     if isinstance(graded, GradedDecomposition):
-        packing, counts = _packing(region, m, _wt_gr_slabs(region, m)), None
+        packing, counts = _packing(region, m), None
     else:
         packing, counts = graded
 
@@ -535,17 +519,22 @@ def conjecture_coefficient(family, m, j, k, negatives=None):
     if not type(m) is type(j) is type(k) is int or min(m, j, k) < 0:
         for name, value in (("m", m), ("j", j), ("k", k)):
             _check_m(value, name)
-    family = region.family
+    return _clamped(region, m, j, k, negatives)
+
+
+def _clamped(region: _Region, m: int, j: int, k: int, negatives) -> int:
+    """The coefficient at (j, k) clamped at 0, for checked arguments; a
+    negative one is logged and recorded as `conjecture_coefficient` says."""
     raw = region.coefficient(m, j, k)
     if raw < 0:
         import logging  # only this path logs; most processes never load it
 
         logging.getLogger(__name__).warning(
             "negative pre-clamp coefficient %d for %s at m=%d, j=%d, k=%d",
-            raw, family.value, m, j, k,
+            raw, region.family.value, m, j, k,
         )
         if negatives is not None:
-            negatives.append((family, m, j, k, raw))
+            negatives.append((region.family, m, j, k, raw))
         return 0
     return raw
 
@@ -554,9 +543,8 @@ def _terms(region: _Region, m: int, negatives=None) -> Iterator[tuple]:
     """The generating function at m: (a, b, base, top, coefficient) for
     each label (j, k, top) with a positive `conjecture_coefficient`; it
     puts that many copies of V(a, b) in each grade base..base + top."""
-    family = region.family
     for j, k, top in region.labels(m):
-        coeff = conjecture_coefficient(family, m, j, k, negatives)
+        coeff = _clamped(region, m, j, k, negatives)
         if coeff:
             yield (*region.term(m, j, k), top, coeff)
 

@@ -234,7 +234,7 @@ def test_verify_classes_reuses_the_graded_character(monkeypatch, capsys):
     def recompute(*args):
         raise AssertionError("region counted twice")
 
-    monkeypatch.setattr(kr, "_count", recompute)
+    monkeypatch.setattr(kr, "_region_counts", recompute)
     code, out, _ = run(capsys, "verify", "classes", "--max-m", "6",
                        "--format", "json")
     assert code == 0
@@ -465,6 +465,9 @@ def test_package_serves_every_name_lazily(child_env):
     script = (
         "import sys\n"
         "import g2kr\n"
+        "print(sorted(m for m in sys.modules if m.startswith('g2kr.')))\n"
+        "print([getattr(g2kr, m).__name__\n"
+        "       for m in ('kr', 'characters', 'weights')])\n"
         "print(int('g2kr.equivalence' in sys.modules))\n"
         "print(sorted(set(g2kr.__all__) - set(dir(g2kr))))\n"
         "from g2kr import *\n"
@@ -482,6 +485,7 @@ def test_package_serves_every_name_lazily(child_env):
                             check=False)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
+        "[]", "['g2kr.kr', 'g2kr.characters', 'g2kr.weights']",
         "0", "[]", "[]", "True",
         "module 'g2kr' has no attribute 'no_such_name'",
     ]

@@ -281,10 +281,10 @@ def per_point(family, m):
     return oracle
 
 
-def swept(family, top):
-    """The count of `_region_counts` at each m <= top, decoded."""
+def swept(family, top, start=0):
+    """The count of `_region_counts` at each m of start..top, decoded."""
     return [_decode(counts, packing, m)
-            for m, (packing, counts) in _region_counts(family, top)]
+            for m, (packing, counts) in _region_counts(family, top, start)]
 
 
 @pytest.mark.parametrize("family", QUAD)
@@ -298,6 +298,9 @@ def test_closed_form_matches_per_point_oracle(family):
     # the count grown over m, up to tops where the packing's box is tiny
     for top in (0, 1, 30):
         assert swept(family, top) == oracles[:top + 1], top
+    # started at top (a single m) and mid-way
+    for start, top in ((30, 30), (17, 40)):
+        assert swept(family, top, start) == oracles[start:top + 1], start
 
 
 @pytest.mark.parametrize(
@@ -330,6 +333,8 @@ def test_mutated_table_still_packs(monkeypatch, family, field, moved):
     oracles = [per_point(family, m) for m in range(13)]
     for top in (0, 1, 5, 12):
         assert swept(family, top) == oracles[:top + 1], top
+    for start, top in ((12, 12), (5, 12)):
+        assert swept(family, top, start) == oracles[start:top + 1], start
     assert [kr_graded_character(family, m) for m in range(13)] == oracles
 
 
@@ -369,6 +374,10 @@ def test_region_counts_need_a_growing_region(monkeypatch):
     monkeypatch.setitem(_REGIONS, Family.T2, shrinking)
     with pytest.raises(ValueError, match="every constraint's d >= 0"):
         next(_region_counts(Family.T2, 3))
+    # a single m grows nothing, so it counts any region
+    oracles = [per_point(Family.T2, m) for m in range(4)]
+    assert oracles[0]
+    assert [kr_graded_character(Family.T2, m) for m in range(4)] == oracles
 
 
 @pytest.mark.parametrize("family", QUAD)
