@@ -26,7 +26,10 @@ The module K = V(omega2) + C carries the graded current-algebra action
     (x (x) t^r)(y, a) = (delta_{r,0} [x, y], delta_{r,1} <x, y>)
 
 with <,> the Killing form, V(omega2) realised as the adjoint copy of the
-algebra itself and C the grade-one piece.
+algebra itself and C the grade-one piece.  That this is a module, i.e.
+[x (x) t^p, y (x) t^q] = [x,y] (x) t^{p+q} as operators, follows from
+antisymmetry with Jacobi (p = q = 0) and with Killing invariance
+(p + q = 1); at p + q >= 2 both sides vanish.
 """
 
 from __future__ import annotations
@@ -434,19 +437,19 @@ def _k_scale(c: int, v: KElement) -> KElement:
 def verify_kr1_relations() -> list[str]:
     """Check the defining relations of the m=1, node-2 module on K.
 
-    Covers: annihilation by the positive part at all powers, the Cartan
-    eigenvalue relations, the simple-root lowering relations, the grade-one
-    generator being nonzero yet annihilated by the positive part, the
-    current-algebra module axiom at all checked depths, and cyclicity of
-    the adjoint copy under the degree-zero action.
+    Covers: annihilation by the positive part and the Cartan eigenvalue
+    relations at powers 0 and 1 (`kr1_action` is zero at higher powers),
+    the simple-root lowering relations, the grade-one generator being
+    nonzero, and cyclicity of the adjoint copy under the degree-zero
+    action.  The module axiom is left to `verify_structure` and
+    `verify_killing`, which imply it (see the module docstring).
     """
-    t = build_bracket_table()
     failures = []
     v = kr1_highest_vector()
 
     for idx in range(6):
         x = basis_vector(X_PLUS[idx])
-        for power in range(4):
+        for power in range(2):
             if kr1_action(x, power, v) != K_ZERO:
                 failures.append(
                     f"(x+{_root_label(_POS_WEIGHTS[idx])} (x) t^{power}) "
@@ -455,7 +458,7 @@ def verify_kr1_relations() -> list[str]:
 
     for hi in (1, 2):
         h = cartan(hi)
-        for power in range(4):
+        for power in range(2):
             got = kr1_action(h, power, v)
             want = _k_scale(pairing(OMEGA2, hi), v) if power == 0 else K_ZERO
             if got != want:
@@ -473,53 +476,8 @@ def verify_kr1_relations() -> list[str]:
     if kr1_action(basis_vector(X_MINUS[1]), 1, v) != K_ZERO:
         failures.append("(x-_{a2} (x) t) does not annihilate the highest vector")
 
-    top = kr1_action(basis_vector(X_MINUS[HIGHEST]), 1, v)
-    if top == K_ZERO:
+    if kr1_action(basis_vector(X_MINUS[HIGHEST]), 1, v) == K_ZERO:
         failures.append("(x-_{theta} (x) t) kills the highest vector")
-    for idx in range(6):
-        if kr1_action(basis_vector(X_PLUS[idx]), 0, top) != K_ZERO:
-            failures.append(
-                "the grade-one generator is not a highest-weight vector"
-            )
-
-    # Module axiom: [x (x) t^p, y (x) t^q] = [x,y] (x) t^{p+q} as operators,
-    # on all 15 basis vectors of K and all depths p+q <= 2.
-    # action[p][i][w] lists the nonzero (u, c) of (b_i (x) t^p) applied to
-    # basis vector w of K (w < DIM: the adjoint copy; w = DIM: the line C):
-    # `kr1_action`'s formula as sparse columns, for p = 0, 1, 2.
-    action = (
-        tuple(row + ((),) for row in t.rows),
-        tuple(
-            tuple(((DIM, c),) if c else () for c in krow) + ((),)
-            for krow in t.killing
-        ),
-        (((),) * (DIM + 1),) * DIM,
-    )
-    for i in range(DIM):
-        for j in range(DIM):
-            z = t.rows[i][j]
-            for p in range(3):
-                for q in range(3 - p):
-                    xi, xj = action[p][i], action[q][j]
-                    zpq = action[p + q]
-                    for w in range(DIM + 1):
-                        # x_i x_j w - x_j x_i w - [x_i, x_j] w
-                        diff = [0] * (DIM + 1)
-                        for u, c in xj[w]:
-                            for e, d in xi[u]:
-                                diff[e] += c * d
-                        for u, c in xi[w]:
-                            for e, d in xj[u]:
-                                diff[e] -= c * d
-                        for l, c in z:
-                            for e, d in zpq[l][w]:
-                                diff[e] -= c * d
-                        if any(diff):
-                            failures.append(
-                                "module axiom fails at "
-                                f"({BASIS_NAMES[i]} (x) t^{p}, "
-                                f"{BASIS_NAMES[j]} (x) t^{q})"
-                            )
 
     # The degree-zero action generates the whole adjoint copy from v.
     pivots: dict[int, list[int]] = {}

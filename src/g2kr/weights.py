@@ -169,11 +169,9 @@ def coroot_coefficients(root: Weight) -> tuple[int, int]:
     """Write the coroot of a root as c1*h1 + c2*h2 (integer c1, c2)."""
     p, q = to_root_coords(root)
     norm = inner(root, root)
-    c1, r1 = divmod(2 * p, norm)
-    c2, r2 = divmod(6 * q, norm)
-    if r1 or r2:
+    if not norm or (2 * p) % norm or (6 * q) % norm:
         raise ValueError(f"{root} is not a root of G2")
-    return c1, c2
+    return 2 * p // norm, 6 * q // norm
 
 
 def pairing(w: Weight, i: int) -> int:

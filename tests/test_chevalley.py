@@ -1,4 +1,7 @@
+import io
 import json
+import random
+from contextlib import redirect_stdout
 from math import gcd
 
 import pytest
@@ -15,6 +18,7 @@ from g2kr.chevalley import (
     X_MINUS,
     X_PLUS,
     ZERO14,
+    BASIS_NAMES,
     BASIS_WEIGHTS,
     BracketTable,
     adjoint_weights,
@@ -200,8 +204,105 @@ def _scaled_rows(factor, *cells):
     return rows
 
 
+def _module_axiom_failures():
+    """The current-algebra module axiom, checked on K by sparse columns.
+
+    [x (x) t^p, y (x) t^q] = [x,y] (x) t^{p+q} as operators, on all 15
+    basis vectors of K and all depths p+q <= 2.  With `kr1_action` as
+    defined this is antisymmetry + Jacobi (p = q = 0) and antisymmetry +
+    Killing invariance (p + q = 1) again, so it is the oracle of those
+    two checks rather than a check of the library.
+    """
+    t = chevalley.build_bracket_table()
+    failures = []
+    # action[p][i][w] lists the nonzero (u, c) of (b_i (x) t^p) applied to
+    # basis vector w of K (w < DIM: the adjoint copy; w = DIM: the line C):
+    # `kr1_action`'s formula as sparse columns, for p = 0, 1, 2.
+    action = (
+        tuple(row + ((),) for row in t.rows),
+        tuple(
+            tuple(((DIM, c),) if c else () for c in krow) + ((),)
+            for krow in t.killing
+        ),
+        (((),) * (DIM + 1),) * DIM,
+    )
+    for i in range(DIM):
+        for j in range(DIM):
+            z = t.rows[i][j]
+            for p in range(3):
+                for q in range(3 - p):
+                    xi, xj = action[p][i], action[q][j]
+                    zpq = action[p + q]
+                    for w in range(DIM + 1):
+                        # x_i x_j w - x_j x_i w - [x_i, x_j] w
+                        diff = [0] * (DIM + 1)
+                        for u, c in xj[w]:
+                            for e, d in xi[u]:
+                                diff[e] += c * d
+                        for u, c in xi[w]:
+                            for e, d in xj[u]:
+                                diff[e] -= c * d
+                        for l, c in z:
+                            for e, d in zpq[l][w]:
+                                diff[e] -= c * d
+                        if any(diff):
+                            failures.append(
+                                "module axiom fails at "
+                                f"({BASIS_NAMES[i]} (x) t^{p}, "
+                                f"{BASIS_NAMES[j]} (x) t^{q})"
+                            )
+    return failures
+
+
 def _failure_counts():
-    return {name: len(failures) for name, failures in verify_all().items()}
+    """Failures per `verify_all()` check, and the module-axiom oracle's.
+
+    Every fault table here must also fail `g2kr verify chevalley`.
+    """
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "chevalley"]) == 1
+    counts = {name: len(failures) for name, failures in verify_all().items()}
+    counts["module-axiom"] = len(_module_axiom_failures())
+    return counts
+
+
+def test_module_axiom_is_implied_by_jacobi_and_invariance(monkeypatch):
+    # the oracle is clean on the real table; on a seeded sample of faults
+    # that keep the root-space grading (one structure constant or one
+    # Killing entry moved, with or without its antisymmetric or symmetric
+    # partner), every fault it flags is flagged by the library too
+    assert _module_axiom_failures() == []
+    good = build_bracket_table()
+    cells = [(i, j) for i in range(DIM) for j in range(DIM) if good.rows[i][j]]
+    pairs = [
+        (i, j)
+        for i in range(DIM)
+        for j in range(DIM)
+        if BASIS_WEIGHTS[i] + BASIS_WEIGHTS[j] == Weight(0, 0)
+    ]
+    rng = random.Random(1)
+    flagged = 0
+    for _ in range(150):
+        rows = [list(row) for row in good.rows]
+        killing = [list(row) for row in good.killing]
+        delta = rng.choice((-2, -1, 1, 2))
+        partner = rng.random() < 0.5
+        if rng.random() < 0.5:
+            i, j = fault = rng.choice(cells)
+            k = rng.choice(good.rows[i][j])[0]
+            for a, b, d in ((i, j, delta), (j, i, -delta))[:1 + partner]:
+                cell = dict(rows[a][b])
+                cell[k] += d
+                rows[a][b] = tuple(kc for kc in sorted(cell.items()) if kc[1])
+        else:
+            i, j = fault = rng.choice(pairs)
+            for a, b in ((i, j), (j, i))[:1 + partner]:
+                killing[a][b] += delta
+        _use_table(monkeypatch, rows, killing)
+        if _module_axiom_failures():
+            flagged += 1
+            assert verify_structure() or verify_killing(), (fault, delta)
+    assert flagged == 150
 
 
 def test_doubled_structure_constant_is_caught(monkeypatch):
@@ -212,11 +313,14 @@ def test_doubled_structure_constant_is_caught(monkeypatch):
     assert _failure_counts() == {
         "structure": 66,
         "killing": 4,
-        "kr-relations": 74,
+        "kr-relations": 0,
         "adjoint-weights": 0,
+        "module-axiom": 74,
     }
     assert verify_structure()[0].startswith("Jacobi fails at (x+[1,0], x+[0,1],")
-    assert any(f.startswith("module axiom fails") for f in verify_kr1_relations())
+    assert any(
+        f.startswith("module axiom fails") for f in _module_axiom_failures()
+    )
 
 
 def test_flipped_cartan_bracket_is_caught(monkeypatch):
@@ -226,8 +330,9 @@ def test_flipped_cartan_bracket_is_caught(monkeypatch):
     assert _failure_counts() == {
         "structure": 85,
         "killing": 4,
-        "kr-relations": 92,
+        "kr-relations": 0,
         "adjoint-weights": 1,
+        "module-axiom": 92,
     }
     assert verify_structure()[:2] == [
         "[h1, x+[1,0]] has wrong eigenvalue",
@@ -250,8 +355,9 @@ def test_non_eigenvector_is_reported_not_raised(monkeypatch, capsys):
     assert _failure_counts() == {
         "structure": 111,
         "killing": 8,
-        "kr-relations": 124,
+        "kr-relations": 0,
         "adjoint-weights": 1,
+        "module-axiom": 124,
     }
     assert verify_all()["adjoint-weights"] == [
         "x+[1,0] is not an ad(h1) eigenvector"
@@ -273,8 +379,9 @@ def test_tripled_coroot_bracket_is_caught(monkeypatch):
     assert _failure_counts() == {
         "structure": 85,
         "killing": 8,
-        "kr-relations": 100,
+        "kr-relations": 0,
         "adjoint-weights": 0,
+        "module-axiom": 100,
     }
     assert verify_structure()[:2] == [
         "[x+[1,1], x-[1,1]] is not the coroot",
@@ -293,8 +400,9 @@ def test_altered_killing_entry_is_caught(monkeypatch):
     assert _failure_counts() == {
         "structure": 0,
         "killing": 19,
-        "kr-relations": 32,
+        "kr-relations": 0,
         "adjoint-weights": 0,
+        "module-axiom": 32,
     }
     assert verify_killing()[0] == "killing symmetry fails at (x+[1,0], x-[1,0])"
 
@@ -307,8 +415,9 @@ def test_zero_killing_row_is_degenerate(monkeypatch):
     assert _failure_counts() == {
         "structure": 0,
         "killing": 18,
-        "kr-relations": 28,
+        "kr-relations": 0,
         "adjoint-weights": 0,
+        "module-axiom": 28,
     }
     assert verify_killing()[-2:] == [
         "<x+, x-> not a single nonzero value on short roots",

@@ -552,6 +552,37 @@ def test_graded_dimensions():
     ]
 
 
+def test_q_systems_on_dimensions():
+    # an oracle from outside the paper: the KR dimensions satisfy the
+    # G2^(1) and D4^(3) Q-systems (Kirillov-Reshetikhin 1987; Hatayama,
+    # Kuniba, Okado, Takagi, Tsuboi 2002), with S, L, A, B the families
+    # U1, U2, T1, T2 and X_0 = 1.  For U2 and T1 it is the only check from
+    # outside: `verify conjecture` compares their ladder with itself.
+    def dims(family, top):
+        graded = (kr_graded_character(family, m) for m in range(top + 1))
+        return [sum(d for _, d in graded_dimensions(g)) for g in graded]
+
+    S, L = dims(Family.U1, 24), dims(Family.U2, 9)
+    A, B = dims(Family.T1, 10), dims(Family.T2, 10)
+    # with X_0 = 1 and the m = 1 dimensions, the systems fix every X_m
+    assert (S[:2], L[:2], A[:2], B[:2]) == ([1, 7], [1, 15], [1, 8], [1, 29])
+    for m in range(1, 9):
+        assert L[m] ** 2 == L[m + 1] * L[m - 1] + S[3 * m], m
+    for k in range(8):
+        if k:
+            assert S[3 * k] ** 2 == S[3 * k + 1] * S[3 * k - 1] + L[k] ** 3, k
+        assert (
+            S[3 * k + 1] ** 2 == S[3 * k + 2] * S[3 * k] + L[k] ** 2 * L[k + 1]
+        ), k
+        assert (
+            S[3 * k + 2] ** 2
+            == S[3 * k + 3] * S[3 * k + 1] + L[k] * L[k + 1] ** 2
+        ), k
+    for m in range(1, 10):
+        assert A[m] ** 2 == A[m + 1] * A[m - 1] + B[m], m
+        assert B[m] ** 2 == B[m + 1] * B[m - 1] + A[m] ** 3, m
+
+
 @given(st.sampled_from(QUAD), st.integers(0, 12))
 @settings(deadline=None, max_examples=30)
 def test_multiplicities_count_region_points(family, m):

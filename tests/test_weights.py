@@ -12,6 +12,7 @@ from g2kr.weights import (
     POSITIVE_ROOTS,
     RHO,
     SHORT_ROOTS,
+    ZERO,
     Weight,
     coroot_coefficients,
     dominant_chamber,
@@ -168,5 +169,6 @@ def test_coroot_coefficients():
             num = 2 * inner(lam, root)
             assert num % inner(root, root) == 0
             assert lam.a * c1 + lam.b * c2 == num // inner(root, root)
-    with pytest.raises(ValueError):
-        coroot_coefficients(Weight(1, 1))
+    for not_a_root in (Weight(1, 1), ZERO):
+        with pytest.raises(ValueError, match="is not a root of G2"):
+            coroot_coefficients(not_a_root)
