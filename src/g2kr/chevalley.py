@@ -30,6 +30,12 @@ algebra itself and C the grade-one piece.  That this is a module, i.e.
 [x (x) t^p, y (x) t^q] = [x,y] (x) t^{p+q} as operators, follows from
 antisymmetry with Jacobi (p = q = 0) and with Killing invariance
 (p + q = 1); at p + q >= 2 both sides vanish.
+
+The same checks imply the root-space grading and weight orthogonality.
+Given antisymmetry and the Cartan eigenvalues, Jacobi at (h, b_j, b_k)
+reads (w_j + w_k - w_l)(h) c_l = 0 for each term c_l b_l of [b_j, b_k],
+and invariance at (h, b_j, b_k) reads (w_j + w_k)(h) <b_j, b_k> = 0.
+Neither is checked a second time here.
 """
 
 from __future__ import annotations
@@ -278,15 +284,6 @@ def verify_structure() -> list[str]:
                 failures.append(
                     f"antisymmetry fails at ({names[i]}, {names[j]})"
                 )
-    # Root-space grading: a bracket lands in the root space of the weight sum.
-    for i in range(DIM):
-        for j in range(DIM):
-            delta = BASIS_WEIGHTS[i] + BASIS_WEIGHTS[j]
-            for k, v in rows[i][j]:
-                if v and BASIS_WEIGHTS[k] != delta:
-                    failures.append(
-                        f"grading fails at ({names[i]}, {names[j]})"
-                    )
     # Cartan eigenvalues.
     for hidx, hi in ((H1, 1), (H2, 2)):
         for j in range(DIM):
@@ -318,7 +315,7 @@ def verify_structure() -> list[str]:
 
 
 def verify_killing() -> list[str]:
-    """Symmetry, invariance, weight orthogonality, root-length uniformity."""
+    """Symmetry, invariance, root-length uniformity, nondegeneracy."""
     t, names = build_bracket_table(), BASIS_NAMES
     kil = t.killing
     failures = []
@@ -327,10 +324,6 @@ def verify_killing() -> list[str]:
             if kil[i][j] != kil[j][i]:
                 failures.append(
                     f"killing symmetry fails at ({names[i]}, {names[j]})"
-                )
-            if kil[i][j] and BASIS_WEIGHTS[i] + BASIS_WEIGHTS[j] != ZERO:
-                failures.append(
-                    f"<{names[i]}, {names[j]}> nonzero across weight spaces"
                 )
     # <[x,y],z> + <y,[x,z]> = 0 on all basis triples.
     for i in range(DIM):
@@ -429,52 +422,19 @@ def kr1_action(x, power: int, v: KElement) -> KElement:
     return K_ZERO
 
 
-def _k_scale(c: int, v: KElement) -> KElement:
-    y, a = v
-    return (tuple(c * t for t in y), c * a)
-
-
 def verify_kr1_relations() -> list[str]:
-    """Check the defining relations of the m=1, node-2 module on K.
+    """Check that the highest vector v generates the m=1, node-2 module K.
 
-    Covers: annihilation by the positive part and the Cartan eigenvalue
-    relations at powers 0 and 1 (`kr1_action` is zero at higher powers),
-    the simple-root lowering relations, the grade-one generator being
-    nonzero, and cyclicity of the adjoint copy under the degree-zero
-    action.  The module axiom is left to `verify_structure` and
-    `verify_killing`, which imply it (see the module docstring).
+    Covers the grade-one generator (x-_theta (x) t).v being nonzero and
+    the degree-zero span of v being the whole adjoint copy.  The other
+    defining relations at v (annihilation by the positive part, the
+    Cartan eigenvalues, the simple-root lowering relations) are each one
+    entry of the grading, the eigenvalue check or weight orthogonality,
+    and the module axiom is Jacobi and invariance again: all are left to
+    `verify_structure` and `verify_killing` (see the module docstring).
     """
     failures = []
     v = kr1_highest_vector()
-
-    for idx in range(6):
-        x = basis_vector(X_PLUS[idx])
-        for power in range(2):
-            if kr1_action(x, power, v) != K_ZERO:
-                failures.append(
-                    f"(x+{_root_label(_POS_WEIGHTS[idx])} (x) t^{power}) "
-                    "does not annihilate the highest vector"
-                )
-
-    for hi in (1, 2):
-        h = cartan(hi)
-        for power in range(2):
-            got = kr1_action(h, power, v)
-            want = _k_scale(pairing(OMEGA2, hi), v) if power == 0 else K_ZERO
-            if got != want:
-                failures.append(
-                    f"(h{hi} (x) t^{power}) acts with the wrong eigenvalue"
-                )
-
-    if kr1_action(basis_vector(X_MINUS[0]), 0, v) != K_ZERO:
-        failures.append("x-_{a1} does not annihilate the highest vector")
-
-    w1 = kr1_action(basis_vector(X_MINUS[1]), 0, v)
-    if kr1_action(basis_vector(X_MINUS[1]), 0, w1) != K_ZERO:
-        failures.append("(x-_{a2})^2 does not annihilate the highest vector")
-
-    if kr1_action(basis_vector(X_MINUS[1]), 1, v) != K_ZERO:
-        failures.append("(x-_{a2} (x) t) does not annihilate the highest vector")
 
     if kr1_action(basis_vector(X_MINUS[HIGHEST]), 1, v) == K_ZERO:
         failures.append("(x-_{theta} (x) t) kills the highest vector")

@@ -47,10 +47,8 @@ def validate_key(family: Family, m: int, j: int, k: int, s: int) -> None:
 
 
 def _validate(region, m, j, k, s) -> None:
-    if (not type(m) is type(j) is type(k) is type(s) is int
-            or min(m, j, k, s) < 0):
-        for name, value in (("m", m), ("j", j), ("k", k), ("s", s)):
-            _check_m(value, name)
+    for name, value in (("m", m), ("j", j), ("k", k), ("s", s)):
+        _check_m(value, name)
     if region.family is Family.U1:
         if k > m // 3:
             raise ValueError(f"k <= floor(m/3) fails: k={k}, m={m}")

@@ -516,9 +516,8 @@ def conjecture_coefficient(family, m, j, k, negatives=None):
     nonnegative ints (bool excluded).
     """
     region = _region(family)
-    if not type(m) is type(j) is type(k) is int or min(m, j, k) < 0:
-        for name, value in (("m", m), ("j", j), ("k", k)):
-            _check_m(value, name)
+    for name, value in (("m", m), ("j", j), ("k", k)):
+        _check_m(value, name)
     return _clamped(region, m, j, k, negatives)
 
 

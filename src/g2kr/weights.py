@@ -25,10 +25,23 @@ from collections import namedtuple
 from functools import partial
 
 
+_tuple_new = tuple.__new__
+
+
 class Weight(namedtuple("Weight", "a b")):
-    """Lattice point a*omega1 + b*omega2."""
+    """Lattice point a*omega1 + b*omega2; a and b are ints (bool excluded)."""
 
     __slots__ = ()
+
+    def __new__(cls, a, b):
+        if type(a) is int is type(b):
+            return _tuple_new(cls, (a, b))
+        raise ValueError(f"a weight is two ints, got ({a!r}, {b!r})")
+
+    # `_replace` builds through `_make`, so both get the check too.
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __add__(self, other):
         return Weight(self.a + other.a, self.b + other.b)
@@ -119,9 +132,9 @@ def simple_reflection(i: int, w: Weight) -> Weight:
     raise ValueError(f"simple reflection index must be 1 or 2, got {i!r}")
 
 
-#: Weight(a, b) from the pair (a, b), without the Python-level `__new__`
-#: that namedtuple generates.
-_weight = partial(tuple.__new__, Weight)
+#: Weight(a, b) from the pair (a, b) of ints, without the type check of
+#: `Weight.__new__`.
+_weight = partial(_tuple_new, Weight)
 
 
 def weyl_orbit(w: Weight) -> frozenset[Weight]:

@@ -254,8 +254,62 @@ def _module_axiom_failures():
     return failures
 
 
+def _implied_failures():
+    """The grading, weight orthogonality and relations (i)-(v) of K.
+
+    Given antisymmetry and the Cartan eigenvalues, Jacobi at (h, b_j, b_k)
+    is the root-space grading and Killing invariance at (h, b_j, b_k) is
+    weight orthogonality (see the `chevalley` module docstring).  Each
+    relation at the highest vector v is one entry of those two or of the
+    eigenvalue check: (i) x+ (x) t^0 and t^1 kill v, (ii) h1, h2 (x) t^0
+    and t^1 act by omega2 and 0, (iii) x-_{a1} kills v, (iv) so does
+    (x-_{a2})^2 and (v) x-_{a2} (x) t.  So this is the oracle of
+    `verify_structure` and `verify_killing`, not a check of the library.
+    """
+    t = chevalley.build_bracket_table()
+    rows, kil, names = t.rows, t.killing, BASIS_NAMES
+    failures = []
+    for i in range(DIM):
+        for j in range(DIM):
+            delta = BASIS_WEIGHTS[i] + BASIS_WEIGHTS[j]
+            for k, c in rows[i][j]:
+                if c and BASIS_WEIGHTS[k] != delta:
+                    failures.append(
+                        f"grading fails at ({names[i]}, {names[j]})"
+                    )
+            if kil[i][j] and delta != Weight(0, 0):
+                failures.append(
+                    f"<{names[i]}, {names[j]}> nonzero across weight spaces"
+                )
+
+    v = chevalley.kr1_highest_vector()
+    for idx, (root, _) in enumerate(POSITIVE_ROOTS):
+        for power in range(2):
+            if kr1_action(x_plus(idx), power, v) != K_ZERO:
+                failures.append(
+                    f"(x+{chevalley._root_label(root)} (x) t^{power}) "
+                    "does not annihilate the highest vector"
+                )
+    for hi in (1, 2):
+        c = pairing(OMEGA2, hi)
+        scaled = (tuple(c * y for y in v[0]), c * v[1])
+        for power, want in enumerate((scaled, K_ZERO)):
+            if kr1_action(cartan(hi), power, v) != want:
+                failures.append(
+                    f"(h{hi} (x) t^{power}) acts with the wrong eigenvalue"
+                )
+    if kr1_action(x_minus(0), 0, v) != K_ZERO:
+        failures.append("x-_{a1} does not annihilate the highest vector")
+    w1 = kr1_action(x_minus(1), 0, v)
+    if kr1_action(x_minus(1), 0, w1) != K_ZERO:
+        failures.append("(x-_{a2})^2 does not annihilate the highest vector")
+    if kr1_action(x_minus(1), 1, v) != K_ZERO:
+        failures.append("(x-_{a2} (x) t) does not annihilate the highest vector")
+    return failures
+
+
 def _failure_counts():
-    """Failures per `verify_all()` check, and the module-axiom oracle's.
+    """Failures per `verify_all()` check, and the two oracles'.
 
     Every fault table here must also fail `g2kr verify chevalley`.
     """
@@ -263,6 +317,7 @@ def _failure_counts():
         assert main(["verify", "chevalley"]) == 1
     counts = {name: len(failures) for name, failures in verify_all().items()}
     counts["module-axiom"] = len(_module_axiom_failures())
+    counts["implied"] = len(_implied_failures())
     return counts
 
 
@@ -305,6 +360,47 @@ def test_module_axiom_is_implied_by_jacobi_and_invariance(monkeypatch):
     assert flagged == 150
 
 
+def test_grading_and_orthogonality_are_implied(monkeypatch):
+    # the oracle is clean on the real table; on a seeded sample of faults
+    # that may break the grading or orthogonality (a constant added at any
+    # (i, j, k), an existing constant moved to another k, or any Killing
+    # entry changed, each with or without its antisymmetric or symmetric
+    # partner), every fault it flags is flagged by the library too
+    assert _implied_failures() == []
+    good = build_bracket_table()
+    cells = [(i, j) for i in range(DIM) for j in range(DIM) if good.rows[i][j]]
+    rng = random.Random(1)
+    flagged = 0
+    for _ in range(300):
+        rows = [list(row) for row in good.rows]
+        killing = [list(row) for row in good.killing]
+        delta = rng.choice((-2, -1, 1, 2))
+        partner = rng.random() < 0.5
+        kind = rng.randrange(3)
+        if kind == 1:  # an existing constant moved to another k
+            i, j = rng.choice(cells)
+            k, c = rng.choice(good.rows[i][j])
+            moves = ((k, -c), (rng.randrange(DIM), c))
+        else:
+            i, j = rng.randrange(DIM), rng.randrange(DIM)
+            # a constant added at (i, j, k), or the Killing entry at (i, j)
+            moves = ((rng.randrange(DIM), delta),) if kind == 0 else ()
+        fault = (kind, i, j, delta, moves)
+        for a, b, sign in ((i, j, 1), (j, i, -1))[:1 + partner]:
+            if not moves:
+                killing[a][b] += delta
+                continue
+            cell = dict(rows[a][b])
+            for k, d in moves:
+                cell[k] = cell.get(k, 0) + sign * d
+            rows[a][b] = tuple(kc for kc in sorted(cell.items()) if kc[1])
+        _use_table(monkeypatch, rows, killing)
+        if _implied_failures():
+            flagged += 1
+            assert verify_structure() or verify_killing(), fault
+    assert flagged == 279
+
+
 def test_doubled_structure_constant_is_caught(monkeypatch):
     # [x+a1, x+a2] and its antisymmetric partner doubled, Killing form kept
     i, j = X_PLUS[0], X_PLUS[1]
@@ -316,6 +412,7 @@ def test_doubled_structure_constant_is_caught(monkeypatch):
         "kr-relations": 0,
         "adjoint-weights": 0,
         "module-axiom": 74,
+        "implied": 0,
     }
     assert verify_structure()[0].startswith("Jacobi fails at (x+[1,0], x+[0,1],")
     assert any(
@@ -333,6 +430,7 @@ def test_flipped_cartan_bracket_is_caught(monkeypatch):
         "kr-relations": 0,
         "adjoint-weights": 1,
         "module-axiom": 92,
+        "implied": 0,
     }
     assert verify_structure()[:2] == [
         "[h1, x+[1,0]] has wrong eigenvalue",
@@ -353,12 +451,19 @@ def test_non_eigenvector_is_reported_not_raised(monkeypatch, capsys):
     with pytest.raises(ArithmeticError, match="not an ad"):
         adjoint_weights()
     assert _failure_counts() == {
-        "structure": 111,
+        "structure": 109,
         "killing": 8,
         "kr-relations": 0,
         "adjoint-weights": 1,
         "module-axiom": 124,
+        "implied": 2,
     }
+    # the bad cell breaks the grading too; `structure` reports that through
+    # the eigenvalue check and Jacobi, not as grading lines of its own
+    assert _implied_failures() == [
+        "grading fails at (x+[1,0], h1)",
+        "grading fails at (h1, x+[1,0])",
+    ]
     assert verify_all()["adjoint-weights"] == [
         "x+[1,0] is not an ad(h1) eigenvector"
     ]
@@ -382,6 +487,7 @@ def test_tripled_coroot_bracket_is_caught(monkeypatch):
         "kr-relations": 0,
         "adjoint-weights": 0,
         "module-axiom": 100,
+        "implied": 0,
     }
     assert verify_structure()[:2] == [
         "[x+[1,1], x-[1,1]] is not the coroot",
@@ -403,6 +509,7 @@ def test_altered_killing_entry_is_caught(monkeypatch):
         "kr-relations": 0,
         "adjoint-weights": 0,
         "module-axiom": 32,
+        "implied": 0,
     }
     assert verify_killing()[0] == "killing symmetry fails at (x+[1,0], x-[1,0])"
 
@@ -418,6 +525,7 @@ def test_zero_killing_row_is_degenerate(monkeypatch):
         "kr-relations": 0,
         "adjoint-weights": 0,
         "module-axiom": 28,
+        "implied": 0,
     }
     assert verify_killing()[-2:] == [
         "<x+, x-> not a single nonzero value on short roots",

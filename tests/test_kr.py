@@ -1,3 +1,4 @@
+import functools
 import itertools
 import logging
 import subprocess
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2kr.characters import Character, irreducible_character
+from g2kr.characters import Character, irreducible_character, tensor
 from g2kr.equivalence import class_members, shift_vector
 from g2kr.kr import (
     _REGIONS,
@@ -581,6 +582,78 @@ def test_q_systems_on_dimensions():
     for m in range(1, 10):
         assert A[m] ** 2 == A[m + 1] * A[m - 1] + B[m], m
         assert B[m] ** 2 == B[m + 1] * B[m - 1] + A[m] ** 3, m
+
+
+def test_q_systems_in_the_character_ring():
+    # the same six identities on characters: each ungraded KR character
+    # in the irreducible basis, multiplied by Brauer-Klimyk over component
+    # pairs with one `tensor` per distinct pair.  Unlike dimensions, this
+    # sees a component replaced by another of the same dimension.
+    def ungraded(family, top):
+        out = []
+        for m in range(top + 1):
+            total = {}
+            for _, weight, mult in kr_graded_character(family, m).items():
+                total[weight] = total.get(weight, 0) + mult
+            out.append(total)
+        return out
+
+    @functools.cache
+    def tensor_once(lam, mu):
+        return tensor(lam, mu)
+
+    def times(*factors):
+        product = {ZERO: 1}
+        for factor in factors:
+            out = {}
+            for lam, a in product.items():
+                for mu, b in factor.items():
+                    for nu, c in tensor_once(*sorted((lam, mu))).items():
+                        out[nu] = out.get(nu, 0) + a * b * c
+            product = out
+        return product
+
+    def plus(x, y):
+        out = dict(x)
+        for nu, c in y.items():
+            out[nu] = out.get(nu, 0) + c
+        return {nu: c for nu, c in out.items() if c}
+
+    def failures(S, L, A, B):
+        """The (name, index) of each failing X^2 = Y Z + (product)."""
+        cases = [
+            (("L", m), L[m], (L[m + 1], L[m - 1]), (S[3 * m],))
+            for m in range(1, 6)
+        ]
+        for k in range(5):
+            if k:
+                cases.append((("S", 3 * k), S[3 * k],
+                              (S[3 * k + 1], S[3 * k - 1]), (L[k],) * 3))
+            cases.append((("S", 3 * k + 1), S[3 * k + 1],
+                          (S[3 * k + 2], S[3 * k]), (L[k], L[k], L[k + 1])))
+            cases.append((("S", 3 * k + 2), S[3 * k + 2],
+                          (S[3 * k + 3], S[3 * k + 1]),
+                          (L[k], L[k + 1], L[k + 1])))
+        for m in range(1, 7):
+            cases.append((("A", m), A[m], (A[m + 1], A[m - 1]), (B[m],)))
+            cases.append((("B", m), B[m], (B[m + 1], B[m - 1]), (A[m],) * 3))
+        return [
+            name
+            for name, x, yz, rest in cases
+            if times(x, x) != plus(times(*yz), times(*rest))
+        ]
+
+    S, L = ungraded(Family.U1, 15), ungraded(Family.U2, 6)
+    A, B = ungraded(Family.T1, 7), ungraded(Family.T2, 7)
+    assert failures(S, L, A, B) == []
+    # V(0,2) and V(3,0) both have dimension 77: the dimension check cannot
+    # tell them apart, the ring can
+    assert L[2] == {Weight(0, 2): 1, OMEGA2: 1, ZERO: 1}
+    L[2] = {Weight(3, 0): 1, OMEGA2: 1, ZERO: 1}
+    assert failures(S, L, A, B) == [
+        ("L", 1), ("L", 2), ("L", 3), ("S", 4), ("S", 5), ("S", 6), ("S", 7),
+        ("S", 8),
+    ]
 
 
 @given(st.sampled_from(QUAD), st.integers(0, 12))

@@ -172,3 +172,29 @@ def test_coroot_coefficients():
     for not_a_root in (Weight(1, 1), ZERO):
         with pytest.raises(ValueError, match="is not a root of G2"):
             coroot_coefficients(not_a_root)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(True, 0), (0, False), (1.0, 0), ("1", 0), (0, None)],
+    ids=["bool", "bool-b", "float", "str", "none"],
+)
+def test_weight_coordinates_must_be_ints(a, b):
+    with pytest.raises(ValueError, match="a weight is two ints"):
+        Weight(a, b)
+    # `_make` and `_replace` go through the same check
+    with pytest.raises(ValueError, match="a weight is two ints"):
+        Weight._make((a, b))
+    with pytest.raises(ValueError, match="a weight is two ints"):
+        Weight(0, 0)._replace(a=a, b=b)
+
+
+def test_unchecked_constructor_builds_the_same_weight():
+    from g2kr.weights import _weight
+
+    w = _weight((3, -2))
+    assert type(w) is Weight and w == Weight(3, -2) == (3, -2)
+    assert Weight._make([3, -2]) == w and w._replace(b=5) == Weight(3, 5)
+    # a scalar multiple is one only by an int
+    with pytest.raises(ValueError, match="a weight is two ints"):
+        w * 1.5
