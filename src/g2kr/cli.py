@@ -15,19 +15,11 @@ import json
 import os
 import sys
 
-from .characters import irreducible_character, tensor, weyl_dim
-from .kr import (
-    Family,
-    _region_counts,
-    compare,
-    conjecture_differences,
-    conjecture_graded_character,
-    expand_weights,
-    kr_graded_character,
-)
 from .weights import height
 
-FAMILIES = [f.value for f in Family]
+#: The values of `kr.Family`, spelled out: the parser is built before any
+#: command runs, and a command that never uses `kr` does not load it.
+FAMILIES = ("u1", "u2", "t1", "t2")
 
 
 def _width() -> int:
@@ -121,6 +113,8 @@ def _render(fmt: str, payload, header, rows, table) -> str:
 # --- char -------------------------------------------------------------------
 
 def _run_char(args):
+    from .characters import irreducible_character, weyl_dim
+
     char = irreducible_character((args.a, args.b))
     dim = weyl_dim((args.a, args.b))
 
@@ -153,6 +147,8 @@ def _run_char(args):
 # --- tensor -----------------------------------------------------------------
 
 def _run_tensor(args):
+    from .characters import tensor, weyl_dim
+
     lam, mu = (args.a1, args.b1), (args.a2, args.b2)
     parts = tensor(lam, mu)
     dim_lam, dim_mu = weyl_dim(lam), weyl_dim(mu)
@@ -182,6 +178,13 @@ def _run_tensor(args):
 # --- kr ---------------------------------------------------------------------
 
 def _run_kr(args):
+    from .kr import (
+        Family,
+        conjecture_graded_character,
+        expand_weights,
+        kr_graded_character,
+    )
+
     family = Family(args.family)
     if args.conjecture:
         source, g = "conjecture", conjecture_graded_character(family, args.m)
@@ -208,6 +211,8 @@ def _run_kr(args):
         # A row's dim is its share of the grade's dimension.
         if weight_basis:
             return [(grade, a, b, m, m) for grade, a, b, m in items]
+        from .characters import weyl_dim  # csv and table only
+
         dims = {w: weyl_dim(w) for w in {(a, b) for _, a, b, _ in items}}
         return [(grade, a, b, m, m * dims[a, b]) for grade, a, b, m in items]
 
@@ -248,6 +253,15 @@ def _verify_kr(conjecture_families, class_families, max_m):
     The closed form of U1 and T2 is one region count per family, grown
     over m (`kr._region_counts`), and serves both checks.
     """
+    from .kr import (
+        Family,
+        _region_counts,
+        compare,
+        conjecture_differences,
+        conjecture_graded_character,
+        kr_graded_character,
+    )
+
     conjecture, classes, negatives = [], [], []
 
     def conjecture_entry(family, m, diffs):
@@ -292,21 +306,25 @@ def _verify_kr(conjecture_families, class_families, max_m):
 def _run_verify(args):
     if args.max_m < 0:
         raise ValueError(f"--max-m must be nonnegative, got {args.max_m}")
-    family = Family(args.family) if args.family else None
 
-    conjecture_families, class_families = [], []
-    if args.target in ("conjecture", "all"):
-        conjecture_families = [family] if family else list(Family)
-    if args.target in ("classes", "all"):
-        # Ladder families have no classes: the library rejects an explicit
-        # request; "all" skips them.
-        if family is None:
-            class_families = [f for f in Family if f.quad_indexed]
-        elif family.quad_indexed or args.target == "classes":
-            class_families = [family]
-    checks, negatives = _verify_kr(
-        conjecture_families, class_families, args.max_m
-    )
+    checks, negatives = [], []
+    if args.target != "chevalley":
+        from .kr import Family  # loaded only for the targets that run kr
+
+        family = Family(args.family) if args.family else None
+        conjecture_families, class_families = [], []
+        if args.target in ("conjecture", "all"):
+            conjecture_families = [family] if family else list(Family)
+        if args.target in ("classes", "all"):
+            # Ladder families have no classes: the library rejects an
+            # explicit request; "all" skips them.
+            if family is None:
+                class_families = [f for f in Family if f.quad_indexed]
+            elif family.quad_indexed or args.target == "classes":
+                class_families = [family]
+        checks, negatives = _verify_kr(
+            conjecture_families, class_families, args.max_m
+        )
     if args.target in ("chevalley", "all"):
         from . import chevalley  # loaded only for the targets that run it
 
@@ -321,7 +339,7 @@ def _run_verify(args):
         return ({
             "target": args.target,
             "max_m": args.max_m,
-            "family": family.value if family else None,
+            "family": args.family,
             "ok": ok,
             "negative_coefficients": negatives,
             "checks": checks,

@@ -34,7 +34,9 @@ coefficient(m, j, k) copies of one irreducible, and the coefficients
 count the points of equivalence classes inside the region (see the
 equivalence module); `compare` checks the two forms against each other
 exactly.  Quad indices must be four ints and m, j, k nonnegative ints
-(bool excluded); anything else raises ValueError.
+(bool excluded); anything else raises ValueError.  The character ring
+(`characters`) is loaded only by the two functions that use it,
+`expand_weights` and `graded_dimensions`.
 """
 
 from __future__ import annotations
@@ -44,12 +46,6 @@ from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import chain, repeat
 
-from .characters import (
-    Character,
-    _dominant_multiplicities,
-    _highest_weight,
-    weyl_dim,
-)
 from .weights import OMEGA1, OMEGA2, Weight, weyl_orbit
 
 QuadIndex = tuple[int, int, int, int]
@@ -630,9 +626,9 @@ def compare(
     return diffs
 
 
-def expand_weights(g: GradedDecomposition) -> dict[int, Character]:
+def expand_weights(g: GradedDecomposition) -> dict:
     """Expand each grade through the irreducible characters, in grade
-    order.
+    order: grade -> `characters.Character`.
 
     A Weyl-invariant character is fixed by its dominant part, so a grade
     sums only the dominant multiplicities of its components, and then
@@ -640,9 +636,15 @@ def expand_weights(g: GradedDecomposition) -> dict[int, Character]:
     orbit is computed once per call.  Raises ValueError for a component
     weight that is not dominant.
     """
+    from .characters import (
+        Character,
+        _dominant_multiplicities,
+        _highest_weight,
+    )
+
     parts: dict[Weight, dict[Weight, int]] = {}
     orbits: dict[Weight, frozenset[Weight]] = {}
-    out: dict[int, Character] = {}
+    out = {}
     for grade in g.grades():
         total: dict[Weight, int] = {}
         for weight, mult in g.component(grade).items():
@@ -666,6 +668,8 @@ def expand_weights(g: GradedDecomposition) -> dict[int, Character]:
 
 def graded_dimensions(g: GradedDecomposition) -> list[tuple[int, int]]:
     """(grade, total dimension) pairs, sorted by grade."""
+    from .characters import weyl_dim
+
     return [
         (
             grade,

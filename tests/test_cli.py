@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -201,6 +202,27 @@ def test_unknown_family_is_usage_error(capsys):
     assert code == 2
 
 
+def _subparser(name):
+    (commands,) = (action for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    return commands.choices[name]
+
+
+@pytest.mark.parametrize("command, argv", [("kr", ["--m", "1"]),
+                                           ("verify", ["all"])],
+                         ids=["kr", "verify"])
+def test_family_choices_are_the_family_values(command, argv, capsys):
+    # the parser spells the families out; kr.Family is their one definition
+    (family,) = (action for action in _subparser(command)._actions
+                 if action.dest == "family")
+    assert list(family.choices) == [f.value for f in Family]
+    assert "{u1,u2,t1,t2}" in _subparser(command).format_help()
+    code = main([command, "--family", "x", *argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "argument --family: invalid choice: 'x'" in err
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     code = main([])
     capsys.readouterr()
@@ -230,15 +252,21 @@ def test_verify_classes(capsys):
 
 
 def test_verify_classes_reuses_the_graded_character(monkeypatch, capsys):
-    # verify hands the region count it holds to the class check
-    def recompute(*args):
-        raise AssertionError("region counted twice")
+    # verify counts each class family's region once, grown over m, and
+    # hands the count it holds to the class check
+    calls = []
+    region_counts = kr._region_counts
 
-    monkeypatch.setattr(kr, "_region_counts", recompute)
+    def counted(family, *args):
+        calls.append(family)
+        return region_counts(family, *args)
+
+    monkeypatch.setattr(kr, "_region_counts", counted)
     code, out, _ = run(capsys, "verify", "classes", "--max-m", "6",
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["ok"] is True
+    assert calls == [Family.U1, Family.T2]
 
 
 def test_verify_classes_rejects_ladder_family(capsys):
@@ -412,39 +440,64 @@ def test_optimized_run_matches_plain_run(command, child_env):
         assert payload["ok"] is True
 
 
-def test_chevalley_loaded_only_by_its_verify_targets(child_env):
-    # each command imports only what it runs: chevalley for verify
-    # chevalley|all, equivalence for the class checks, csv for --format
-    # csv, and logging only when a coefficient is negative
+#: The g2kr modules each command loads in a fresh process, with csv and
+#: logging if it loads them, sorted: characters where a character or a
+#: dimension is computed, kr for kr and the KR checks, chevalley for verify
+#: chevalley|all, equivalence for the class checks, csv for --format csv,
+#: and logging only when a coefficient is negative.
+_LOADS = [
+    (["char", "1", "0"], "characters weights"),
+    (["char", "1", "0", "--format", "csv"], "characters csv weights"),
+    (["tensor", "1", "0", "1", "0"], "characters weights"),
+    (["kr", "--family", "u1", "--m", "2", "--format", "json"], "kr weights"),
+    (["kr", "--family", "t2", "--m", "3", "--basis", "weight",
+      "--format", "json"], "characters kr weights"),
+    (["kr", "--family", "u1", "--m", "2", "--format", "csv"],
+     "characters csv kr weights"),
+    (["kr", "--family", "u1", "--m", "2", "--conjecture"],
+     "characters kr weights"),
+    (["verify", "conjecture", "--max-m", "1"], "kr weights"),
+    (["verify", "classes", "--max-m", "1"], "equivalence kr weights"),
+    (["verify", "chevalley"], "characters chevalley weights"),
+    (["verify", "all", "--max-m", "1", "--format", "json"],
+     "characters chevalley equivalence kr weights"),
+]
+
+
+@pytest.mark.parametrize("argv, loads", _LOADS,
+                         ids=[" ".join(argv) for argv, _ in _LOADS])
+def test_each_command_loads_only_what_it_runs(argv, loads, child_env):
+    # a fresh process per command, run as `python -m g2kr.cli` runs it: in a
+    # shared process the modules of one command would hide the next one's
+    script = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('g2kr.cli', run_name='__main__',\n"
+        "                     alter_sys=True)\n"
+        "finally:\n"
+        "    print(*sorted(m.removeprefix('g2kr.') for m in sys.modules\n"
+        "                  if m.startswith('g2kr.')\n"
+        "                  or m in ('csv', 'logging')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--out", os.devnull],
+        capture_output=True, text=True, env=child_env, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == loads + "\n"
+
+
+def test_cli_import_loads_neither_kr_nor_characters(child_env):
     script = (
         "import sys\n"
-        "from g2kr.cli import main\n"
-        "for argv in (['char', '1', '0'], ['tensor', '1', '0', '1', '0'],\n"
-        "             ['kr', '--family', 'u1', '--m', '2', '--format', 'json'],\n"
-        "             ['kr', '--family', 't2', '--m', '3', '--basis', 'weight',\n"
-        "              '--format', 'json'],\n"
-        "             ['verify', 'conjecture', '--max-m', '1'],\n"
-        "             ['verify', 'chevalley'],\n"
-        "             ['verify', 'classes', '--max-m', '1'],\n"
-        "             ['char', '1', '0', '--format', 'csv']):\n"
-        "    main(argv + ['--out', sys.argv[1]])\n"
-        "    print(*(int(name in sys.modules) for name in (\n"
-        "        'g2kr.chevalley', 'g2kr.equivalence', 'csv', 'logging')))\n"
+        "import g2kr.cli\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('g2kr')))\n"
     )
-    result = subprocess.run([sys.executable, "-c", script, os.devnull],
+    result = subprocess.run([sys.executable, "-c", script],
                             capture_output=True, text=True, env=child_env,
                             check=False)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == [
-        "0 0 0 0",  # char
-        "0 0 0 0",  # tensor
-        "0 0 0 0",  # kr json
-        "0 0 0 0",  # kr weight basis json
-        "0 0 0 0",  # verify conjecture
-        "1 0 0 0",  # verify chevalley
-        "1 1 0 0",  # verify classes
-        "1 1 1 0",  # csv
-    ]
+    assert result.stdout == "g2kr g2kr.cli g2kr.weights\n"
 
 
 def test_no_module_loads_typing(child_env):
