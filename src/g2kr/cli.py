@@ -1,7 +1,8 @@
 """Command-line surface: characters, tensor products, graded KR characters,
 and the verification sweeps, with table / json / csv output.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure (or an exactness check that
+fails while computing, as one `error:` line), 2 usage or domain error.
 JSON output is canonical (fixed key order, integers only) and round-trips
 byte-identically through json.loads/json.dumps.  The only environment
 variable consulted is G2KR_WIDTH, a width hint for table output.
@@ -461,6 +462,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # an exactness check failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

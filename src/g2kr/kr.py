@@ -281,7 +281,7 @@ def _slabs(region: _Region, m: int, rows=()) -> Iterator[tuple]:
     if [constraints[n] for n, _ in lower] != [((0, 0, 0, 1), 0)] or (
         [s for _, s in upper] != [1]
     ):
-        raise NotImplementedError("r4 needs r4 >= 0 and one unit bound")
+        raise ValueError("r4 needs r4 >= 0 and one unit bound")
     ((top, _),) = upper
     rows = constraints + tuple(rows)
     c1, c2, c3, c4 = ([c[i] for c, _ in rows] for i in range(4))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2kr import characters
+from g2kr.cli import main
 from g2kr.characters import (
     Character,
     _dominant_multiplicities,
@@ -152,6 +153,27 @@ def test_tensor_fixtures():
         Weight(1, 0): 1,
     }
     assert 7 * 14 == 64 + 27 + 7
+
+
+def test_weyl_dim_rejects_an_inexact_product(monkeypatch):
+    # the product over three of the six positive roots only
+    monkeypatch.setattr(characters, "POSITIVE_ROOTS", POSITIVE_ROOTS[:3])
+    assert weyl_dim((1, 1)) == 8
+    with pytest.raises(ArithmeticError, match=r"Weyl dimension product for "
+                       r"Weight\(a=1, b=0\) does not divide exactly"):
+        weyl_dim((1, 0))
+
+
+def test_tensor_rejects_a_negative_multiplicity(monkeypatch):
+    # every reflection's sign flipped: every component comes out negative
+    chamber = characters.dominant_chamber
+    irreducible_character(OMEGA1)  # cached before the fault
+    monkeypatch.setattr(characters, "dominant_chamber",
+                        lambda w: (*chamber(w)[:2], -chamber(w)[2]))
+    with pytest.raises(ArithmeticError, match=r"Brauer-Klimyk gives "
+                       r"multiplicity -1 for \(0,1\) in V\(1,0\) \(x\) "
+                       r"V\(1,0\)"):
+        tensor(OMEGA1, OMEGA1)
 
 
 @given(dominants, dominants)
@@ -378,7 +400,8 @@ _FLIPPED_CASES = [
 
 @pytest.mark.parametrize("shift, lam, text", _FLIPPED_CASES,
                          ids=["wall", "interior", "zero"])
-def test_racah_failure_text(monkeypatch, fresh_racah_caches, shift, lam, text):
+def test_racah_failure_text(monkeypatch, capsys, fresh_racah_caches, shift,
+                            lam, text):
     monkeypatch.setattr(characters, "_SHIFTS", tuple(
         (da, db, -c if (da, db) == shift else c)
         for da, db, c in characters._SHIFTS
@@ -386,6 +409,9 @@ def test_racah_failure_text(monkeypatch, fresh_racah_caches, shift, lam, text):
     with pytest.raises(ArithmeticError) as info:
         irreducible_character(lam)
     assert str(info.value) == text
+    # through the CLI: exit 1 and one error line, not a traceback
+    assert main(["char", *map(str, lam)]) == 1
+    assert capsys.readouterr() == ("", f"error: {text}\n")
 
 
 @pytest.mark.parametrize("shift, lam, text", _FLIPPED_CASES,

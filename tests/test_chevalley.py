@@ -117,6 +117,50 @@ def test_killing_verification_is_clean():
     assert verify_killing() == []
 
 
+def _dense_ad(rows, i):
+    """ad b_i as a dense 14x14 integer matrix: entry (k, l) is the b_k
+    coefficient of [b_i, b_l]."""
+    ad = [[0] * DIM for _ in range(DIM)]
+    for l in range(DIM):
+        for k, c in rows[i][l]:
+            ad[k][l] += c
+    return ad
+
+
+def test_trace_form_is_the_trace_of_dense_ad_products():
+    # the oracle of `_trace_form`: tr(ad_i . ad_j) from dense matrices, on
+    # the real table and on 30 seeded fault tables (one to three constants
+    # added anywhere, no partner: the form is a trace for any rows), 23 of
+    # which change the form
+    good = build_bracket_table()
+    assert good.killing == chevalley._trace_form(good.rows)
+    tables = [good.rows]
+    rng = random.Random(3)
+    for _ in range(30):
+        rows = [list(row) for row in good.rows]
+        for _ in range(rng.randint(1, 3)):
+            i, j, k = (rng.randrange(DIM) for _ in range(3))
+            cell = dict(rows[i][j])
+            cell[k] = cell.get(k, 0) + rng.choice((-2, -1, 1, 2))
+            rows[i][j] = tuple(kc for kc in sorted(cell.items()) if kc[1])
+        tables.append(rows)
+    changed = 0
+    for rows in tables:
+        ad = [_dense_ad(rows, i) for i in range(DIM)]
+        dense = tuple(
+            tuple(
+                sum(ad[i][k][l] * ad[j][l][k]
+                    for k in range(DIM) for l in range(DIM))
+                for j in range(DIM)
+            )
+            for i in range(DIM)
+        )
+        assert chevalley._trace_form(rows) == dense
+        assert dense == tuple(zip(*dense))  # tr(AB) = tr(BA)
+        changed += dense != good.killing
+    assert changed == 23
+
+
 def test_adjoint_weights_match_adjoint_character():
     counted = {}
     for w in adjoint_weights():
@@ -191,8 +235,13 @@ def test_grade_masses_match_ladder_character():
     assert [expanded[n].mass() for n in sorted(expanded)] == [DIM, 1]
 
 
-def _use_table(monkeypatch, rows, killing):
-    table = BracketTable(tuple(map(tuple, rows)), tuple(map(tuple, killing)))
+def _use_table(monkeypatch, rows, killing=None):
+    """Serve rows as the table, with the given Killing matrix or, as the
+    product would compute it, the trace form of rows."""
+    rows = tuple(map(tuple, rows))
+    if killing is None:
+        killing = chevalley._trace_form(rows)
+    table = BracketTable(rows, tuple(map(tuple, killing)))
     monkeypatch.setattr(chevalley, "build_bracket_table", lambda: table)
 
 
@@ -210,8 +259,9 @@ def _module_axiom_failures():
     [x (x) t^p, y (x) t^q] = [x,y] (x) t^{p+q} as operators, on all 15
     basis vectors of K and all depths p+q <= 2.  With `kr1_action` as
     defined this is antisymmetry + Jacobi (p = q = 0) and antisymmetry +
-    Killing invariance (p + q = 1) again, so it is the oracle of those
-    two checks rather than a check of the library.
+    Killing invariance (p + q = 1) again, and invariance of a trace form
+    follows from antisymmetry and Jacobi, so it is the oracle of
+    `verify_structure` rather than a check of the library.
     """
     t = chevalley.build_bracket_table()
     failures = []
@@ -263,8 +313,9 @@ def _implied_failures():
     relation at the highest vector v is one entry of those two or of the
     eigenvalue check: (i) x+ (x) t^0 and t^1 kill v, (ii) h1, h2 (x) t^0
     and t^1 act by omega2 and 0, (iii) x-_{a1} kills v, (iv) so does
-    (x-_{a2})^2 and (v) x-_{a2} (x) t.  So this is the oracle of
-    `verify_structure` and `verify_killing`, not a check of the library.
+    (x-_{a2})^2 and (v) x-_{a2} (x) t.  Invariance of a trace form follows
+    from antisymmetry and Jacobi, so this is the oracle of
+    `verify_structure`, not a check of the library.
     """
     t = chevalley.build_bracket_table()
     rows, kil, names = t.rows, t.killing, BASIS_NAMES
@@ -308,64 +359,65 @@ def _implied_failures():
     return failures
 
 
+def _failed_entries():
+    """The `chevalley-*` entries that `g2kr verify chevalley` fails; it
+    must exit 1."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["verify", "chevalley", "--format", "json"]) == 1
+    checks = json.loads(out.getvalue())["checks"]
+    return {e["check"] for e in checks if not e["ok"]}
+
+
 def _failure_counts():
     """Failures per `verify_all()` check, and the two oracles'.
 
-    Every fault table here must also fail `g2kr verify chevalley`.
+    Every fault table here must also fail `g2kr verify chevalley`, at the
+    entries of the checks that have failures.
     """
-    with redirect_stdout(io.StringIO()):
-        assert main(["verify", "chevalley"]) == 1
     counts = {name: len(failures) for name, failures in verify_all().items()}
+    failing = {f"chevalley-{name}" for name, c in counts.items() if c}
+    assert _failed_entries() == failing
     counts["module-axiom"] = len(_module_axiom_failures())
     counts["implied"] = len(_implied_failures())
     return counts
 
 
-def test_module_axiom_is_implied_by_jacobi_and_invariance(monkeypatch):
+def test_module_axiom_is_implied_by_jacobi(monkeypatch):
     # the oracle is clean on the real table; on a seeded sample of faults
-    # that keep the root-space grading (one structure constant or one
-    # Killing entry moved, with or without its antisymmetric or symmetric
-    # partner), every fault it flags is flagged by the library too
+    # that keep the root-space grading (one structure constant moved, with
+    # or without its antisymmetric partner, and the Killing form the trace
+    # of the faulted rows), every fault it flags is flagged by
+    # `verify_structure` alone
     assert _module_axiom_failures() == []
     good = build_bracket_table()
     cells = [(i, j) for i in range(DIM) for j in range(DIM) if good.rows[i][j]]
-    pairs = [
-        (i, j)
-        for i in range(DIM)
-        for j in range(DIM)
-        if BASIS_WEIGHTS[i] + BASIS_WEIGHTS[j] == Weight(0, 0)
-    ]
     rng = random.Random(1)
     flagged = 0
     for _ in range(150):
         rows = [list(row) for row in good.rows]
-        killing = [list(row) for row in good.killing]
         delta = rng.choice((-2, -1, 1, 2))
         partner = rng.random() < 0.5
-        if rng.random() < 0.5:
-            i, j = fault = rng.choice(cells)
-            k = rng.choice(good.rows[i][j])[0]
-            for a, b, d in ((i, j, delta), (j, i, -delta))[:1 + partner]:
-                cell = dict(rows[a][b])
-                cell[k] += d
-                rows[a][b] = tuple(kc for kc in sorted(cell.items()) if kc[1])
-        else:
-            i, j = fault = rng.choice(pairs)
-            for a, b in ((i, j), (j, i))[:1 + partner]:
-                killing[a][b] += delta
-        _use_table(monkeypatch, rows, killing)
+        i, j = fault = rng.choice(cells)
+        k = rng.choice(good.rows[i][j])[0]
+        for a, b, d in ((i, j, delta), (j, i, -delta))[:1 + partner]:
+            cell = dict(rows[a][b])
+            cell[k] += d
+            rows[a][b] = tuple(kc for kc in sorted(cell.items()) if kc[1])
+        _use_table(monkeypatch, rows)
         if _module_axiom_failures():
             flagged += 1
-            assert verify_structure() or verify_killing(), (fault, delta)
+            assert verify_structure(), (fault, delta)
     assert flagged == 150
 
 
 def test_grading_and_orthogonality_are_implied(monkeypatch):
     # the oracle is clean on the real table; on a seeded sample of faults
     # that may break the grading or orthogonality (a constant added at any
-    # (i, j, k), an existing constant moved to another k, or any Killing
-    # entry changed, each with or without its antisymmetric or symmetric
-    # partner), every fault it flags is flagged by the library too
+    # (i, j, k), or an existing constant moved to another k, each with or
+    # without its antisymmetric partner, and the Killing form the trace of
+    # the faulted rows), every fault it flags is flagged by
+    # `verify_structure` alone
     assert _implied_failures() == []
     good = build_bracket_table()
     cells = [(i, j) for i in range(DIM) for j in range(DIM) if good.rows[i][j]]
@@ -373,45 +425,38 @@ def test_grading_and_orthogonality_are_implied(monkeypatch):
     flagged = 0
     for _ in range(300):
         rows = [list(row) for row in good.rows]
-        killing = [list(row) for row in good.killing]
         delta = rng.choice((-2, -1, 1, 2))
         partner = rng.random() < 0.5
-        kind = rng.randrange(3)
-        if kind == 1:  # an existing constant moved to another k
+        if rng.random() < 0.5:  # an existing constant moved to another k
             i, j = rng.choice(cells)
             k, c = rng.choice(good.rows[i][j])
             moves = ((k, -c), (rng.randrange(DIM), c))
-        else:
+        else:  # a constant added at (i, j, k)
             i, j = rng.randrange(DIM), rng.randrange(DIM)
-            # a constant added at (i, j, k), or the Killing entry at (i, j)
-            moves = ((rng.randrange(DIM), delta),) if kind == 0 else ()
-        fault = (kind, i, j, delta, moves)
+            moves = ((rng.randrange(DIM), delta),)
+        fault = (i, j, delta, moves)
         for a, b, sign in ((i, j, 1), (j, i, -1))[:1 + partner]:
-            if not moves:
-                killing[a][b] += delta
-                continue
             cell = dict(rows[a][b])
             for k, d in moves:
                 cell[k] = cell.get(k, 0) + sign * d
             rows[a][b] = tuple(kc for kc in sorted(cell.items()) if kc[1])
-        _use_table(monkeypatch, rows, killing)
+        _use_table(monkeypatch, rows)
         if _implied_failures():
             flagged += 1
-            assert verify_structure() or verify_killing(), fault
-    assert flagged == 279
+            assert verify_structure(), fault
+    assert flagged == 268
 
 
 def test_doubled_structure_constant_is_caught(monkeypatch):
-    # [x+a1, x+a2] and its antisymmetric partner doubled, Killing form kept
+    # [x+a1, x+a2] and its antisymmetric partner doubled
     i, j = X_PLUS[0], X_PLUS[1]
-    rows = _scaled_rows(2, (i, j), (j, i))
-    _use_table(monkeypatch, rows, build_bracket_table().killing)
+    _use_table(monkeypatch, _scaled_rows(2, (i, j), (j, i)))
     assert _failure_counts() == {
         "structure": 66,
-        "killing": 4,
+        "killing": 2,
         "kr-relations": 0,
         "adjoint-weights": 0,
-        "module-axiom": 74,
+        "module-axiom": 162,
         "implied": 0,
     }
     assert verify_structure()[0].startswith("Jacobi fails at (x+[1,0], x+[0,1],")
@@ -421,15 +466,14 @@ def test_doubled_structure_constant_is_caught(monkeypatch):
 
 
 def test_flipped_cartan_bracket_is_caught(monkeypatch):
-    # [h1, x+a1] and its antisymmetric partner negated, Killing form kept
-    rows = _scaled_rows(-1, (H1, X_PLUS[0]), (X_PLUS[0], H1))
-    _use_table(monkeypatch, rows, build_bracket_table().killing)
+    # [h1, x+a1] and its antisymmetric partner negated
+    _use_table(monkeypatch, _scaled_rows(-1, (H1, X_PLUS[0]), (X_PLUS[0], H1)))
     assert _failure_counts() == {
         "structure": 85,
-        "killing": 4,
+        "killing": 1,
         "kr-relations": 0,
         "adjoint-weights": 1,
-        "module-axiom": 92,
+        "module-axiom": 216,
         "implied": 0,
     }
     assert verify_structure()[:2] == [
@@ -447,15 +491,15 @@ def test_non_eigenvector_is_reported_not_raised(monkeypatch, capsys):
     rows = [list(row) for row in build_bracket_table().rows]
     rows[H1][X_PLUS[0]] = ((X_PLUS[1], 2),)
     rows[X_PLUS[0]][H1] = ((X_PLUS[1], -2),)
-    _use_table(monkeypatch, rows, build_bracket_table().killing)
+    _use_table(monkeypatch, rows)
     with pytest.raises(ArithmeticError, match="not an ad"):
         adjoint_weights()
     assert _failure_counts() == {
         "structure": 109,
-        "killing": 8,
+        "killing": 1,
         "kr-relations": 0,
         "adjoint-weights": 1,
-        "module-axiom": 124,
+        "module-axiom": 236,
         "implied": 2,
     }
     # the bad cell breaks the grading too; `structure` reports that through
@@ -479,58 +523,48 @@ def test_non_eigenvector_is_reported_not_raised(monkeypatch, capsys):
 def test_tripled_coroot_bracket_is_caught(monkeypatch):
     # [x+g, x-g] for g = a1+a2 and its antisymmetric partner tripled
     i, j = X_PLUS[2], X_MINUS[2]
-    rows = _scaled_rows(3, (i, j), (j, i))
-    _use_table(monkeypatch, rows, build_bracket_table().killing)
+    _use_table(monkeypatch, _scaled_rows(3, (i, j), (j, i)))
     assert _failure_counts() == {
         "structure": 85,
-        "killing": 8,
+        "killing": 1,
         "kr-relations": 0,
         "adjoint-weights": 0,
-        "module-axiom": 100,
+        "module-axiom": 148,
         "implied": 0,
     }
     assert verify_structure()[:2] == [
         "[x+[1,1], x-[1,1]] is not the coroot",
         "Jacobi fails at (x+[1,0], x+[0,1], x-[1,1])",
     ]
-    assert verify_killing()[0] == (
-        "killing invariance fails at (x+[1,1], x-[1,1], h1)"
-    )
+    # the Killing form, the trace of these rows, sees the fault too
+    assert verify_killing() == [
+        "<x+, x-> not a single nonzero value on short roots"
+    ]
 
 
 def test_altered_killing_entry_is_caught(monkeypatch):
+    # `verify_killing` on a given matrix, not the trace form of the rows
     good = build_bracket_table()
     killing = [list(row) for row in good.killing]
     killing[X_PLUS[0]][X_MINUS[0]] += 1
     _use_table(monkeypatch, good.rows, killing)
-    assert _failure_counts() == {
-        "structure": 0,
-        "killing": 19,
-        "kr-relations": 0,
-        "adjoint-weights": 0,
-        "module-axiom": 32,
-        "implied": 0,
-    }
-    assert verify_killing()[0] == "killing symmetry fails at (x+[1,0], x-[1,0])"
+    assert verify_killing() == [
+        "<x+, x-> not a single nonzero value on short roots"
+    ]
+    assert _failed_entries() == {"chevalley-killing"}
 
 
 def test_zero_killing_row_is_degenerate(monkeypatch):
+    # `verify_killing` on a given matrix, not the trace form of the rows
     good = build_bracket_table()
     killing = [list(row) for row in good.killing]
     killing[X_PLUS[3]] = [0] * DIM
     _use_table(monkeypatch, good.rows, killing)
-    assert _failure_counts() == {
-        "structure": 0,
-        "killing": 18,
-        "kr-relations": 0,
-        "adjoint-weights": 0,
-        "module-axiom": 28,
-        "implied": 0,
-    }
-    assert verify_killing()[-2:] == [
+    assert verify_killing() == [
         "<x+, x-> not a single nonzero value on short roots",
         "killing form is degenerate",
     ]
+    assert _failed_entries() == {"chevalley-killing"}
 
 
 def test_zero_highest_vector_spans_nothing(monkeypatch):
@@ -539,6 +573,7 @@ def test_zero_highest_vector_spans_nothing(monkeypatch):
         "(x-_{theta} (x) t) kills the highest vector",
         "degree-zero span of the highest vector has dimension 0, expected 14",
     ]
+    assert _failed_entries() == {"chevalley-kr-relations"}
 
 
 @pytest.mark.parametrize(
@@ -587,3 +622,28 @@ def test_construction_failures_raise_arithmetic_error():
         chevalley._ratio(skewed, base)
     with pytest.raises(ArithmeticError, match="zero root vector"):
         chevalley._ratio(base, {})
+
+
+@pytest.mark.parametrize(
+    "index, moved, message",
+    [
+        # [x+a1, x-a1] becomes [x+a1, x+a2]: off the Cartan subalgebra
+        (X_MINUS[0], X_PLUS[1], "bad Cartan bracket"),
+        # [x+a1, x+theta] becomes [x+a1, x+a2], of weight 4a1+2a2
+        (X_PLUS[HIGHEST], X_PLUS[1], "bracket off lattice"),
+    ],
+    ids=["cartan", "lattice"],
+)
+def test_extraction_rejects_a_misplaced_matrix(monkeypatch, index, moved,
+                                               message):
+    # one basis matrix replaced by another: the table cannot be extracted
+    matrices = chevalley._build_representation()
+    matrices[index] = matrices[moved]
+    monkeypatch.setattr(chevalley, "_build_representation", lambda: matrices)
+    with pytest.raises(ArithmeticError, match=message):
+        build_bracket_table.__wrapped__()
+
+
+def test_cartan_index_out_of_range():
+    with pytest.raises(ValueError, match="must be 1 or 2, got 3"):
+        cartan(3)

@@ -652,6 +652,24 @@ def test_width_hint(monkeypatch, capsys):
     assert narrow.count("\n") > wide.count("\n")
     # same content either way
     assert sorted(narrow.split()) == sorted(wide.split())
+    # a hint that is not an integer is ignored, byte for byte
+    monkeypatch.delenv("G2KR_WIDTH")
+    unset = run(capsys, "char", "0", "1")
+    monkeypatch.setenv("G2KR_WIDTH", "wide")
+    assert run(capsys, "char", "0", "1") == unset
+    assert unset[1] not in (narrow, wide)
+
+
+def test_unwalkable_region_is_one_error_line(monkeypatch, capsys):
+    # r4 <= m - r1 - r2 - r3 becomes 2*r4 <= ...: no run of r4 is affine
+    region = _REGIONS[Family.T2]
+    *kept, (c, d) = region.constraints
+    monkeypatch.setitem(_REGIONS, Family.T2, region._replace(
+        constraints=(*kept, ((*c[:3], -2), d))
+    ))
+    assert run(capsys, "kr", "--family", "t2", "--m", "2") == (
+        2, "", "error: r4 needs r4 >= 0 and one unit bound\n"
+    )
 
 
 # SHA-256 of stdout and the exit code of each command, as recorded before

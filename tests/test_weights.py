@@ -21,6 +21,7 @@ from g2kr.weights import (
     in_root_cone,
     inner,
     is_dominant,
+    pairing,
     simple_reflection,
     to_root_coords,
     weyl_orbit,
@@ -172,6 +173,12 @@ def test_coroot_coefficients():
     for not_a_root in (Weight(1, 1), ZERO):
         with pytest.raises(ValueError, match="is not a root of G2"):
             coroot_coefficients(not_a_root)
+
+
+def test_pairing_index_out_of_range():
+    assert (pairing(RHO, 1), pairing(RHO, 2)) == (1, 1)
+    with pytest.raises(ValueError, match="must be 1 or 2, got 3"):
+        pairing(RHO, 3)
 
 
 @pytest.mark.parametrize(
