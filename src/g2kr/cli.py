@@ -251,7 +251,7 @@ def _entry(check, problems, key="failures", **where):
 def _verify_kr(conjecture_families, class_families, max_m):
     """Conjecture checks, then class checks, for each family and m <= max_m.
 
-    The closed form of U1 and T2 is one region count per family, grown
+    The closed form of U1 and T2 is one region count per family, swept
     over m (`kr._region_counts`), and serves both checks.
     """
     from .kr import (

@@ -19,15 +19,14 @@ character and the equivalence classes are all read off it.  The graded
 character never visits region points one by one.  (wt, gr) is packed
 into one int key, affine in the point, so along each run of r4 through
 the region the keys are an arithmetic progression, and C-level maps over
-r3 hand the runs of one (r1, r2) slab to a single Counter.
-`_region_counts` is the one counter: it counts region(start) whole,
-and since every constraint loosens as m grows, region(m - 1) lies in
-region(m) and in m-free coordinates a point keeps its key, so it grows
-that count over m = start + 1, ..., top by only the points each m
-adds.  A single m (`kr_graded_character`, a class check given no count)
-is its first step.  The packed form stays inside this module:
-`conjecture_differences` and `_packed_check` (the class check's view of
-it) decode it only to report a difference.
+r3 hand the runs of one (r1, r2) slab to a single Counter.  `_count`
+counts one region(m) whole, for a single m (`kr_graded_character`, a
+class check given no count).  `_region_counts` sweeps m by peeling
+(`_peel`): region(m) is region(m - p) moved by a unit vector e_i, whose
+keys all move by one constant, plus the face r_i = 0, which has O(m)
+slabs where the region has O(m^2).  The packed form stays inside this
+module: `conjecture_differences` and `_packed_check` (the class check's
+view of it) decode it only to report a difference.
 
 The second form is the generating function: the label (j, k, s) carries
 coefficient(m, j, k) copies of one irreducible, and the coefficients
@@ -41,7 +40,7 @@ exactly.  Quad indices must be four ints and m, j, k nonnegative ints
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter, deque, namedtuple
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from itertools import chain, repeat
@@ -327,8 +326,8 @@ def _ladder(family: Family, m: int) -> GradedDecomposition:
 #: of the m-free (a', b', grade').  The key is injective on the box of
 #: m-free values from low to low + radix - 1 in each coordinate, which
 #: `_packing` builds around the region's points.  A region point r has
-#: key row . r at every m, so a count of region keys needs no update when
-#: m grows.
+#: key row . r at every m, so moving the points of a count by e_i adds
+#: row[i] to each key.
 _Packing = namedtuple("_Packing", "radix low drift row")
 
 
@@ -417,57 +416,96 @@ def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
     """Closed-form graded character in the irreducible basis.
 
     Counts the packed (wt, gr) keys of the region points in one C-level
-    pass, with no Python step per point or per run of r4: the count of
-    `_region_counts` started at m.
+    pass, with no Python step per point or per run of r4 (`_count`).
     """
     family = Family(family)
     _check_m(m)
     if not family.quad_indexed:
         return _ladder(family, m)
-    _, (packing, counts) = next(_region_counts(family, m, m))
+    packing, counts = _count(_REGIONS[family], m)
     return _decode(counts, packing, m)
+
+
+def _count(region: _Region, m: int) -> tuple:
+    """(packing, counts) of region(m) counted whole: counts is one Counter
+    of the keys of its points under the packing of region(m)."""
+    packing = _packing(region, m)
+    return packing, Counter(_keys(region, m, packing.row))
+
+
+def _keys(region: _Region, m: int, row) -> Iterable[int]:
+    """row . r for each point r of region(m), as C-level maps over the
+    runs of each slab: no Python step per point or per run."""
+    return chain.from_iterable(chain.from_iterable(
+        _runs(v, dv, step, r3s, run)
+        for _, r3s, run, ((v, dv, step),) in _slabs(region, m, ((row, 0),))
+    ))
+
+
+def _peel(region: _Region):
+    """(i, p) for the first slab coordinate r_i (r1, then r2) that peels
+    off the region with step p, or None if neither does.
+
+    r_i peels with step p when r_i >= 0 is a constraint, column i is 0 in
+    every other constraint with d = 0, and column i is -p*d, for one
+    integer p >= 1, in every constraint with d != 0.  Adding e_i to a
+    point then changes every other constraint as m -> m - p does, so
+    {r in region(m) : r_i >= 1} = region(m - p) + e_i for every m, and the
+    rest of region(m) is its face r_i = 0, which has O(m) slabs where the
+    region has O(m^2).
+    """
+    constraints = region.constraints
+    for i in (0, 1):
+        floor = (tuple(int(n == i) for n in range(4)), 0)
+        others = [(c[i], d) for c, d in constraints if (c, d) != floor]
+        if len(others) == len(constraints) or any(
+            c for c, d in others if not d
+        ):
+            continue
+        steps = {-c // d if c % d == 0 else 0 for c, d in others if d}
+        if len(steps) == 1 and (p := steps.pop()) >= 1:
+            return i, p
+    return None
 
 
 def _region_counts(family: Family, top: int, start=0) -> Iterator[tuple]:
     """The closed form of U1 or T2 for m = start, ..., top, in packed form.
 
-    Yields (m, (packing, counts)) for each m: counts is one Counter of the
-    keys of region(m) under packing, counted whole at m = start and then
-    grown in place from m - 1 to m by the points that region(m) adds to
-    region(m - 1), so each region point is counted once; read it before
-    drawing the next m.  Growing needs every constraint's d >= 0, so that
-    region(m - 1) lies in region(m) slab by slab; a slab adds the r3 that
-    are new, with whole runs, and the new tail of each old run, whose i-th
-    points are again a progression in r3.
+    Yields (m, (packing, counts)) for each m: counts is a new Counter of
+    the keys of region(m) under packing.  Where r_i peels off the region
+    with step p (`_peel`), count(m) is count(m - p) with every key moved
+    by the key of e_i, plus the count of the face r_i = 0 of region(m), so
+    the sweep walks only faces after its first p counts and holds only the
+    last p counts.  The moved keys keep the packing of region(top), which
+    holds them only while region(m) lies in region(top): every
+    constraint's d >= 0.  Any other table is counted whole at each m under
+    its own packing, as a single m is (`_count`).
     """
     region = _region(family)
     _check_m(top, "top")
-    if start < top and min(d for _, d in region.constraints) < 0:
-        raise ValueError("a count grown over m needs a region that grows "
-                         "with m: every constraint's d >= 0")
+    peel = _peel(region)
+    if peel is None or min(d for _, d in region.constraints) < 0:
+        for m in range(start, top + 1):
+            yield m, _count(region, m)
+        return
+    i, p = peel
     packing = _packing(region, top)
-    counts = Counter()
-    rows = ((packing.row, 0),)
-    before = {}  # (r1, r2) -> (r3s, n) of the slab in region(m - 1)
+    row, shift = packing.row, packing.row[i]
+    face = region._replace(constraints=(
+        *region.constraints, (tuple(-int(n == i) for n in range(4)), 0)
+    ))
+    earlier = deque(maxlen=p)  # the counts of m - p, ..., m - 1
     for m in range(start, top + 1):
-        pieces, slabs = [], {}
-        for r12, r3s, run, ((v, dv, step),) in _slabs(region, m, rows):
-            old, old_n = before.get(r12, (range(0), 0))
-            slabs[r12] = r3s, run[0]
-            if not old:
-                pieces.append(_runs(v, dv, step, r3s, run))
-                continue
-            for new in (range(r3s.start, old.start),
-                        range(old.stop, r3s.stop)):
-                if new:
-                    pieces.append(_runs(v, dv, step, new, run))
-            # r4 = i + dn*r3 for r3 in old, for each old_n <= i < n
-            (n, dn), t, k = run, old.start, len(old)
-            dr = dv + step * dn
-            pieces.append([_progression(v + step * i + dr * t, dr, k)
-                           for i in range(old_n, n)])
-        counts.update(chain.from_iterable(chain.from_iterable(pieces)))
-        before = slabs
+        if len(earlier) < p:
+            counts = Counter(_keys(region, m, row))
+        else:
+            moved = earlier[0]
+            counts = Counter()
+            # the moved keys are distinct: set them, with no dict between
+            dict.update(counts, zip(map(shift.__add__, moved),
+                                    moved.values()))
+            counts.update(_keys(face, m, row))
+        earlier.append(counts)
         yield m, (packing, counts)
 
 
@@ -483,7 +521,7 @@ def _packed_check(region: _Region, m: int, graded=None) -> tuple:
     of `compare`.
     """
     if graded is None:
-        _, graded = next(_region_counts(region.family, m, m))
+        graded = _count(region, m)
     if isinstance(graded, GradedDecomposition):
         packing, counts = _packing(region, m), None
     else:

@@ -176,8 +176,9 @@ def test_criterion_09_chevalley_suite():
     assert chevalley.verify_kr1_relations() == []
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
-    _report(9, f"Jacobi on 14^3 triples, Killing invariance, adjoint weights "
-               f"= ch V(w2), module relations ({elapsed:.2f} s)")
+    _report(9, f"Jacobi on 14^3 triples, Killing root lengths and "
+               f"nondegeneracy, adjoint weights = ch V(w2), module relations "
+               f"({elapsed:.2f} s)")
 
 
 def test_criterion_10_ladder_property():

@@ -40,6 +40,13 @@ def test_character_canonical_form():
     assert len(c) == 1
     assert c[Weight(0, 0)] == 0
     assert Character([(Weight(1, 0), 1), (Weight(1, 0), -1)]) == Character()
+    # tuple keys become Weights and merge with equal Weight keys
+    t = Character([((1, 0), 2), (Weight(1, 0), -1), ((0, 0), 1)])
+    assert t == Character({Weight(1, 0): 1, ZERO: 1})
+    assert [type(w) for w in t.support()] == [Weight, Weight]
+    assert t and c and not Character() and not Character({(1, 0): 0})
+    assert repr(t) == "Character({(0,0): 1, (1,0): 1})"
+    assert repr(Character()) == "Character({})"
 
 
 def test_fundamental_characters_match_root_data():
@@ -118,6 +125,7 @@ def test_multiply_identity_and_mass():
     d = irreducible_character(OMEGA1)
     assert multiply(c, d).mass() == c.mass() * d.mass()
     assert multiply(c, d) == multiply(d, c)
+    assert c * d == multiply(c, d)
 
 
 def test_multiply_associative():

@@ -252,8 +252,8 @@ def test_verify_classes(capsys):
 
 
 def test_verify_classes_reuses_the_graded_character(monkeypatch, capsys):
-    # verify counts each class family's region once, grown over m, and
-    # hands the count it holds to the class check
+    # verify sweeps one region count per class family over m, and hands
+    # the count of each m to the class check
     calls = []
     region_counts = kr._region_counts
 

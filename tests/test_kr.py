@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from g2kr import kr
 from g2kr.characters import Character, irreducible_character, tensor
 from g2kr.equivalence import class_members, shift_vector
 from g2kr.kr import (
@@ -15,6 +16,7 @@ from g2kr.kr import (
     Family,
     GradedDecomposition,
     _decode,
+    _peel,
     _region_counts,
     compare,
     conjecture_coefficient,
@@ -148,6 +150,8 @@ def test_graded_decomposition_canonical():
     assert g.grades() == [1]
     assert g.component(1) == {OMEGA2: 3}
     assert g.multiplicity(0, OMEGA1) == 0
+    assert repr(g) == "GradedDecomposition({1: {Weight(a=0, b=1): 3}})"
+    assert repr(GradedDecomposition()) == "GradedDecomposition({})"
 
 
 def test_kr_fixtures():
@@ -296,7 +300,7 @@ def test_closed_form_matches_per_point_oracle(family):
         assert fast == oracle, m
         assert list(fast.items()) == list(oracle.items())
         assert all(type(w) is Weight for _, w, _ in fast.items())
-    # the count grown over m, up to tops where the packing's box is tiny
+    # the count swept over m, up to tops where the packing's box is tiny
     for top in (0, 1, 30):
         assert swept(family, top) == oracles[:top + 1], top
     # started at top (a single m) and mid-way
@@ -305,38 +309,83 @@ def test_closed_form_matches_per_point_oracle(family):
 
 
 @pytest.mark.parametrize(
-    "family, field, moved",
+    "family, field, moved, peel",
     [
         # b = r2 + r3 - r4 - m goes negative on the whole region
-        (Family.U1, "wt_gr", {1: ((0, 1, 1, -1), -1)}),
+        (Family.U1, "wt_gr", {1: ((0, 1, 1, -1), -1)}, (0, 2)),
         # grades far above 3m
-        (Family.T2, "wt_gr", {2: ((5, 11, 7, 3), 9)}),
+        (Family.T2, "wt_gr", {2: ((5, 11, 7, 3), 9)}, (1, 1)),
         # a with a negative drift: the m-free values move up the box
-        (Family.T2, "wt_gr", {0: ((1, 1, -1, 2), -2)}),
+        (Family.T2, "wt_gr", {0: ((1, 1, -1, 2), -2)}, (1, 1)),
         # (wt, gr) constant along r4: each run is one key, repeated
-        (Family.U1, "wt_gr", {1: ((0, 1, 1, 0), 0), 2: ((1, 1, 2, 0), 0)}),
-        # layers two points thick: tails of two points, two new r3 a slab
-        (Family.T2, "constraints", {5: ((-1, -1, -1, -1), 2)}),
-        (Family.U1, "constraints", {5: ((-2, -3, -3, 0), 2)}),
-        # a new constraint r3 >= 2r2 - m: new r3 below the old ones too
-        (Family.T2, "constraints", {6: ((0, -2, 1, 0), 1)}),
+        (Family.U1, "wt_gr", {1: ((0, 1, 1, 0), 0), 2: ((1, 1, 2, 0), 0)},
+         (0, 2)),
+        # layers two points thick: T2 peels no more (-1 is not -p*2), U1
+        # peels r1 with p = 1
+        (Family.T2, "constraints", {5: ((-1, -1, -1, -1), 2)}, None),
+        (Family.U1, "constraints", {5: ((-2, -3, -3, 0), 2)}, (0, 1)),
+        # 3r1 + 3r2 + 3r3 <= 2m: -3 is not -p*2 for an integer p
+        (Family.U1, "constraints", {5: ((-3, -3, -3, 0), 2)}, None),
+        # a new constraint r3 >= 2r2 - m: r2 would peel with p = 1 and 2
+        (Family.T2, "constraints", {6: ((0, -2, 1, 0), 1)}, None),
     ],
     ids=["u1-b-negative", "t2-gr-large", "t2-a-drift", "u1-r4-kernel",
-         "t2-thick", "u1-thick", "t2-r3-floor"],
+         "t2-thick", "u1-thick", "u1-three-halves", "t2-r3-floor"],
 )
-def test_mutated_table_still_packs(monkeypatch, family, field, moved):
-    # the packing's box comes from the values, never from the family
+def test_mutated_table_still_packs(monkeypatch, family, field, moved, peel):
+    # the packing's box comes from the values, never from the family; a
+    # table that does not peel is counted whole at each m
     region = _REGIONS[family]
     rows = {**dict(enumerate(getattr(region, field))), **moved}
-    monkeypatch.setitem(_REGIONS, family, region._replace(
-        **{field: tuple(rows[n] for n in sorted(rows))}
-    ))
+    mutated = region._replace(**{field: tuple(rows[n] for n in sorted(rows))})
+    assert _peel(mutated) == peel
+    monkeypatch.setitem(_REGIONS, family, mutated)
     oracles = [per_point(family, m) for m in range(13)]
     for top in (0, 1, 5, 12):
         assert swept(family, top) == oracles[:top + 1], top
     for start, top in ((12, 12), (5, 12)):
         assert swept(family, top, start) == oracles[start:top + 1], start
     assert [kr_graded_character(family, m) for m in range(13)] == oracles
+
+
+@pytest.mark.parametrize("family, peel", [(Family.U1, (0, 2)),
+                                          (Family.T2, (1, 1))],
+                         ids=["u1", "t2"])
+def test_region_is_a_moved_region_and_a_face(monkeypatch, family, peel):
+    # {r in region(m) : r_i >= 1} = region(m - p) + e_i; the rest is the
+    # face: the table with one more row, r_i <= 0
+    region = _REGIONS[family]
+    assert _peel(region) == peel
+    i, p = peel
+    whole = [enumerate_region(family, m) for m in range(21)]
+    monkeypatch.setitem(_REGIONS, family, region._replace(constraints=(
+        *region.constraints, (tuple(-int(n == i) for n in range(4)), 0)
+    )))
+    for m, points in enumerate(whole):
+        face = enumerate_region(family, m)
+        assert face and all(r[i] == 0 for r in face), m
+        moved = [(*r[:i], r[i] + 1, *r[i + 1:])
+                 for r in (whole[m - p] if m >= p else [])]
+        assert sorted(moved + face) == points, m
+
+
+@pytest.mark.parametrize("family, most", [(Family.T2, 1800),
+                                          (Family.U1, 500)],
+                         ids=["t2", "u1"])
+def test_sweep_walks_faces_not_regions(monkeypatch, family, most):
+    # a sweep to 40 walks region(40) once for its packing and then O(m)
+    # slabs per m; walking every slab of region(m) at each m takes 13,202
+    # (T2) and 2,436 (U1) slab steps
+    slabs, steps = kr._slabs, []
+
+    def counted(*args):
+        for slab in slabs(*args):
+            steps.append(slab)
+            yield slab
+
+    monkeypatch.setattr(kr, "_slabs", counted)
+    assert [m for m, _ in _region_counts(family, 40)] == list(range(41))
+    assert len(steps) <= most
 
 
 def _aliased(region, radix):
@@ -368,17 +417,31 @@ def test_packed_compare_sees_faults_keys_hide(monkeypatch, fault):
     assert conjecture_differences(family, m, count) == expected
 
 
-def test_region_counts_need_a_growing_region(monkeypatch):
+def test_shrinking_region_sweeps_to_the_per_point_oracle(monkeypatch):
     region = _REGIONS[Family.T2]
     *kept, (c, _) = region.constraints
     shrinking = region._replace(constraints=(*kept, (c, -1)))
+    assert _peel(shrinking) is None
     monkeypatch.setitem(_REGIONS, Family.T2, shrinking)
-    with pytest.raises(ValueError, match="every constraint's d >= 0"):
-        next(_region_counts(Family.T2, 3))
-    # a single m grows nothing, so it counts any region
     oracles = [per_point(Family.T2, m) for m in range(4)]
     assert oracles[0]
+    assert swept(Family.T2, 3) == oracles
     assert [kr_graded_character(Family.T2, m) for m in range(4)] == oracles
+
+
+def test_moving_region_is_counted_whole(monkeypatch):
+    # r1 + r2 >= m keeps the peel of r2, but region(m) = {r1 + r2 = m,
+    # r3 = r4 = 0} leaves region(top): its keys are not in top's box
+    region = _REGIONS[Family.T2]
+    moving = region._replace(
+        constraints=(*region.constraints, ((1, 1, 0, 0), -1))
+    )
+    assert _peel(moving) == (1, 1)
+    monkeypatch.setitem(_REGIONS, Family.T2, moving)
+    oracles = [per_point(Family.T2, m) for m in range(9)]
+    assert [len(list(g.items())) for g in oracles] == list(range(1, 10))
+    assert swept(Family.T2, 8) == oracles
+    assert swept(Family.T2, 8, 3) == oracles[3:]
 
 
 @pytest.mark.parametrize("family", QUAD)

@@ -32,6 +32,11 @@ def test_all_lists_every_public_import():
         and (inspect.isfunction(value) or inspect.isclass(value))
     }
     assert sorted(imported - set(names)) == []
+    # dir() lists the names served on first access, and the submodules
+    listed = dir(g2kr)
+    assert listed == sorted(set(listed))
+    assert {*names, "characters", "equivalence", "kr", "weights",
+            "__version__"} <= set(listed)
 
 
 def test_package_is_integer_only():
