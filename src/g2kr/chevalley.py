@@ -39,12 +39,19 @@ Given antisymmetry and the Cartan eigenvalues, Jacobi at (h, b_j, b_k)
 reads (w_j + w_k - w_l)(h) c_l = 0 for each term c_l b_l of [b_j, b_k],
 and invariance at (h, b_j, b_k) reads (w_j + w_k)(h) <b_j, b_k> = 0.
 Neither is checked a second time here.
+
+Nor is any identity checked twice: antisymmetry once per pair i <= j,
+Jacobi once per triple i < j < k.  The Jacobi sum J is cyclic, and on an
+antisymmetric table J(j, i, k) = -J(i, j, k) and J(i, i, k) = 0, so every
+ordered triple is +- a checked one or zero; a table that is not
+antisymmetric fails anyway.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 from .weights import (
@@ -216,16 +223,15 @@ BracketTable = namedtuple("BracketTable", "rows killing")
 
 def _trace_form(rows):
     """The Killing matrix of the sparse rows: entry (i, j) is
-    tr(ad b_i . ad b_j), the sum over l and k of [b_i, b_l]_k [b_j, b_k]_l.
+    tr(ad b_i . ad b_j), the sum over l and k of [b_i, b_l]_k [b_j, b_k]_l,
+    taken once for each i <= j as tr(AB) = tr(BA) for any rows.
     """
-    return tuple(
-        tuple(
-            sum(c * d for l in range(DIM) for k, c in rows[i][l]
-                for u, d in rows[j][k] if u == l)
-            for j in range(DIM)
-        )
-        for i in range(DIM)
-    )
+    form = [[0] * DIM for _ in range(DIM)]
+    for i, j in combinations_with_replacement(range(DIM), 2):
+        form[i][j] = form[j][i] = sum(
+            c * d for l in range(DIM) for k, c in rows[i][l]
+            for u, d in rows[j][k] if u == l)
+    return tuple(map(tuple, form))
 
 
 @lru_cache(maxsize=None)
@@ -235,23 +241,34 @@ def build_bracket_table() -> BracketTable:
     return BracketTable(rows, _trace_form(rows))
 
 
+def _check_index(value, name: str, size: int) -> None:
+    """Raise ValueError unless value is an int in 0..size-1 (bool excluded)."""
+    if type(value) is not int or not 0 <= value < size:
+        raise ValueError(
+            f"{name} must be an int in 0..{size - 1}, got {value!r}"
+        )
+
+
 def basis_vector(i: int) -> tuple[int, ...]:
     """Coefficients of the i-th basis element."""
+    _check_index(i, "basis index i", DIM)
     return tuple(1 if k == i else 0 for k in range(DIM))
 
 
 def x_plus(root_index: int) -> tuple[int, ...]:
     """Positive root vector by position in the height-ordered root list."""
+    _check_index(root_index, "root_index", len(X_PLUS))
     return basis_vector(X_PLUS[root_index])
 
 
 def x_minus(root_index: int) -> tuple[int, ...]:
+    _check_index(root_index, "root_index", len(X_MINUS))
     return basis_vector(X_MINUS[root_index])
 
 
 def cartan(i: int) -> tuple[int, ...]:
-    if i not in (1, 2):
-        raise ValueError(f"coroot index must be 1 or 2, got {i!r}")
+    if type(i) is not int or i not in (1, 2):
+        raise ValueError(f"coroot index i must be 1 or 2, got {i!r}")
     return basis_vector(H1 if i == 1 else H2)
 
 
@@ -283,15 +300,12 @@ def killing_form(x, y) -> int:
 # --- verification: Lie algebra axioms --------------------------------------
 
 def verify_structure() -> list[str]:
-    """Antisymmetry, Jacobi on all 14^3 triples, Cartan actions, coroots."""
+    """Antisymmetry (i <= j), Cartan actions, coroots, Jacobi (i < j < k)."""
     rows, names = build_bracket_table().rows, BASIS_NAMES
     failures = []
-    for i in range(DIM):
-        for j in range(DIM):
-            if rows[i][j] != tuple((k, -c) for k, c in rows[j][i]):
-                failures.append(
-                    f"antisymmetry fails at ({names[i]}, {names[j]})"
-                )
+    for i, j in combinations_with_replacement(range(DIM), 2):
+        if rows[i][j] != tuple((k, -c) for k, c in rows[j][i]):
+            failures.append(f"antisymmetry fails at ({names[i]}, {names[j]})")
     # Cartan eigenvalues.
     for hidx, hi in ((H1, 1), (H2, 2)):
         for j in range(DIM):
@@ -304,21 +318,17 @@ def verify_structure() -> list[str]:
         if rows[X_PLUS[idx]][X_MINUS[idx]] != want:
             failures.append(f"[x+{_root_label(root)}, x-{_root_label(root)}]"
                             " is not the coroot")
-    # Jacobi identity on every ordered triple of basis elements.
-    for i in range(DIM):
-        for j in range(DIM):
-            for k in range(DIM):
-                total = [0] * DIM
-                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
-                    # += [[b_x, b_y], b_z]
-                    for l, c in rows[x][y]:
-                        for u, d in rows[l][z]:
-                            total[u] += c * d
-                if any(total):
-                    failures.append(
-                        "Jacobi fails at "
-                        f"({names[i]}, {names[j]}, {names[k]})"
-                    )
+    for i, j, k in combinations(range(DIM), 3):
+        total = [0] * DIM
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            # += [[b_x, b_y], b_z]
+            for l, c in rows[x][y]:
+                for u, d in rows[l][z]:
+                    total[u] += c * d
+        if any(total):
+            failures.append(
+                f"Jacobi fails at ({names[i]}, {names[j]}, {names[k]})"
+            )
     return failures
 
 
@@ -408,6 +418,8 @@ def kr1_highest_vector() -> KElement:
 
 def kr1_action(x, power: int, v: KElement) -> KElement:
     """(x (x) t^power) applied to (y, a); zero for power >= 2."""
+    if type(power) is not int or power < 0:
+        raise ValueError(f"power must be a nonnegative int, got {power!r}")
     y, _ = v
     if power == 0:
         return (bracket(x, y), 0)

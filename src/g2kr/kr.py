@@ -468,8 +468,8 @@ def _peel(region: _Region):
     return None
 
 
-def _region_counts(family: Family, top: int, start=0) -> Iterator[tuple]:
-    """The closed form of U1 or T2 for m = start, ..., top, in packed form.
+def _region_counts(family: Family, top: int) -> Iterator[tuple]:
+    """The closed form of U1 or T2 for m = 0, ..., top, in packed form.
 
     Yields (m, (packing, counts)) for each m: counts is a new Counter of
     the keys of region(m) under packing.  Where r_i peels off the region
@@ -485,7 +485,7 @@ def _region_counts(family: Family, top: int, start=0) -> Iterator[tuple]:
     _check_m(top, "top")
     peel = _peel(region)
     if peel is None or min(d for _, d in region.constraints) < 0:
-        for m in range(start, top + 1):
+        for m in range(top + 1):
             yield m, _count(region, m)
         return
     i, p = peel
@@ -495,7 +495,7 @@ def _region_counts(family: Family, top: int, start=0) -> Iterator[tuple]:
         *region.constraints, (tuple(-int(n == i) for n in range(4)), 0)
     ))
     earlier = deque(maxlen=p)  # the counts of m - p, ..., m - 1
-    for m in range(start, top + 1):
+    for m in range(top + 1):
         if len(earlier) < p:
             counts = Counter(_keys(region, m, row))
         else:

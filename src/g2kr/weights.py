@@ -125,11 +125,12 @@ def inner(v: Weight, w: Weight) -> int:
 def simple_reflection(i: int, w: Weight) -> Weight:
     """Reflection in the hyperplane orthogonal to alpha_i, i in {1, 2}."""
     a, b = w
-    if i == 1:
-        return Weight(-a, a + b)
-    if i == 2:
-        return Weight(a + 3 * b, -b)
-    raise ValueError(f"simple reflection index must be 1 or 2, got {i!r}")
+    if type(i) is int:
+        if i == 1:
+            return Weight(-a, a + b)
+        if i == 2:
+            return Weight(a + 3 * b, -b)
+    raise ValueError(f"simple reflection index i must be 1 or 2, got {i!r}")
 
 
 #: Weight(a, b) from the pair (a, b) of ints, without the type check of
@@ -189,8 +190,9 @@ def coroot_coefficients(root: Weight) -> tuple[int, int]:
 
 def pairing(w: Weight, i: int) -> int:
     """Evaluation w(h_i) against the simple coroots, i in {1, 2}."""
-    if i == 1:
-        return w.a
-    if i == 2:
-        return w.b
-    raise ValueError(f"coroot index must be 1 or 2, got {i!r}")
+    if type(i) is int:
+        if i == 1:
+            return w.a
+        if i == 2:
+            return w.b
+    raise ValueError(f"coroot index i must be 1 or 2, got {i!r}")

@@ -36,7 +36,14 @@ from g2kr.chevalley import (
     x_minus,
     x_plus,
 )
-from g2kr.weights import ALL_ROOTS, OMEGA2, POSITIVE_ROOTS, Weight, pairing
+from g2kr.weights import (
+    ALL_ROOTS,
+    OMEGA2,
+    POSITIVE_ROOTS,
+    Weight,
+    pairing,
+    simple_reflection,
+)
 
 
 def vec_of(index, coeff=1):
@@ -359,6 +366,103 @@ def _implied_failures():
     return failures
 
 
+def _ordered_failures():
+    """Antisymmetry on every ordered pair and Jacobi on every ordered
+    triple of basis elements: the oracle of `verify_structure`, which
+    checks each of these identities once."""
+    rows, names = chevalley.build_bracket_table().rows, BASIS_NAMES
+    failures = []
+    for i in range(DIM):
+        for j in range(DIM):
+            if rows[i][j] != tuple((k, -c) for k, c in rows[j][i]):
+                failures.append(
+                    f"antisymmetry fails at ({names[i]}, {names[j]})"
+                )
+    # Jacobi identity on every ordered triple of basis elements.
+    for i in range(DIM):
+        for j in range(DIM):
+            for k in range(DIM):
+                total = [0] * DIM
+                for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+                    # += [[b_x, b_y], b_z]
+                    for l, c in rows[x][y]:
+                        for u, d in rows[l][z]:
+                            total[u] += c * d
+                if any(total):
+                    failures.append(
+                        "Jacobi fails at "
+                        f"({names[i]}, {names[j]}, {names[k]})"
+                    )
+    return failures
+
+
+def _identity_lines(failures):
+    """(antisymmetry lines, Jacobi lines) of a list of failures."""
+    return tuple(
+        [f for f in failures if f.startswith(kind)]
+        for kind in ("antisymmetry", "Jacobi")
+    )
+
+
+def _unordered(lines):
+    """The set of unordered name pairs of antisymmetry lines."""
+    return {frozenset(f[f.index("(") + 1:-1].split(", ")) for f in lines}
+
+
+def test_each_identity_once_agrees_with_ordered_oracle(monkeypatch):
+    # seeded tables: the real one with a random set of basis vectors
+    # negated (still a Lie algebra), then in 4 of 5 cases a constant added
+    # at (i, j, k), with or without its antisymmetric partner, and every
+    # fifth fault at a diagonal cell (no partner there); `verify_structure`
+    # has antisymmetry or Jacobi lines exactly when the ordered oracle
+    # does, names the same unordered pairs, prints only lines the oracle
+    # prints and, on an antisymmetric table, fails Jacobi exactly when the
+    # oracle does
+    assert _ordered_failures() == []
+    good = build_bracket_table()
+    rng = random.Random(4)
+    kinds = {"clean": 0, "jacobi-only": 0, "antisymmetry": 0, "diagonal": 0}
+    for n in range(320):
+        sign = [rng.choice((-1, 1)) for _ in range(DIM)]
+        rows = [
+            [tuple((k, sign[i] * sign[j] * sign[k] * c) for k, c in cell)
+             for j, cell in enumerate(row)]
+            for i, row in enumerate(good.rows)
+        ]
+        fault = None
+        if n % 5:
+            i, j, k = (rng.randrange(DIM) for _ in range(3))
+            if n % 5 == 1:
+                j = i
+            delta = rng.choice((-2, -1, 1, 2))
+            partner = i != j and rng.random() < 0.5
+            fault = (i, j, k, delta, partner)
+            for a, b, d in ((i, j, delta), (j, i, -delta))[:1 + partner]:
+                cell = dict(rows[a][b])
+                cell[k] = cell.get(k, 0) + d
+                rows[a][b] = tuple(kc for kc in sorted(cell.items()) if kc[1])
+        _use_table(monkeypatch, rows)
+        oracle = _ordered_failures()
+        anti, jacobi = _identity_lines(verify_structure())
+        oracle_anti, oracle_jacobi = _identity_lines(oracle)
+        assert bool(anti or jacobi) == bool(oracle), fault
+        assert _unordered(anti) == _unordered(oracle_anti), fault
+        assert set(anti + jacobi) <= set(oracle), fault
+        if not anti:
+            assert bool(jacobi) == bool(oracle_jacobi), fault
+        if not oracle:
+            kinds["clean"] += 1
+        elif anti:
+            kinds["antisymmetry"] += 1
+            kinds["diagonal"] += fault[0] == fault[1]
+        else:
+            kinds["jacobi-only"] += 1
+    # the clean tables are the 64 unfaulted ones; 78 faults sit at a
+    # diagonal cell
+    assert kinds == {"clean": 64, "jacobi-only": 90, "antisymmetry": 166,
+                     "diagonal": 78}
+
+
 def _failed_entries():
     """The `chevalley-*` entries that `g2kr verify chevalley` fails; it
     must exit 1."""
@@ -452,7 +556,7 @@ def test_doubled_structure_constant_is_caught(monkeypatch):
     i, j = X_PLUS[0], X_PLUS[1]
     _use_table(monkeypatch, _scaled_rows(2, (i, j), (j, i)))
     assert _failure_counts() == {
-        "structure": 66,
+        "structure": 11,
         "killing": 2,
         "kr-relations": 0,
         "adjoint-weights": 0,
@@ -469,7 +573,7 @@ def test_flipped_cartan_bracket_is_caught(monkeypatch):
     # [h1, x+a1] and its antisymmetric partner negated
     _use_table(monkeypatch, _scaled_rows(-1, (H1, X_PLUS[0]), (X_PLUS[0], H1)))
     assert _failure_counts() == {
-        "structure": 85,
+        "structure": 15,
         "killing": 1,
         "kr-relations": 0,
         "adjoint-weights": 1,
@@ -495,7 +599,7 @@ def test_non_eigenvector_is_reported_not_raised(monkeypatch, capsys):
     with pytest.raises(ArithmeticError, match="not an ad"):
         adjoint_weights()
     assert _failure_counts() == {
-        "structure": 109,
+        "structure": 19,
         "killing": 1,
         "kr-relations": 0,
         "adjoint-weights": 1,
@@ -525,7 +629,7 @@ def test_tripled_coroot_bracket_is_caught(monkeypatch):
     i, j = X_PLUS[2], X_MINUS[2]
     _use_table(monkeypatch, _scaled_rows(3, (i, j), (j, i)))
     assert _failure_counts() == {
-        "structure": 85,
+        "structure": 15,
         "killing": 1,
         "kr-relations": 0,
         "adjoint-weights": 0,
@@ -647,3 +751,32 @@ def test_extraction_rejects_a_misplaced_matrix(monkeypatch, index, moved,
 def test_cartan_index_out_of_range():
     with pytest.raises(ValueError, match="must be 1 or 2, got 3"):
         cartan(3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: basis_vector(14), r"basis index i must be .*, got 14"),
+        (lambda: basis_vector(-1), r"basis index i must be .*, got -1"),
+        (lambda: basis_vector(True), "basis index i .*, got True"),
+        (lambda: x_plus(-1), r"root_index must be an int in 0\.\.5, got -1"),
+        (lambda: x_plus(6), r"root_index must be an int in 0\.\.5, got 6"),
+        (lambda: x_minus(True), "root_index .*, got True"),
+        (lambda: cartan(True), "coroot index i must be 1 or 2, got True"),
+        (lambda: pairing(OMEGA2, True), "coroot index i .*, got True"),
+        (lambda: simple_reflection(True, OMEGA2),
+         "simple reflection index i .*, got True"),
+        (lambda: kr1_action(x_plus(0), -1, K_ZERO),
+         "power must be a nonnegative int, got -1"),
+        (lambda: kr1_action(x_plus(0), False, K_ZERO),
+         "power .*, got False"),
+    ],
+    ids=["basis-14", "basis-neg", "basis-bool", "x-plus-neg", "x-plus-6",
+         "x-minus-bool", "cartan-bool", "pairing-bool", "reflection-bool",
+         "power-neg", "power-bool"],
+)
+def test_helpers_reject_bad_indices(call, message):
+    # each index is checked: no zero vector, wrapped index, bare
+    # IndexError or bool passed off as 1 or 0
+    with pytest.raises(ValueError, match=message):
+        call()
