@@ -52,7 +52,7 @@ class Character:
             items = terms.items() if hasattr(terms, "items") else terms
             for w, m in items:
                 if type(w) is not Weight:
-                    w = Weight(*w)
+                    w = _as_weight(w, "character key")
                 data[w] = data.get(w, 0) + m
         self._terms = {w: m for w, m in data.items() if m}
 
@@ -70,7 +70,7 @@ class Character:
         return self._terms.keys()
 
     def __getitem__(self, w) -> int:
-        return self._terms.get(Weight(*w), 0)
+        return self._terms.get(_as_weight(w, "character key"), 0)
 
     def __len__(self):
         return len(self._terms)
@@ -124,19 +124,27 @@ def multiply(c1: Character, c2: Character) -> Character:
     return Character(out)
 
 
+def _as_weight(w, name: str) -> Weight:
+    """w as a Weight; ValueError naming it unless it is a pair of ints."""
+    if type(w) is Weight:
+        return w
+    try:
+        a, b = w
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair of ints, got {w!r}") from None
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"{name} must have int coordinates, got {w!r}")
+    return Weight(a, b)
+
+
 def _highest_weight(lam, name: str) -> Weight:
     """lam as a dominant Weight; ValueError naming the argument otherwise."""
-    try:
-        a, b = lam
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a pair of ints, got {lam!r}") from None
-    if type(a) is bool or type(b) is bool or not (
-        isinstance(a, int) and isinstance(b, int)
-    ):
-        raise ValueError(f"{name} must have int coordinates, got {lam!r}")
-    if a < 0 or b < 0:
-        raise ValueError(f"highest weight {name} ({a},{b}) is not dominant")
-    return Weight(a, b)
+    lam = _as_weight(lam, name)
+    if lam.a < 0 or lam.b < 0:
+        raise ValueError(
+            f"highest weight {name} ({lam.a},{lam.b}) is not dominant"
+        )
+    return lam
 
 
 def weyl_dim(lam: Weight) -> int:

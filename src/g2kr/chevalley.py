@@ -40,6 +40,13 @@ reads (w_j + w_k - w_l)(h) c_l = 0 for each term c_l b_l of [b_j, b_k],
 and invariance at (h, b_j, b_k) reads (w_j + w_k)(h) <b_j, b_k> = 0.
 Neither is checked a second time here.
 
+The basis weights are not read back from the table either.  With no
+eigenvalue failure each cell [h_i, b_j] is exactly BASIS_WEIGHTS[j](h_i)
+b_j, so the table's weights are BASIS_WEIGHTS; with one, `structure`
+fails and so does the whole run.  The `adjoint-weights` check therefore
+compares BASIS_WEIGHTS, as a multiset, with ch V(omega2): it ties the
+root data of `weights` to Racah's formula.
+
 Nor is any identity checked twice: antisymmetry once per pair i <= j,
 Jacobi once per triple i < j < k.  The Jacobi sum J is cyclic, and on an
 antisymmetric table J(j, i, k) = -J(i, j, k) and J(i, i, k) = 0, so every
@@ -49,7 +56,7 @@ antisymmetric fails anyway.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 from math import gcd
@@ -356,26 +363,6 @@ def verify_killing() -> list[str]:
     return failures
 
 
-def adjoint_weights() -> list[Weight]:
-    """Weights of the basis under ad(h1), ad(h2).
-
-    Raises ArithmeticError if a basis vector is not an eigenvector.
-    """
-    rows, names = build_bracket_table().rows, BASIS_NAMES
-    out = []
-    for j in range(DIM):
-        coeffs = []
-        for hidx in (H1, H2):
-            cell = rows[hidx][j]
-            if any(c for k, c in cell if k != j):
-                raise ArithmeticError(
-                    f"{names[j]} is not an ad({names[hidx]}) eigenvector"
-                )
-            coeffs.append(dict(cell).get(j, 0))
-        out.append(Weight(coeffs[0], coeffs[1]))
-    return out
-
-
 # --- exact rank / span utilities -------------------------------------------
 
 def _rank(rows) -> int:
@@ -475,14 +462,7 @@ def verify_all() -> dict[str, list[str]]:
         "killing": verify_killing(),
         "kr-relations": verify_kr1_relations(),
     }
-    try:
-        weights = adjoint_weights()
-    except ArithmeticError as exc:
-        checks["adjoint-weights"] = [str(exc)]
-        return checks
-    adjoint = {}
-    for w in weights:
-        adjoint[w] = adjoint.get(w, 0) + 1
+    adjoint = dict(Counter(BASIS_WEIGHTS))
     expected = dict(irreducible_character(OMEGA2).items())
     checks["adjoint-weights"] = (
         []

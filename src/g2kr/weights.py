@@ -28,6 +28,10 @@ from functools import partial
 _tuple_new = tuple.__new__
 
 
+def _not_a_weight(a, b) -> ValueError:
+    return ValueError(f"a weight is two ints, got ({a!r}, {b!r})")
+
+
 class Weight(namedtuple("Weight", "a b")):
     """Lattice point a*omega1 + b*omega2; a and b are ints (bool excluded)."""
 
@@ -36,7 +40,7 @@ class Weight(namedtuple("Weight", "a b")):
     def __new__(cls, a, b):
         if type(a) is int is type(b):
             return _tuple_new(cls, (a, b))
-        raise ValueError(f"a weight is two ints, got ({a!r}, {b!r})")
+        raise _not_a_weight(a, b)
 
     # `_replace` builds through `_make`, so both get the check too.
     @classmethod
@@ -144,9 +148,12 @@ def weyl_orbit(w: Weight) -> frozenset[Weight]:
     The images of w = (a, b) under 1, s1, s2 s1, s1 s2 s1, s2 s1 s2 s1 and
     s1 s2 s1 s2 s1 are (a, b), (-a, a+b), (2a+3b, -a-b), (-2a-3b, a+2b),
     (a+3b, -a-2b) and (-a-3b, b); the orbit is those and their negatives
-    (the longest element is -1).
+    (the longest element is -1).  ValueError unless a and b are ints, as
+    for `Weight`.
     """
     a, b = w
+    if type(a) is not int or type(b) is not int:
+        raise _not_a_weight(a, b)
     c = a + b
     d = c + b
     e = d + b
@@ -163,12 +170,16 @@ def dominant_chamber(w: Weight) -> tuple[int, int, int]:
 
     On a wall (a or b zero) x is not unique and the sign is that of the
     reflections taken.  At most 6 reflections are needed (the length of
-    the longest element).
+    the longest element).  ValueError unless a and b are ints, as for
+    `Weight`.
     """
     a, b = w
+    if type(a) is not int or type(b) is not int:
+        raise _not_a_weight(a, b)
     sign = 1
     while a < 0 or b < 0:
-        a, b = simple_reflection(1 if a < 0 else 2, (a, b))
+        # s1 or s2, as in `simple_reflection`
+        a, b = (-a, a + b) if a < 0 else (a + 3 * b, -b)
         sign = -sign
     return a, b, sign
 

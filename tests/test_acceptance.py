@@ -169,14 +169,11 @@ def test_criterion_09_chevalley_suite():
     start = time.perf_counter()
     assert chevalley.verify_structure() == []
     assert chevalley.verify_killing() == []
-    counted = {}
-    for w in chevalley.adjoint_weights():
-        counted[w] = counted.get(w, 0) + 1
-    assert counted == dict(irreducible_character(OMEGA2).items())
+    assert chevalley.verify_all()["adjoint-weights"] == []
     assert chevalley.verify_kr1_relations() == []
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
-    _report(9, f"Jacobi on 14^3 triples, Killing root lengths and "
+    _report(9, f"Jacobi on 364 triples i<j<k, Killing root lengths and "
                f"nondegeneracy, adjoint weights = ch V(w2), module relations "
                f"({elapsed:.2f} s)")
 

@@ -49,6 +49,23 @@ def test_character_canonical_form():
     assert repr(Character()) == "Character({})"
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [((1, 0, 2), r"pair of ints, got \(1, 0, 2\)"),
+     ((1,), r"pair of ints, got \(1,\)"),
+     (5, "pair of ints, got 5"),
+     ((1.0, 2), r"int coordinates, got \(1\.0, 2\)"),
+     ((True, 0), r"int coordinates, got \(True, 0\)")],
+    ids=["three", "one", "int", "float", "bool"],
+)
+def test_character_key_must_be_an_int_pair(key, message):
+    # a ValueError naming the key, at construction and at lookup
+    with pytest.raises(ValueError, match="character key must .*" + message):
+        Character({key: 1})
+    with pytest.raises(ValueError, match="character key must .*" + message):
+        Character({(1, 0): 1})[key]
+
+
 def test_fundamental_characters_match_root_data():
     c1 = irreducible_character(OMEGA1)
     assert c1.mass() == 7

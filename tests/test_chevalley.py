@@ -1,6 +1,7 @@
 import io
 import json
 import random
+from collections import Counter
 from contextlib import redirect_stdout
 from math import gcd
 
@@ -21,7 +22,6 @@ from g2kr.chevalley import (
     BASIS_NAMES,
     BASIS_WEIGHTS,
     BracketTable,
-    adjoint_weights,
     basis_vector,
     bracket,
     build_bracket_table,
@@ -168,12 +168,35 @@ def test_trace_form_is_the_trace_of_dense_ad_products():
     assert changed == 23
 
 
+def _adjoint_weights() -> list[Weight]:
+    """Weights of the basis under ad(h1), ad(h2).
+
+    Raises ArithmeticError if a basis vector is not an eigenvector.  The
+    table's own weights: the oracle of the `adjoint-weights` check, which
+    takes BASIS_WEIGHTS since the eigenvalue check of `verify_structure`
+    pins these cells.
+    """
+    rows, names = chevalley.build_bracket_table().rows, BASIS_NAMES
+    out = []
+    for j in range(DIM):
+        coeffs = []
+        for hidx in (H1, H2):
+            cell = rows[hidx][j]
+            if any(c for k, c in cell if k != j):
+                raise ArithmeticError(
+                    f"{names[j]} is not an ad({names[hidx]}) eigenvector"
+                )
+            coeffs.append(dict(cell).get(j, 0))
+        out.append(Weight(coeffs[0], coeffs[1]))
+    return out
+
+
 def test_adjoint_weights_match_adjoint_character():
-    counted = {}
-    for w in adjoint_weights():
-        counted[w] = counted.get(w, 0) + 1
+    assert _adjoint_weights() == list(BASIS_WEIGHTS)
+    counted = Counter(_adjoint_weights())
     assert counted == dict(irreducible_character(OMEGA2).items())
     assert counted[Weight(0, 0)] == 2
+    assert verify_all()["adjoint-weights"] == []
 
 
 def test_kr1_action_formula():
@@ -551,6 +574,60 @@ def test_grading_and_orthogonality_are_implied(monkeypatch):
     assert flagged == 268
 
 
+def test_eigenvalue_check_pins_the_table_weights(monkeypatch):
+    # seeded faults, every fourth in the h1 or h2 row: a constant changed
+    # (added at k = j in an empty cell), moved to another k, or the cell
+    # zeroed, each with or without its antisymmetric partner; whenever the
+    # table-reading oracle raises or its weights differ from ch V(omega2),
+    # `verify_structure` has an eigenvalue line, and without one the
+    # oracle's weights are BASIS_WEIGHTS
+    good = build_bracket_table()
+    adjoint = Counter(dict(irreducible_character(OMEGA2).items()))
+    rng = random.Random(5)
+    kinds = Counter()
+    for n in range(240):
+        rows = [list(row) for row in good.rows]
+        i = rng.choice((H1, H2)) if n % 4 == 0 else rng.randrange(DIM)
+        change = rng.choice(("value", "move", "zero"))
+        if change == "value":
+            j = rng.randrange(DIM)
+        else:
+            j = rng.choice([j for j in range(DIM) if good.rows[i][j]])
+        cell = dict(rows[i][j])
+        if change == "value":
+            k = rng.choice(sorted(cell)) if cell else j
+            cell[k] = cell.get(k, 0) + rng.choice((-2, -1, 1, 2))
+        elif change == "move":
+            k = rng.choice(sorted(cell))
+            to = rng.choice([u for u in range(DIM) if u != k])
+            cell[to] = cell.get(to, 0) + cell.pop(k)
+        else:
+            cell = {}
+        rows[i][j] = tuple(kc for kc in sorted(cell.items()) if kc[1])
+        partner = i != j and rng.random() < 0.5
+        if partner:
+            rows[j][i] = tuple((k, -c) for k, c in rows[i][j])
+        fault = (i, j, change, partner, rows[i][j])
+        _use_table(monkeypatch, rows)
+        try:
+            weights = _adjoint_weights()
+        except ArithmeticError:
+            weights = None
+        eigenvalue = [f for f in verify_structure() if "eigenvalue" in f]
+        if weights is None or Counter(weights) != adjoint:
+            assert eigenvalue, fault
+        if not eigenvalue:
+            assert weights == list(BASIS_WEIGHTS), fault
+        kinds["h row"] += i in (H1, H2) or (partner and j in (H1, H2))
+        kinds["raises" if weights is None
+              else "differs" if Counter(weights) != adjoint
+              else "permuted" if weights != list(BASIS_WEIGHTS)
+              else "same"] += 1
+    # each of the 97 faults that touch an h row makes the oracle raise or
+    # differ: a check that read the weights back would fail all of them
+    assert kinds == {"h row": 97, "raises": 42, "differs": 55, "same": 143}
+
+
 def test_doubled_structure_constant_is_caught(monkeypatch):
     # [x+a1, x+a2] and its antisymmetric partner doubled
     i, j = X_PLUS[0], X_PLUS[1]
@@ -576,7 +653,7 @@ def test_flipped_cartan_bracket_is_caught(monkeypatch):
         "structure": 15,
         "killing": 1,
         "kr-relations": 0,
-        "adjoint-weights": 1,
+        "adjoint-weights": 0,
         "module-axiom": 216,
         "implied": 0,
     }
@@ -584,44 +661,39 @@ def test_flipped_cartan_bracket_is_caught(monkeypatch):
         "[h1, x+[1,0]] has wrong eigenvalue",
         "Jacobi fails at (x+[1,0], x+[0,1], h1)",
     ]
-    assert verify_all()["adjoint-weights"][0].startswith(
-        "adjoint weights {Weight(a=-2, b=-1): 1, Weight(a=-3, b=2): 1,"
-    )
 
 
 def test_non_eigenvector_is_reported_not_raised(monkeypatch, capsys):
-    # [h1, x+a1] = 2*x+a2 and its antisymmetric partner: adjoint_weights
-    # raises, and verify_all records its message as the check's failure
+    # [h1, x+a1] = 2*x+a2 and its antisymmetric partner: the table-reading
+    # oracle raises, and `verify chevalley` reports the fault through the
+    # eigenvalue check of `structure` (exit 1), not `adjoint-weights`
     rows = [list(row) for row in build_bracket_table().rows]
     rows[H1][X_PLUS[0]] = ((X_PLUS[1], 2),)
     rows[X_PLUS[0]][H1] = ((X_PLUS[1], -2),)
     _use_table(monkeypatch, rows)
     with pytest.raises(ArithmeticError, match="not an ad"):
-        adjoint_weights()
+        _adjoint_weights()
     assert _failure_counts() == {
         "structure": 19,
         "killing": 1,
         "kr-relations": 0,
-        "adjoint-weights": 1,
+        "adjoint-weights": 0,
         "module-axiom": 236,
         "implied": 2,
     }
+    assert verify_structure()[0] == "[h1, x+[1,0]] has wrong eigenvalue"
     # the bad cell breaks the grading too; `structure` reports that through
     # the eigenvalue check and Jacobi, not as grading lines of its own
     assert _implied_failures() == [
         "grading fails at (x+[1,0], h1)",
         "grading fails at (h1, x+[1,0])",
     ]
-    assert verify_all()["adjoint-weights"] == [
-        "x+[1,0] is not an ad(h1) eigenvector"
-    ]
     assert main(["verify", "chevalley", "--format", "json"]) == 1
     entries = json.loads(capsys.readouterr().out)["checks"]
-    assert {
-        "check": "chevalley-adjoint-weights",
-        "ok": False,
-        "failures": ["x+[1,0] is not an ad(h1) eigenvector"],
-    } in entries
+    assert {"check": "chevalley-adjoint-weights", "ok": True} in entries
+    structure, = (e for e in entries if e["check"] == "chevalley-structure")
+    assert not structure["ok"]
+    assert structure["failures"][0] == "[h1, x+[1,0]] has wrong eigenvalue"
 
 
 def test_tripled_coroot_bracket_is_caught(monkeypatch):
@@ -678,6 +750,28 @@ def test_zero_highest_vector_spans_nothing(monkeypatch):
         "degree-zero span of the highest vector has dimension 0, expected 14",
     ]
     assert _failed_entries() == {"chevalley-kr-relations"}
+
+
+def test_wrong_adjoint_character_fails_only_adjoint_weights(monkeypatch):
+    # ch V(omega2) served with its zero weight at multiplicity 1: the table
+    # is sound, and only the comparison of BASIS_WEIGHTS with the character
+    # sees the fault
+    from g2kr import characters
+
+    real = characters.irreducible_character
+
+    def faulty(lam):
+        terms = dict(real(lam).items())
+        if lam == OMEGA2:
+            terms[Weight(0, 0)] = 1
+        return characters.Character(terms)
+
+    monkeypatch.setattr(characters, "irreducible_character", faulty)
+    assert _failed_entries() == {"chevalley-adjoint-weights"}
+    failure, = verify_all()["adjoint-weights"]
+    assert failure.startswith("adjoint weights {")
+    assert "Weight(a=0, b=0): 2" in failure
+    assert failure.endswith("} differ from ch V(omega2)")
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,36 @@ def test_dominant_chamber_sign(w):
             assert dominant_chamber(simple_reflection(i, w)) == (a, b, -sign)
 
 
+def _chamber_by_reflections(w):
+    """`dominant_chamber` through `simple_reflection`: its oracle."""
+    sign = 1
+    while w[0] < 0 or w[1] < 0:
+        w = simple_reflection(1 if w[0] < 0 else 2, w)
+        sign = -sign
+    return (*w, sign)
+
+
+def test_dominant_chamber_matches_reflection_oracle():
+    # the point and the sign, on a grid with every chamber and wall
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            assert dominant_chamber((a, b)) == _chamber_by_reflections(
+                Weight(a, b))
+
+
+@pytest.mark.parametrize(
+    "w",
+    [(1.0, 2), (1.5, 0), (True, -1), (0, False), (2, "1"), (None, 0)],
+    ids=["float", "float-half", "bool", "bool-b", "str", "none"],
+)
+def test_weyl_helpers_reject_non_int_coordinates(w):
+    # checked once per call, as `Weight` checks them
+    with pytest.raises(ValueError, match=r"a weight is two ints, got \("):
+        weyl_orbit(w)
+    with pytest.raises(ValueError, match=r"a weight is two ints, got \("):
+        dominant_chamber(w)
+
+
 def test_dominance():
     assert is_dominant(Weight(0, 0))
     assert is_dominant(Weight(2, 1))
