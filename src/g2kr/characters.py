@@ -41,7 +41,9 @@ class Character:
 
     Stored sparsely: only nonzero multiplicities are kept, so structural
     equality is equality of characters.  Instances are immutable; all
-    arithmetic returns new objects.
+    arithmetic returns new objects.  Keys are pairs of ints, and
+    multiplicities and scale factors ints (bool excluded); anything else
+    raises ValueError naming it.
     """
 
     __slots__ = ("_terms",)
@@ -53,6 +55,10 @@ class Character:
             for w, m in items:
                 if type(w) is not Weight:
                     w = _as_weight(w, "character key")
+                if type(m) is not int:
+                    raise ValueError(
+                        f"character multiplicity must be an int, got {m!r}"
+                    )
                 data[w] = data.get(w, 0) + m
         self._terms = {w: m for w, m in data.items() if m}
 
@@ -94,6 +100,8 @@ class Character:
         return multiply(self, other)
 
     def scaled(self, k: int) -> "Character":
+        if type(k) is not int:
+            raise ValueError(f"scale factor must be an int, got {k!r}")
         return Character({w: k * m for w, m in self._terms.items()})
 
     def mass(self) -> int:

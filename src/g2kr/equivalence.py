@@ -26,10 +26,9 @@ from .kr import (
     _affine,
     _check_m,
     _check_quad,
+    _det,
     _packed_check,
     _region,
-    _signed,
-    _span,
 )
 
 
@@ -92,9 +91,11 @@ def class_members(family: Family, m: int, r) -> list[QuadIndex]:
         raise ValueError(
             f"{r} is not in the {region.family.value} region for m={m}"
         )
-    # each constraint's rate of change along the shift, split by sign
-    bounds = _signed(enumerate(_affine(region.constraints, 0, region.shift)))
-    steps = _span(values, *bounds)
+    # constraint n is values[n] + rate*t at step t: a positive rate bounds
+    # t below, a negative one above
+    pairs = list(zip(values, _affine(region.constraints, 0, region.shift)))
+    steps = range(max([-(v // rate) for v, rate in pairs if rate > 0]),
+                  min([v // -rate for v, rate in pairs if rate < 0]) + 1)
     (r1, r2, r3, r4), (s1, s2, s3, s4) = r, region.shift
     return [
         (r1 + t * s1, r2 + t * s2, r3 + t * s3, r4 + t * s4) for t in steps
@@ -116,19 +117,14 @@ def _certificate(region) -> tuple[str, ...]:
     # The signed 3x3 minors of the linear part of (wt, gr) span its kernel
     # over Q; equal to +-shift, a primitive vector, they make the integer
     # kernel Z*shift for every m.
-    a, b, c, d = zip(*(row for row, _ in region.wt_gr))
-    minors = (_det3(b, c, d), -_det3(a, c, d), _det3(a, b, d), -_det3(a, b, c))
+    columns = list(zip(*(row for row, _ in region.wt_gr)))
+    minors = tuple((-1) ** i * _det(columns[:i] + columns[i + 1:])
+                   for i in range(4))
     shift = region.shift
     if minors in (shift, tuple(-x for x in shift)) and gcd(*shift) == 1:
         return ()
     return (f"kernel certificate fails: signed minors {minors} of the "
             f"(wt, gr) rows are not +-shift {shift} with gcd 1",)
-
-
-def _det3(u, v, w) -> int:
-    # u . (v x w), indices mod 3
-    return sum(u[i] * (v[i - 2] * w[i - 1] - v[i - 1] * w[i - 2])
-               for i in range(3))
 
 
 def verify_partition(family: Family, m: int, graded=None) -> list[str]:

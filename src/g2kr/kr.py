@@ -15,18 +15,21 @@ Each family is defined once, in the `_REGIONS` table: the region's
 affine constraints, the affine (wt, gr) map and the shift vector, and the
 generating function's labels, terms, coefficients and class
 representatives.  Membership, enumeration, both forms of the graded
-character and the equivalence classes are all read off it.  The graded
-character never visits region points one by one.  (wt, gr) is packed
-into one int key, affine in the point, so along each run of r4 through
-the region the keys are an arithmetic progression, and C-level maps over
-r3 hand the runs of one (r1, r2) slab to a single Counter.  `_count`
-counts one region(m) whole, for a single m (`kr_graded_character`, a
-class check given no count).  `_region_counts` sweeps m by peeling
-(`_peel`): region(m) is region(m - p) moved by a unit vector e_i, whose
-keys all move by one constant, plus the face r_i = 0, which has O(m)
-slabs where the region has O(m^2).  The packed form stays inside this
-module: `conjecture_differences` and `_packed_check` (the class check's
-view of it) decode it only to report a difference.
+character and the equivalence classes are all read off it.  In (r, m)
+the region is a unimodular simplicial cone, whose five generators
+`_generators` derives from the constraints: the points of region(m) are
+the sums of generators whose degrees add up to m.  One generator, the
+slack, adds 1 to m and nothing to r, so region(m) is region(m - 1) and
+its face u = 0 (`_faces`).  The graded character never visits region
+points one by one in Python.  (wt, gr) is packed into one int key,
+linear in the point in m-free form, so a generator moves every key by
+one constant, and a face is a cascade of C-level maps over the four
+other generators.  `_count` counts the faces of one region(m) into one
+Counter (`kr_graded_character`, a class check given no count), and
+`_region_counts` sweeps m with one Counter that grows by each face.  The
+packed form stays inside this module: `conjecture_differences` and
+`_packed_check` (the class check's view of it) decode it only to report
+a difference.
 
 The second form is the generating function: the label (j, k, s) carries
 coefficient(m, j, k) copies of one irreducible, and the coefficients
@@ -43,7 +46,9 @@ from __future__ import annotations
 from collections import Counter, deque, namedtuple
 from collections.abc import Iterable, Iterator
 from enum import Enum
-from itertools import chain, repeat
+from functools import cache
+from itertools import chain, combinations, repeat
+from operator import add, mul, sub
 
 from .weights import OMEGA1, OMEGA2, Weight, weyl_orbit
 
@@ -237,73 +242,96 @@ def wt_gr(family: Family, m: int, r) -> tuple[Weight, int]:
     return Weight(a, b), grade
 
 
-def _span(values, lower, upper) -> range:
-    """The t with values[n] + s*t >= 0 for each (n, s) in lower and
-    values[n] - s*t >= 0 for each (n, s) in upper (every s > 0)."""
-    return range(
-        max([-(values[n] // s) for n, s in lower]),
-        min([values[n] // s for n, s in upper]) + 1,
+def _det(rows) -> int:
+    """The determinant of a square matrix of int tuples, by Laplace
+    expansion along its first row, skipping the zeros of that row."""
+    if not rows:
+        return 1
+    first, *rest = rows
+    return sum(
+        (-1) ** i * c * _det([row[:i] + row[i + 1:] for row in rest])
+        for i, c in enumerate(first) if c
     )
 
 
-def _signed(pairs) -> tuple[list, list]:
-    """(n, s) pairs with s != 0 as the (lower, upper) lists of `_span`."""
-    pairs = list(pairs)
-    return (
-        [(n, s) for n, s in pairs if s > 0],
-        [(n, -s) for n, s in pairs if s < 0],
-    )
+#: The generator (r, d) of the slack facet u = 0: one more m at the same r.
+_SLACK = ((0, 0, 0, 0), 1)
 
 
-def _slabs(region: _Region, m: int, rows=()) -> Iterator[tuple]:
-    """The region as slabs of fixed (r1, r2), in lexicographic order.
+@cache
+def _generators(region: _Region) -> tuple[tuple[QuadIndex, int], ...]:
+    """The five generators (r, d) of the region as a cone in (r, m), in the
+    order of their facet rows.  The points of region(m) are the sums of
+    generators, with repeats, whose degrees d add up to m: each point once.
 
-    Yields ((r1, r2), r3s, (n, dn), keys): r3s is the range of r3, and for
-    r3 in r3s the region points are (r1, r2, r3, r4) for the n + dn*r3
-    values of r4 from 0 on.  keys holds (v, dv, step) for each (c, d) of
-    rows: the row is v + dv*r3 at r4 = 0 and grows by step with r4.
-
-    r_i is bounded by the constraints nonzero at i with no positive later
-    coefficient: the later coordinates are >= 0, so dropping them loosens
-    such a constraint.  Each constraint is exact at its last nonzero
-    coordinate, so the loops give the region and nothing else.
+    Five constraints, as the rows (*c, d) of a matrix F on (r, m), give
+    them when det F = +-1 and every constraint is >= 0 at every column of
+    F^-1 = det F * adj F (no division): the cone is then unimodular and
+    simplicial, and the columns are its generators.  One of them must be
+    `_SLACK`, and each must have degree d >= 1, or region(m) is infinite.
+    Any other table raises ValueError naming the reason.
     """
-    constraints = region.constraints
-    b1, b2, b3, (lower, upper) = (
-        _signed(
-            (n, c[i]) for n, (c, _) in enumerate(constraints)
-            if max(c[i + 1:], default=0) <= 0
+    name = region.family.value
+    for facets in combinations([(*c, d) for c, d in region.constraints], 5):
+        det = _det(facets)
+        if det not in (1, -1):
+            continue
+        # column j of det F * adj F: its entry i is det F * (-1)^(i + j)
+        # times the minor of F without row j and column i
+        generators = []
+        for j in range(5):
+            others = facets[:j] + facets[j + 1:]
+            *r, d = (det * (-1) ** (i + j)
+                     * _det([row[:i] + row[i + 1:] for row in others])
+                     for i in range(5))
+            generators.append((tuple(r), d))
+        if all(min(_affine(region.constraints, d, r)) >= 0
+               for r, d in generators):
+            break
+    else:
+        raise ValueError(
+            f"the {name} region is not a unimodular simplicial cone in (r, m)"
         )
-        for i in range(4)
-    )
-    # r4 >= 0 and one bound r4 <= (affine in r3): a run's length is affine
-    if [constraints[n] for n, _ in lower] != [((0, 0, 0, 1), 0)] or (
-        [s for _, s in upper] != [1]
-    ):
-        raise ValueError("r4 needs r4 >= 0 and one unit bound")
-    ((top, _),) = upper
-    rows = constraints + tuple(rows)
-    c1, c2, c3, c4 = ([c[i] for c, _ in rows] for i in range(4))
-    key_rows = range(len(constraints), len(rows))
-    v0 = [d * m for _, d in rows]
-    for r1 in _span(v0, *b1):
-        v1 = [v + r1 * c for v, c in zip(v0, c1)]
-        for r2 in _span(v1, *b2):
-            v2 = [v + r2 * c for v, c in zip(v1, c2)]
-            keys = [(v2[k], c3[k], c4[k]) for k in key_rows]
-            yield (r1, r2), _span(v2, *b3), (v2[top] + 1, c3[top]), keys
+    if _SLACK not in generators:
+        raise ValueError(f"the {name} region has no slack facet: no "
+                         f"generator (0, 0, 0, 0, 1) of one more m")
+    for r, d in generators:
+        if d < 1:
+            raise ValueError(f"the {name} region is infinite: its generator "
+                             f"{(*r, d)} has degree {d} < 1")
+    return tuple(generators)
+
+
+def _faces(region: _Region, top: int, origin, move) -> Iterator[list]:
+    """face(m) for m = 0, ..., top: the points of region(m) on the slack's
+    facet u = 0, each as origin moved by the other generators of its sum;
+    move(r) moves one by the generator with r part r.
+
+    The slack moves no r, so region(m) is region(m - 1) and face(m),
+    disjoint: region(m) is face(0) + ... + face(m).  A face is a cascade
+    over the four other generators: the face with the first k of them is
+    the one with the first k - 1 at m plus the one with the first k at
+    m - d_k moved by generator k.  Int keys move by C-level maps, with no
+    Python step per point.
+    """
+    stages = [(move(r), deque(maxlen=d))
+              for r, d in _generators(region) if (r, d) != _SLACK]
+    for m in range(top + 1):
+        face = [origin] if m == 0 else []
+        for step, earlier in stages:  # earlier: the stage at m - d .. m - 1
+            if len(earlier) == earlier.maxlen:
+                face = [*face, *map(step, earlier[0])]
+            earlier.append(face)
+        yield face
 
 
 def enumerate_region(family: Family, m: int) -> list[QuadIndex]:
     """All quad indices of the family's region, in lexicographic order."""
     region = _region(family)
     _check_m(m)
-    return [
-        (r1, r2, r3, r4)
-        for (r1, r2), r3s, (n, dn), _ in _slabs(region, m)
-        for r3 in r3s
-        for r4 in range(n + dn * r3)
-    ]
+    faces = _faces(region, m, (0, 0, 0, 0),
+                   lambda r: lambda point: tuple(map(add, point, r)))
+    return sorted(chain.from_iterable(faces))
 
 
 def in_region(family: Family, m: int, r) -> bool:
@@ -326,32 +354,27 @@ def _ladder(family: Family, m: int) -> GradedDecomposition:
 #: of the m-free (a', b', grade').  The key is injective on the box of
 #: m-free values from low to low + radix - 1 in each coordinate, which
 #: `_packing` builds around the region's points.  A region point r has
-#: key row . r at every m, so moving the points of a count by e_i adds
-#: row[i] to each key.
+#: key row . r at every m.
 _Packing = namedtuple("_Packing", "radix low drift row")
 
 
-def _packing(region: _Region, m: int) -> _Packing:
+def _packing(region: _Region, top: int) -> _Packing:
     """The packing whose box holds the m-free (wt, gr) of the points of
-    region(m).
+    region(m) for every m <= top.
 
-    Each (wt, gr) row is affine on a slab, so its extremes over the slab
-    lie at the ends of its first and last run.
+    Such a point is a sum of generators (r, d) whose degrees add up to at
+    most top, the slack's included, and the slack adds 0.  So each m-free
+    value lies between the least and the greatest of top*v/d over the
+    generators' values v, rounded inwards to ints.  The box may be loose.
     """
-    linear = [c for c, _ in region.wt_gr]
-    columns = [], [], []
-    for _, r3s, (n, dn), keys in _slabs(region, m, [(c, 0) for c in linear]):
-        if r3s:
-            first, last = r3s[0], r3s[-1]
-            ends = n - 1 + dn * first, n - 1 + dn * last
-            for column, (v, dv, step) in zip(columns, keys):
-                v, w = v + dv * first, v + dv * last
-                column += v, w, v + step * ends[0], w + step * ends[1]
-    low = [min(column, default=0) for column in columns]
-    radix = 1 + max(max(column, default=0) - lo
-                    for column, lo in zip(columns, low))
+    values = [(_affine(region.wt_gr, 0, r), d)
+              for r, d in _generators(region)]
+    low = [min(-(-v[n] * top // d) for v, d in values) for n in range(3)]
+    high = [max(v[n] * top // d for v, d in values) for n in range(3)]
+    radix = 1 + max(map(sub, high, low))
     drift = [d for _, d in region.wt_gr]
     # the packed combination (a*radix + b)*radix + grade, coordinate-wise
+    linear = [c for c, _ in region.wt_gr]
     row = tuple((a * radix + b) * radix + g for a, b, g in zip(*linear))
     return _Packing(radix, low, drift, row)
 
@@ -387,36 +410,11 @@ def _decode(counts, packing: _Packing, m: int) -> GradedDecomposition:
     )
 
 
-def _runs(v, dv, step, r3s, run) -> Iterator[Iterable[int]]:
-    """The keys v + dv*r3 + step*r4 for r4 in range(n + dn*r3), (n, dn) =
-    run, one iterable for each r3 in r3s.
-
-    Along each run of r4 the keys are an arithmetic progression, and over
-    r3 the runs' ends are too: C-level maps over them make the runs, with
-    no Python step per point or per run.
-    """
-    k, t = len(r3s), r3s.start
-    n, dn = run
-    v, n = v + t * dv, n + t * dn
-    starts = _progression(v, dv, k)
-    if step:
-        ends = _progression(v + n * step, dv + dn * step, k)
-        return map(range, starts, ends, repeat(step))
-    return map(repeat, starts, _progression(n, dn, k))
-
-
-def _progression(start: int, step: int, n: int) -> Iterable[int]:
-    """start, start + step, ... (n terms; none if n <= 0)."""
-    if step:
-        return range(start, start + n * step, step)
-    return repeat(start, n)
-
-
 def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
     """Closed-form graded character in the irreducible basis.
 
     Counts the packed (wt, gr) keys of the region points in one C-level
-    pass, with no Python step per point or per run of r4 (`_count`).
+    pass over the faces of region(m) (`_count`).
     """
     family = Family(family)
     _check_m(m)
@@ -426,86 +424,33 @@ def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
     return _decode(counts, packing, m)
 
 
+def _key_faces(region: _Region, top: int, packing: _Packing):
+    """`_faces` of the packed keys under packing: row . r for a point r."""
+    return _faces(region, top, 0,
+                  lambda r: sum(map(mul, packing.row, r)).__add__)
+
+
 def _count(region: _Region, m: int) -> tuple:
     """(packing, counts) of region(m) counted whole: counts is one Counter
     of the keys of its points under the packing of region(m)."""
     packing = _packing(region, m)
-    return packing, Counter(_keys(region, m, packing.row))
-
-
-def _keys(region: _Region, m: int, row) -> Iterable[int]:
-    """row . r for each point r of region(m), as C-level maps over the
-    runs of each slab: no Python step per point or per run."""
-    return chain.from_iterable(chain.from_iterable(
-        _runs(v, dv, step, r3s, run)
-        for _, r3s, run, ((v, dv, step),) in _slabs(region, m, ((row, 0),))
-    ))
-
-
-def _peel(region: _Region):
-    """(i, p) for the first slab coordinate r_i (r1, then r2) that peels
-    off the region with step p, or None if neither does.
-
-    r_i peels with step p when r_i >= 0 is a constraint, column i is 0 in
-    every other constraint with d = 0, and column i is -p*d, for one
-    integer p >= 1, in every constraint with d != 0.  Adding e_i to a
-    point then changes every other constraint as m -> m - p does, so
-    {r in region(m) : r_i >= 1} = region(m - p) + e_i for every m, and the
-    rest of region(m) is its face r_i = 0, which has O(m) slabs where the
-    region has O(m^2).
-    """
-    constraints = region.constraints
-    for i in (0, 1):
-        floor = (tuple(int(n == i) for n in range(4)), 0)
-        others = [(c[i], d) for c, d in constraints if (c, d) != floor]
-        if len(others) == len(constraints) or any(
-            c for c, d in others if not d
-        ):
-            continue
-        steps = {-c // d if c % d == 0 else 0 for c, d in others if d}
-        if len(steps) == 1 and (p := steps.pop()) >= 1:
-            return i, p
-    return None
+    counts = Counter(chain.from_iterable(_key_faces(region, m, packing)))
+    return packing, counts
 
 
 def _region_counts(family: Family, top: int) -> Iterator[tuple]:
     """The closed form of U1 or T2 for m = 0, ..., top, in packed form.
 
-    Yields (m, (packing, counts)) for each m: counts is a new Counter of
-    the keys of region(m) under packing.  Where r_i peels off the region
-    with step p (`_peel`), count(m) is count(m - p) with every key moved
-    by the key of e_i, plus the count of the face r_i = 0 of region(m), so
-    the sweep walks only faces after its first p counts and holds only the
-    last p counts.  The moved keys keep the packing of region(top), which
-    holds them only while region(m) lies in region(top): every
-    constraint's d >= 0.  Any other table is counted whole at each m under
-    its own packing, as a single m is (`_count`).
+    Yields (m, (packing, counts)) for each m: counts is the Counter of the
+    keys of region(m) under the packing of region(top).  It is one Counter
+    that grows by face(m) at each m (`_faces`), so use it before the next.
     """
     region = _region(family)
     _check_m(top, "top")
-    peel = _peel(region)
-    if peel is None or min(d for _, d in region.constraints) < 0:
-        for m in range(top + 1):
-            yield m, _count(region, m)
-        return
-    i, p = peel
     packing = _packing(region, top)
-    row, shift = packing.row, packing.row[i]
-    face = region._replace(constraints=(
-        *region.constraints, (tuple(-int(n == i) for n in range(4)), 0)
-    ))
-    earlier = deque(maxlen=p)  # the counts of m - p, ..., m - 1
-    for m in range(top + 1):
-        if len(earlier) < p:
-            counts = Counter(_keys(region, m, row))
-        else:
-            moved = earlier[0]
-            counts = Counter()
-            # the moved keys are distinct: set them, with no dict between
-            dict.update(counts, zip(map(shift.__add__, moved),
-                                    moved.values()))
-            counts.update(_keys(face, m, row))
-        earlier.append(counts)
+    counts = Counter()
+    for m, face in enumerate(_key_faces(region, top, packing)):
+        counts.update(face)
         yield m, (packing, counts)
 
 

@@ -66,6 +66,35 @@ def test_character_key_must_be_an_int_pair(key, message):
         Character({(1, 0): 1})[key]
 
 
+@pytest.mark.parametrize(
+    "terms, message",
+    [({(1, 0): 1.5, (0, 0): True}, r"got 1\.5"),
+     ({(0, 0): True}, "got True"),
+     ([((1, 0), 2), ((1, 0), 1.0)], r"got 1\.0"),
+     ({(1, 0): "1"}, "got '1'")],
+    ids=["float", "bool", "float-pair", "str"],
+)
+def test_character_multiplicity_must_be_an_int(terms, message):
+    # the character ring stays integer-only: no float or bool enters it
+    with pytest.raises(ValueError,
+                       match="character multiplicity must be an int, "
+                       + message):
+        Character(terms)
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [(0.5, r"got 0\.5"), (True, "got True"), (2.0, r"got 2\.0")],
+    ids=["half", "bool", "float"],
+)
+def test_scale_factor_must_be_an_int(k, message):
+    c = Character({(1, 0): 2, (0, 0): 1})
+    with pytest.raises(ValueError,
+                       match="scale factor must be an int, " + message):
+        c.scaled(k)
+    assert c.scaled(-3) == Character({(1, 0): -6, (0, 0): -3})
+
+
 def test_fundamental_characters_match_root_data():
     c1 = irreducible_character(OMEGA1)
     assert c1.mass() == 7

@@ -661,14 +661,16 @@ def test_width_hint(monkeypatch, capsys):
 
 
 def test_unwalkable_region_is_one_error_line(monkeypatch, capsys):
-    # r4 <= m - r1 - r2 - r3 becomes 2*r4 <= ...: no run of r4 is affine
+    # r1 + r2 + r3 + r4 <= 2m: the region's lattice is not unimodular, so
+    # it has no five generators to count from
     region = _REGIONS[Family.T2]
-    *kept, (c, d) = region.constraints
+    *kept, (c, _) = region.constraints
     monkeypatch.setitem(_REGIONS, Family.T2, region._replace(
-        constraints=(*kept, ((*c[:3], -2), d))
+        constraints=(*kept, (c, 2))
     ))
     assert run(capsys, "kr", "--family", "t2", "--m", "2") == (
-        2, "", "error: r4 needs r4 >= 0 and one unit bound\n"
+        2, "", "error: the t2 region is not a unimodular simplicial cone "
+        "in (r, m)\n"
     )
 
 

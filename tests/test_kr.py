@@ -1,6 +1,8 @@
 import functools
 import itertools
 import logging
+import operator
+import re
 import subprocess
 import sys
 
@@ -16,7 +18,6 @@ from g2kr.kr import (
     Family,
     GradedDecomposition,
     _decode,
-    _peel,
     _region_counts,
     compare,
     conjecture_coefficient,
@@ -307,81 +308,184 @@ def test_closed_form_matches_per_point_oracle(family):
 
 
 @pytest.mark.parametrize(
-    "family, field, moved, peel",
+    "family, moved",
     [
         # b = r2 + r3 - r4 - m goes negative on the whole region
-        (Family.U1, "wt_gr", {1: ((0, 1, 1, -1), -1)}, (0, 2)),
+        (Family.U1, {1: ((0, 1, 1, -1), -1)}),
         # grades far above 3m
-        (Family.T2, "wt_gr", {2: ((5, 11, 7, 3), 9)}, (1, 1)),
+        (Family.T2, {2: ((5, 11, 7, 3), 9)}),
         # a with a negative drift: the m-free values move up the box
-        (Family.T2, "wt_gr", {0: ((1, 1, -1, 2), -2)}, (1, 1)),
-        # (wt, gr) constant along r4: each run is one key, repeated
-        (Family.U1, "wt_gr", {1: ((0, 1, 1, 0), 0), 2: ((1, 1, 2, 0), 0)},
-         (0, 2)),
-        # layers two points thick: T2 peels no more (-1 is not -p*2), U1
-        # peels r1 with p = 1
-        (Family.T2, "constraints", {5: ((-1, -1, -1, -1), 2)}, None),
-        (Family.U1, "constraints", {5: ((-2, -3, -3, 0), 2)}, (0, 1)),
-        # 3r1 + 3r2 + 3r3 <= 2m: -3 is not -p*2 for an integer p
-        (Family.U1, "constraints", {5: ((-3, -3, -3, 0), 2)}, None),
-        # a new constraint r3 >= 2r2 - m: r2 would peel with p = 1 and 2
-        (Family.T2, "constraints", {6: ((0, -2, 1, 0), 1)}, None),
+        (Family.T2, {0: ((1, 1, -1, 2), -2)}),
+        # (wt, gr) constant along r4: points that differ in r4 share a key
+        (Family.U1, {1: ((0, 1, 1, 0), 0), 2: ((1, 1, 2, 0), 0)}),
     ],
-    ids=["u1-b-negative", "t2-gr-large", "t2-a-drift", "u1-r4-kernel",
-         "t2-thick", "u1-thick", "u1-three-halves", "t2-r3-floor"],
+    ids=["u1-b-negative", "t2-gr-large", "t2-a-drift", "u1-r4-kernel"],
 )
-def test_mutated_table_still_packs(monkeypatch, family, field, moved, peel):
-    # the packing's box comes from the values, never from the family; a
-    # table that does not peel is counted whole at each m
+def test_mutated_table_still_packs(monkeypatch, family, moved):
+    # the packing's box comes from the generators' values, never from the
+    # family
     region = _REGIONS[family]
-    rows = {**dict(enumerate(getattr(region, field))), **moved}
-    mutated = region._replace(**{field: tuple(rows[n] for n in sorted(rows))})
-    assert _peel(mutated) == peel
-    monkeypatch.setitem(_REGIONS, family, mutated)
+    wt_gr_rows = tuple(moved.get(n, row) for n, row in enumerate(region.wt_gr))
+    monkeypatch.setitem(_REGIONS, family, region._replace(wt_gr=wt_gr_rows))
     oracles = [per_point(family, m) for m in range(13)]
     for top in (0, 1, 5, 12):
         assert swept(family, top) == oracles[:top + 1], top
     assert [kr_graded_character(family, m) for m in range(13)] == oracles
 
 
-@pytest.mark.parametrize("family, peel", [(Family.U1, (0, 2)),
-                                          (Family.T2, (1, 1))],
-                         ids=["u1", "t2"])
-def test_region_is_a_moved_region_and_a_face(monkeypatch, family, peel):
-    # {r in region(m) : r_i >= 1} = region(m - p) + e_i; the rest is the
-    # face: the table with one more row, r_i <= 0
+def _with_constraints(monkeypatch, family, moved):
+    # the family's table with constraint n replaced by moved[n] (appended
+    # past the end)
     region = _REGIONS[family]
-    assert _peel(region) == peel
-    i, p = peel
-    whole = [enumerate_region(family, m) for m in range(21)]
-    monkeypatch.setitem(_REGIONS, family, region._replace(constraints=(
-        *region.constraints, (tuple(-int(n == i) for n in range(4)), 0)
-    )))
-    for m, points in enumerate(whole):
-        face = enumerate_region(family, m)
-        assert face and all(r[i] == 0 for r in face), m
-        moved = [(*r[:i], r[i] + 1, *r[i + 1:])
-                 for r in (whole[m - p] if m >= p else [])]
-        assert sorted(moved + face) == points, m
+    rows = {**dict(enumerate(region.constraints)), **moved}
+    mutated = region._replace(constraints=tuple(rows[n] for n in sorted(rows)))
+    monkeypatch.setitem(_REGIONS, family, mutated)
+    return mutated
 
 
-@pytest.mark.parametrize("family, most", [(Family.T2, 1800),
-                                          (Family.U1, 500)],
-                         ids=["t2", "u1"])
-def test_sweep_walks_faces_not_regions(monkeypatch, family, most):
-    # a sweep to 40 walks region(40) once for its packing and then O(m)
-    # slabs per m; walking every slab of region(m) at each m takes 13,202
-    # (T2) and 2,436 (U1) slab steps
-    slabs, steps = kr._slabs, []
+_NOT_A_CONE = "is not a unimodular simplicial cone in (r, m)"
+
+
+@pytest.mark.parametrize(
+    "family, moved, reason",
+    [
+        # layers two points thick: the cone's lattice is not unimodular
+        (Family.T2, {5: ((-1, -1, -1, -1), 2)}, _NOT_A_CONE),
+        (Family.U1, {5: ((-2, -3, -3, 0), 2)}, _NOT_A_CONE),
+        # 3r1 + 3r2 + 3r3 <= 2m
+        (Family.U1, {5: ((-3, -3, -3, 0), 2)}, _NOT_A_CONE),
+        # a sixth facet r3 >= 2r2 - m
+        (Family.T2, {6: ((0, -2, 1, 0), 1)}, _NOT_A_CONE),
+        # r1 + r2 + r3 + r4 <= -m: region(m) shrinks as m grows
+        (Family.T2, {5: ((-1, -1, -1, -1), -1)},
+         "has no slack facet: no generator (0, 0, 0, 0, 1) of one more m"),
+        # r1 + r2 >= m: region(m) = {r1 + r2 = m, r3 = r4 = 0} moves with
+        # m, a cone of dimension 2
+        (Family.T2, {6: ((1, 1, 0, 0), -1)}, _NOT_A_CONE),
+        # r4 left out of the m row: every r4 >= 0 is in region(m)
+        (Family.T2, {5: ((-1, -1, -1, 0), 1)},
+         "is infinite: its generator (0, 0, 0, 1, 0) has degree 0 < 1"),
+    ],
+    ids=["t2-thick", "u1-thick", "u1-three-halves", "t2-r3-floor",
+         "t2-shrinking", "t2-moving", "t2-r4-free"],
+)
+def test_derivation_refuses_table(monkeypatch, family, moved, reason):
+    mutated = _with_constraints(monkeypatch, family, moved)
+    message = f"the {family.value} region {reason}"
+    with pytest.raises(ValueError) as refused:
+        kr._generators(mutated)
+    assert str(refused.value) == message
+    for count in (
+        lambda: kr_graded_character(family, 3),
+        lambda: enumerate_region(family, 3),
+        lambda: next(_region_counts(family, 3)),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            count()
+
+
+def test_derived_generators_count_another_cone(monkeypatch):
+    # r1 + r2 + r3 + 2r4 <= m is still a unimodular cone: it is counted,
+    # from the generators it gives, as the membership test filters a box
+    family = Family.T2
+    mutated = _with_constraints(monkeypatch, family,
+                                {5: ((-1, -1, -1, -2), 1)})
+    assert kr._generators(mutated)[2] == ((0, 0, 0, 1), 2)
+    for m in range(9):
+        box = itertools.product(range(m + 1), repeat=4)
+        assert enumerate_region(family, m) == [
+            r for r in box if in_region(family, m, r)
+        ], m
+    oracles = [per_point(family, m) for m in range(9)]
+    assert swept(family, 8) == oracles
+    assert [kr_graded_character(family, m) for m in range(9)] == oracles
+
+
+#: The generators (r, d) of ROADMAP item 2, checked by hand, with the
+#: (a, b, grade) of each at m = d: U1 for r1, r3, r4, v = r2 - r4 and
+#: u = m - 2r1 - 3r2 - 3r3; T2 for r2, r3, r4, w = r1 - r3 and
+#: u = m - r1 - r2 - r3 - r4.
+_GENERATORS = {
+    Family.U1: [((1, 0, 0, 0), 2, (1, 0, 1)), ((0, 0, 1, 0), 3, (0, 1, 2)),
+                ((0, 1, 0, 1), 3, (0, 0, 3)), ((0, 1, 0, 0), 3, (0, 1, 1)),
+                ((0, 0, 0, 0), 1, (1, 0, 0))],
+    Family.T2: [((0, 1, 0, 0), 1, (1, 0, 2)), ((1, 0, 1, 0), 2, (0, 1, 3)),
+                ((0, 0, 0, 1), 1, (0, 0, 3)), ((1, 0, 0, 0), 1, (1, 0, 1)),
+                ((0, 0, 0, 0), 1, (0, 1, 0))],
+}
+
+
+def nested_count(family, m):
+    """|region(m)| by nested loops over the raw inequalities."""
+    if family is Family.U1:  # r4 in 0..r2, 2r1 + 3r2 + 3r3 <= m
+        return sum(r2 + 1 for r1 in range(m // 2 + 1)
+                   for r2 in range((m - 2 * r1) // 3 + 1)
+                   for _ in range((m - 2 * r1 - 3 * r2) // 3 + 1))
+    # r3 <= r1, and r2 + r4 <= m - r1 - r3 in (n + 1)(n + 2)/2 ways
+    return sum((m - r1 - r3 + 1) * (m - r1 - r3 + 2) // 2
+               for r1 in range(m + 1) for r3 in range(min(r1, m - r1) + 1))
+
+
+@pytest.mark.parametrize("family", QUAD)
+def test_derived_generators_are_the_hand_checked_table(family):
+    table = _GENERATORS[family]
+    assert kr._generators(_REGIONS[family]) == tuple(
+        (r, d) for r, d, _ in table
+    )
+    for r, d, (a, b, grade) in table:
+        assert wt_gr(family, d, r) == (Weight(a, b), grade)
+    # |region(m)| is the x^m coefficient of the product of 1/(1 - x^d)
+    series = [1] + [0] * 40
+    for _, d, _ in table:
+        for m in range(d, 41):
+            series[m] += series[m - d]
+    for m in range(41):
+        points = enumerate_region(family, m)
+        assert len(set(points)) == len(points) == series[m], m
+        assert series[m] == nested_count(family, m), m
+
+
+def slack(family, m, r):
+    """u, the constraint whose facet is a region's face: m less the
+    m-weighted sum of r."""
+    r1, r2, r3, r4 = r
+    if family is Family.U1:
+        return m - 2 * r1 - 3 * r2 - 3 * r3
+    return m - r1 - r2 - r3 - r4
+
+
+@pytest.mark.parametrize("family", QUAD, ids=["u1", "t2"])
+def test_region_is_a_moved_region_and_a_face(family):
+    # region(m) is region(m - 1) moved by the slack generator, which keeps
+    # r, and the face u = 0, disjoint
+    faces = kr._faces(_REGIONS[family], 12, (0, 0, 0, 0),
+                      lambda r: lambda point: tuple(map(operator.add,
+                                                        point, r)))
+    earlier = set()
+    for m, face in enumerate(faces):
+        points = set(brute_region(family, m))
+        assert len(set(face)) == len(face), m
+        assert set(face) == {r for r in points if slack(family, m, r) == 0}
+        assert earlier.isdisjoint(face) and earlier | set(face) == points
+        earlier = points
+
+
+@pytest.mark.parametrize("family", [Family.T2, Family.U1], ids=["t2", "u1"])
+def test_sweep_walks_faces_not_regions(monkeypatch, family):
+    # a sweep to 40 moves each key of region(40) once: its faces hold
+    # exactly |region(40)| keys, where counting each region(m) afresh would
+    # take |region(0)| + ... + |region(40)|
+    size = nested_count(family, 40)
+    faces, sizes = kr._faces, []
 
     def counted(*args):
-        for slab in slabs(*args):
-            steps.append(slab)
-            yield slab
+        for face in faces(*args):
+            sizes.append(len(face))
+            yield face
 
-    monkeypatch.setattr(kr, "_slabs", counted)
+    monkeypatch.setattr(kr, "_faces", counted)
     assert [m for m, _ in _region_counts(family, 40)] == list(range(41))
-    assert len(steps) <= most
+    assert len(sizes) == 41 and sum(sizes) == size
 
 
 def _aliased(region, radix):
@@ -411,32 +515,6 @@ def test_packed_compare_sees_faults_keys_hide(monkeypatch, fault):
                        conjecture_graded_character(family, m))
     assert expected != []
     assert conjecture_differences(family, m, count) == expected
-
-
-def test_shrinking_region_sweeps_to_the_per_point_oracle(monkeypatch):
-    region = _REGIONS[Family.T2]
-    *kept, (c, _) = region.constraints
-    shrinking = region._replace(constraints=(*kept, (c, -1)))
-    assert _peel(shrinking) is None
-    monkeypatch.setitem(_REGIONS, Family.T2, shrinking)
-    oracles = [per_point(Family.T2, m) for m in range(4)]
-    assert oracles[0]
-    assert swept(Family.T2, 3) == oracles
-    assert [kr_graded_character(Family.T2, m) for m in range(4)] == oracles
-
-
-def test_moving_region_is_counted_whole(monkeypatch):
-    # r1 + r2 >= m keeps the peel of r2, but region(m) = {r1 + r2 = m,
-    # r3 = r4 = 0} leaves region(top): its keys are not in top's box
-    region = _REGIONS[Family.T2]
-    moving = region._replace(
-        constraints=(*region.constraints, ((1, 1, 0, 0), -1))
-    )
-    assert _peel(moving) == (1, 1)
-    monkeypatch.setitem(_REGIONS, Family.T2, moving)
-    oracles = [per_point(Family.T2, m) for m in range(9)]
-    assert [len(list(g.items())) for g in oracles] == list(range(1, 10))
-    assert swept(Family.T2, 8) == oracles
 
 
 @pytest.mark.parametrize("family", QUAD)
