@@ -252,7 +252,7 @@ def _verify_kr(conjecture_families, class_families, max_m):
     """Conjecture checks, then class checks, for each family and m <= max_m.
 
     The closed form of U1 and T2 is one region count per family, swept
-    over m (`kr._region_counts`), and serves both checks.
+    over m (`kr._region_counts`); the class checks count no region.
     """
     from .kr import (
         Family,
@@ -274,13 +274,18 @@ def _verify_kr(conjecture_families, class_families, max_m):
                       family=family.value, m=m)
 
     for family in Family:
-        checks_conjecture = family in conjecture_families
-        checks_classes = family in class_families
-        if checks_classes:
+        if family in class_families:
             from . import equivalence  # loaded only for the class checks
-        elif not checks_conjecture:
+
+            # raises ValueError for a ladder family: it has no classes
+            classes += [
+                _entry("classes", equivalence.verify_partition(family, m),
+                       family=family.value, m=m)
+                for m in range(max_m + 1)
+            ]
+        if family not in conjecture_families:
             continue
-        elif not family.quad_indexed:
+        if not family.quad_indexed:
             for m in range(max_m + 1):
                 diffs = compare(
                     kr_graded_character(family, m),
@@ -288,15 +293,9 @@ def _verify_kr(conjecture_families, class_families, max_m):
                 )
                 conjecture.append(conjecture_entry(family, m, diffs))
             continue
-        # raises ValueError for the classes of a ladder family: no region
         for m, count in _region_counts(family, max_m):
-            if checks_conjecture:
-                diffs = conjecture_differences(family, m, count, negatives)
-                conjecture.append(conjecture_entry(family, m, diffs))
-            if checks_classes:
-                failures = equivalence.verify_partition(family, m, count)
-                classes.append(_entry("classes", failures,
-                                      family=family.value, m=m))
+            diffs = conjecture_differences(family, m, count, negatives)
+            conjecture.append(conjecture_entry(family, m, diffs))
     negative_entries = [
         {"family": f.value, "m": m, "j": j, "k": k, "coefficient": c}
         for f, m, j, k, c in negatives

@@ -10,8 +10,10 @@ are the generating function's labels, and the canonical representatives
 r_{j,k,s} and the class sizes (the coefficients) come from the same
 table.  `verify_partition` machine-checks for a given m that these keys
 label each class exactly once: a kernel certificate valid for every m
-makes the classes the (wt, gr) fibres, and one counting pass over the
-keys does the rest, listing no class and enumerating no region point.
+makes the classes the (wt, gr) fibres, and one pass over the keys does
+the rest in r-space.  Each representative must be the least point of its
+class, the class must have the coefficient's size, and the sizes must
+add up to |region(m)|; no class is listed and no region point visited.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .kr import (
     _check_m,
     _check_quad,
     _det,
-    _packed_check,
     _region,
+    _region_size,
 )
 
 
@@ -127,49 +129,67 @@ def _certificate(region) -> tuple[str, ...]:
             f"(wt, gr) rows are not +-shift {shift} with gcd 1",)
 
 
-def verify_partition(family: Family, m: int, graded=None) -> list[str]:
-    """Check that the representative classes are the (wt, gr) fibres.
+def verify_partition(family: Family, m: int) -> list[str]:
+    """Check that the keys label the (wt, gr) fibres of region(m), each once.
 
-    Empty report iff the kernel certificate holds, the representatives lie
-    in the region with pairwise distinct (wt, gr), and the keys weighted by
-    `class_size_formula` give graded, which counts region points per
-    (wt, gr).  Then the classes of all keys partition the region into its
-    fibres, with the formula's sizes.  graded is the closed form at m: a
-    GradedDecomposition, the count that `kr._region_counts` yields for m,
-    or by default the region counted afresh.
+    Empty report iff the kernel certificate holds, each key's
+    representative is a region point that is the least point of its
+    shift-line class, the class has `class_size_formula` points, no two
+    keys share a representative, and the coefficients add up to
+    |region(m)|.
+    The certificate makes the classes the fibres, so the keys' classes
+    are then distinct fibres that cover the region: its partition, with
+    the formula's sizes.  A failed certificate is reported alone.
     """
     region = _region(family)
     _check_m(m)
-    row, differences = _packed_check(region, m, graded)
-    # One pass over the keys: each representative is checked against the
-    # constraints, and its (wt, gr) is the dot product with row.
     failures = list(_certificate(region))
-    bounds = [(*c, d * m) for c, d in region.constraints]
-    p1, p2, p3, p4 = row
-    owners, sizes = {}, {}
+    if failures:
+        return failures
+    points = _region_size(region, m)
+    # Constraint n is value + rate*t at step t along the shift.  A region
+    # point is the least of its class when some positive rate takes its
+    # value below 0 at t = -1, and the class then has 1 + min(value //
+    # -rate) points over the negative rates.  A zero rate only bounds.
+    rates = _affine(region.constraints, 0, region.shift)
+    rows = [(*c, d * m) for c, d in region.constraints]
+    lower = [(row, rate) for row, rate in zip(rows, rates) if rate >= 0]
+    upper = [(row, -rate) for row, rate in zip(rows, rates) if rate < 0]
+    owners, total = {}, 0
     for key in class_keys(region.family, m):
-        rep = region.representative(m, *key)
+        j, k, s = key
+        rep = region.representative(m, j, k, s)
+        owner = owners.setdefault(rep, key)
+        if owner is not key:  # a key listed twice shares it too
+            failures.append(
+                f"m={m} keys {owner} and {key} share the representative {rep}"
+            )
+        coefficient = region.coefficient(m, j, k)
+        total += coefficient
         r1, r2, r3, r4 = rep
-        for c1, c2, c3, c4, e in bounds:
-            if c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4 + e < 0:
-                failures.append(
-                    f"m={m} key {key}: {rep} is outside the region"
-                )
-                break
-        else:
-            point = p1 * r1 + p2 * r2 + p3 * r3 + p4 * r4
-            owner = owners.setdefault(point, key)
-            if owner == key:
-                sizes[point] = region.coefficient(m, key[0], key[1])
-            else:
-                failures.append(
-                    f"m={m} keys {owner} and {key} share (wt, gr) "
-                    f"{tuple(_affine(region.wt_gr, m, rep))}"
-                )
-    for point, wt_gr, size, n in differences(sizes):
-        failures.append(
-            f"m={m} key {owners[point]}: coefficient {size} != region "
-            f"count {n} at (wt, gr) {wt_gr}" if size else
-            f"m={m}: no key has (wt, gr) {wt_gr}; region count {n}"
-        )
+        outside = least = False
+        for (c1, c2, c3, c4, e), rate in lower:
+            value = c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4 + e
+            if value < rate:
+                least = True
+                outside = outside or value < 0
+        # a class has fewer steps than region(m) has points; a negative
+        # value, a point outside, leaves steps negative
+        steps = points
+        for (c1, c2, c3, c4, e), rate in upper:
+            reach = (c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4 + e) // rate
+            if reach < steps:
+                steps = reach
+        if outside or steps < 0:
+            failures.append(f"m={m} key {key}: {rep} is outside the region")
+        elif not least:
+            failures.append(
+                f"m={m} key {key}: {rep} is not the least point of its class"
+            )
+        elif steps + 1 != coefficient:
+            failures.append(f"m={m} key {key}: coefficient {coefficient} "
+                            f"!= class size {steps + 1}")
+    if total != points:
+        failures.append(f"m={m}: the coefficients add up to {total}, "
+                        f"region({m}) has {points} points")
     return failures

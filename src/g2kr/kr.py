@@ -18,18 +18,17 @@ representatives.  Membership, enumeration, both forms of the graded
 character and the equivalence classes are all read off it.  In (r, m)
 the region is a unimodular simplicial cone, whose five generators
 `_generators` derives from the constraints: the points of region(m) are
-the sums of generators whose degrees add up to m.  One generator, the
-slack, adds 1 to m and nothing to r, so region(m) is region(m - 1) and
-its face u = 0 (`_faces`).  The graded character never visits region
-points one by one in Python.  (wt, gr) is packed into one int key,
-linear in the point in m-free form, so a generator moves every key by
-one constant, and a face is a cascade of C-level maps over the four
-other generators.  `_count` counts the faces of one region(m) into one
-Counter (`kr_graded_character`, a class check given no count), and
-`_region_counts` sweeps m with one Counter that grows by each face.  The
-packed form stays inside this module: `conjecture_differences` and
-`_packed_check` (the class check's view of it) decode it only to report
-a difference.
+the sums of generators whose degrees add up to m, so |region(m)| is a
+coefficient of a product of geometric series (`_region_size`).  One
+generator, the slack, adds 1 to m and nothing to r, so region(m) is
+region(m - 1) and its face u = 0 (`_faces`).  The graded character never
+visits region points one by one in Python.  (wt, gr) is packed into one
+int key, linear in the point in m-free form, so a generator moves every
+key by one constant, and a face is a cascade of C-level maps over the
+four other generators.  `_region_counts` sweeps m with one Counter that
+grows by each face; `kr_graded_character` keeps its last m.  The packed
+form stays inside this module: `conjecture_differences` decodes it only
+to report a difference.
 
 The second form is the generating function: the label (j, k, s) carries
 coefficient(m, j, k) copies of one irreducible, and the coefficients
@@ -325,6 +324,16 @@ def _faces(region: _Region, top: int, origin, move) -> Iterator[list]:
         yield face
 
 
+def _region_size(region: _Region, m: int) -> int:
+    """|region(m)|: the x^m coefficient of the product of 1/(1 - x^d) over
+    the degrees d of the generators, an O(5m) recurrence."""
+    series = [1] + [0] * m
+    for _, d in _generators(region):
+        for n in range(d, m + 1):
+            series[n] += series[n - d]
+    return series[m]
+
+
 def enumerate_region(family: Family, m: int) -> list[QuadIndex]:
     """All quad indices of the family's region, in lexicographic order."""
     region = _region(family)
@@ -413,14 +422,14 @@ def _decode(counts, packing: _Packing, m: int) -> GradedDecomposition:
 def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
     """Closed-form graded character in the irreducible basis.
 
-    Counts the packed (wt, gr) keys of the region points in one C-level
-    pass over the faces of region(m) (`_count`).
+    Counts the packed (wt, gr) keys of the region points with C-level
+    updates, one per face of region(m) (`_region_counts`).
     """
     family = Family(family)
     _check_m(m)
     if not family.quad_indexed:
         return _ladder(family, m)
-    packing, counts = _count(_REGIONS[family], m)
+    *_, (_, (packing, counts)) = _region_counts(family, m)
     return _decode(counts, packing, m)
 
 
@@ -428,14 +437,6 @@ def _key_faces(region: _Region, top: int, packing: _Packing):
     """`_faces` of the packed keys under packing: row . r for a point r."""
     return _faces(region, top, 0,
                   lambda r: sum(map(mul, packing.row, r)).__add__)
-
-
-def _count(region: _Region, m: int) -> tuple:
-    """(packing, counts) of region(m) counted whole: counts is one Counter
-    of the keys of its points under the packing of region(m)."""
-    packing = _packing(region, m)
-    counts = Counter(chain.from_iterable(_key_faces(region, m, packing)))
-    return packing, counts
 
 
 def _region_counts(family: Family, top: int) -> Iterator[tuple]:
@@ -452,38 +453,6 @@ def _region_counts(family: Family, top: int) -> Iterator[tuple]:
     for m, face in enumerate(_key_faces(region, top, packing)):
         counts.update(face)
         yield m, (packing, counts)
-
-
-def _packed_check(region: _Region, m: int, graded=None) -> tuple:
-    """How to check a dict of packed (wt, gr) keys against the closed form
-    at m, graded: a GradedDecomposition, the count that `_region_counts`
-    yields for m, or by default region(m) counted afresh.
-
-    Returns (row, differences): row . r is the key of the (wt, gr) of a
-    point r of region(m), and differences(sizes), for sizes a dict key ->
-    size over such keys, lists (key, (a, b, grade), size, count) for each
-    (wt, gr) = (a, b, grade) where sizes and graded differ, in the order
-    of `compare`.
-    """
-    if graded is None:
-        graded = _count(region, m)
-    if isinstance(graded, GradedDecomposition):
-        packing, counts = _packing(region, m), None
-    else:
-        packing, counts = graded
-
-    def differences(sizes) -> list:
-        if sizes == counts:  # a plain dict first: dict equality, in C
-            return []
-        closed = graded if counts is None else _decode(counts, packing, m)
-        return [
-            (_key(packing, m, a, b, grade), (a, b, grade), size, n)
-            for grade, (a, b), size, n in compare(
-                _decode(sizes, packing, m), closed
-            )
-        ]
-
-    return packing.row, differences
 
 
 def conjecture_coefficient(family, m, j, k, negatives=None):

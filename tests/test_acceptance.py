@@ -19,6 +19,7 @@ from g2kr.characters import (
 from g2kr.equivalence import (
     class_keys,
     class_size_formula,
+    representative,
     verify_partition,
 )
 from g2kr.kr import (
@@ -28,6 +29,7 @@ from g2kr.kr import (
     conjecture_graded_character,
     enumerate_region,
     kr_graded_character,
+    wt_gr,
 )
 from g2kr.weights import OMEGA1, OMEGA2, SHORT_ROOTS, Weight, in_root_cone
 
@@ -147,9 +149,14 @@ def test_criterion_06_partition_sweep():
 def test_criterion_07_two_route_equality():
     for family in (Family.U1, Family.T2):
         for m in SWEEP:
-            assert verify_partition(
-                family, m, conjecture_graded_character(family, m)
-            ) == [], (family, m)
+            rebuilt = GradedDecomposition()
+            for key in class_keys(family, m):
+                weight, grade = wt_gr(family, m,
+                                      representative(family, m, *key))
+                rebuilt.add(grade, weight,
+                            class_size_formula(family, m, *key))
+            assert rebuilt == conjecture_graded_character(family, m), (
+                family, m)
     _report(7, "representatives x class sizes rebuild the graded character "
                "exactly for m<=30")
 

@@ -251,9 +251,9 @@ def test_verify_classes(capsys):
     assert families == {"u1", "t2"}
 
 
-def test_verify_classes_reuses_the_graded_character(monkeypatch, capsys):
-    # verify sweeps one region count per class family over m, and hands
-    # the count of each m to the class check
+def test_verify_classes_counts_no_region(monkeypatch, capsys):
+    # the class check works in r-space: only the conjecture check sweeps
+    # the region counts
     calls = []
     region_counts = kr._region_counts
 
@@ -266,6 +266,9 @@ def test_verify_classes_reuses_the_graded_character(monkeypatch, capsys):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)["ok"] is True
+    assert calls == []
+    code, _, _ = run(capsys, "verify", "all", "--max-m", "6")
+    assert code == 0
     assert calls == [Family.U1, Family.T2]
 
 
@@ -346,10 +349,10 @@ def _per_m_verify_kr(conjecture_families, class_families, max_m):
     conjecture, classes, negatives = [], [], []
     for family in Family:
         for m in range(max_m + 1):
-            theorem = kr_graded_character(family, m)
             if family in conjecture_families:
                 diffs = compare(
-                    theorem, conjecture_graded_character(family, m, negatives)
+                    kr_graded_character(family, m),
+                    conjecture_graded_character(family, m, negatives),
                 )
                 differences = [
                     {"grade": g, "weight": [w.a, w.b], "theorem": ma,
@@ -361,7 +364,7 @@ def _per_m_verify_kr(conjecture_families, class_families, max_m):
                     family=family.value, m=m,
                 ))
             if family in class_families:
-                failures = equivalence.verify_partition(family, m, theorem)
+                failures = equivalence.verify_partition(family, m)
                 classes.append(cli._entry("classes", failures,
                                           family=family.value, m=m))
     return conjecture + classes, [
@@ -381,7 +384,7 @@ def test_failing_verify_matches_per_m_functions(monkeypatch, capsys, fmt,
     expected_code, expected, _ = run(capsys, *argv)
     assert code == expected_code == 1
     assert out == expected
-    assert "coefficient 2 != region count 1" in out
+    assert "coefficient 2 != class size 1" in out
     if max_m == "8":
         quote = "'" if fmt == "table" else '"'
         assert f"{quote}coefficient{quote}: -1" in out

@@ -20,10 +20,9 @@ from g2kr.equivalence import (
 from g2kr.kr import (
     _REGIONS,
     Family,
-    Weight,
+    GradedDecomposition,
     conjecture_graded_character,
     enumerate_region,
-    kr_graded_character,
     wt_gr,
 )
 
@@ -34,15 +33,18 @@ def listing_partition(family, m):
     """The listing route, the oracle of `verify_partition`: every key's
     class_members against a set of the whole region.
 
-    Empty iff the classes are pairwise disjoint, cover the region and have
-    the coefficients as sizes.  Keys, representatives and coefficients are
-    looked up at call time, so injected faults reach this route too.
+    Empty iff the classes are pairwise disjoint, cover the region, have
+    the coefficients as sizes and start at their representatives; a key
+    listed twice meets its own class.  Keys, representatives and
+    coefficients are looked up at call time, so injected faults reach
+    this route too.
     """
     failures = []
     coefficient = _REGIONS[family].coefficient
     region = set(enumerate_region(family, m))
     seen = {}
-    for j, k, s in equivalence.class_keys(family, m):
+    for key in equivalence.class_keys(family, m):
+        j, k, s = key
         try:
             rep = equivalence.representative(family, m, j, k, s)
             members = class_members(family, m, rep)
@@ -51,8 +53,10 @@ def listing_partition(family, m):
             continue
         if len(members) != coefficient(m, j, k):
             failures.append(f"key ({j},{k},{s}): {len(members)} members")
+        if members[0] != rep:
+            failures.append(f"key ({j},{k},{s}): class starts at {members[0]}")
         for point in members:
-            if seen.setdefault(point, (j, k, s)) != (j, k, s):
+            if seen.setdefault(point, key) is not key:
                 failures.append(f"{point} in {seen[point]} and ({j},{k},{s})")
     if region != seen.keys():
         failures.append(f"{len(region - seen.keys())} points uncovered")
@@ -224,13 +228,22 @@ def test_class_sizes_sum_to_region(family):
         assert total == len(enumerate_region(family, m))
 
 
+def rebuilt_graded_character(family, m):
+    """V(wt_gr(representative)) times the class size, summed over the keys."""
+    rebuilt = GradedDecomposition()
+    for key in class_keys(family, m):
+        weight, grade = wt_gr(family, m, representative(family, m, *key))
+        rebuilt.add(grade, weight, class_size_formula(family, m, *key))
+    return rebuilt
+
+
 @pytest.mark.parametrize("family", QUAD)
 def test_two_route_equality(family):
     # representatives x class sizes rebuild the generating-function form
     for m in range(31):
-        assert verify_partition(
-            family, m, conjecture_graded_character(family, m)
-        ) == []
+        assert rebuilt_graded_character(family, m) == (
+            conjecture_graded_character(family, m)
+        ), m
 
 
 @pytest.mark.parametrize("family", QUAD)
@@ -279,7 +292,9 @@ def test_kernel_certificate_needs_primitive_shift():
 
 def run_classes(capsys, fmt, max_m):
     code = main(["verify", "classes", "--max-m", str(max_m), "--format", fmt])
-    return code, capsys.readouterr().out
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, out
 
 
 @pytest.mark.parametrize(
@@ -289,11 +304,14 @@ def run_classes(capsys, fmt, max_m):
         # fibres; the listing route never reads (wt, gr) and misses it
         ("wt_gr", (((-1, -3, -3, 0), 1), ((0, 1, 1, -1), 0),
                    ((1, 1, 2, 3), 0)), (-3, 2, -1, 1), False),
-        # a shift in the kernel but not its generator: the counting pass
-        # never reads the shift, the listing route sees half-size classes
+        # a shift in the kernel but not its generator: the listing route
+        # sees half-size classes
         ("shift", (6, -2, 0, -2), (-3, 1, 0, 1), True),
+        # no shift: no class would be bounded, so the certificate is
+        # reported alone
+        ("shift", (0, 0, 0, 0), (-3, 1, 0, 1), True),
     ],
-    ids=["wt_gr", "shift"],
+    ids=["wt_gr", "shift", "zero_shift"],
 )
 def test_mutated_table_fails_certificate(monkeypatch, capsys, field, value,
                                          minors, listing_fails):
@@ -339,9 +357,27 @@ def _outside(monkeypatch):
     _representatives(monkeypatch, {(6, 4, 0, 0): (4, 0, 0, 0)})
 
 
+def _below(monkeypatch):
+    # (3,0,0) gets (0,1,0,1) - shift, one step below its least point: only
+    # r1 >= 0 breaks, a constraint that rises along the shift
+    _representatives(monkeypatch, {(6, 3, 0, 0): (-3, 2, 0, 2)})
+
+
+def _crossed(monkeypatch):
+    # (3,0,0) gets (0,0,0,1): only r2 >= r4 breaks, a constraint that is
+    # constant along the shift
+    _representatives(monkeypatch, {(6, 3, 0, 0): (0, 0, 0, 1)})
+
+
 def _shared(monkeypatch):
-    # (4,0,0) gets the representative of (3,0,0)
+    # (4,0,0) gets the representative of (3,0,0), a class of 2 points
     _representatives(monkeypatch, {(6, 4, 0, 0): (0, 1, 0, 1)})
+
+
+def _non_canonical(monkeypatch):
+    # (3,0,0) gets the other point of its class, (0,1,0,1) + shift: the
+    # same (wt, gr), but not the least point
+    _representatives(monkeypatch, {(6, 3, 0, 0): (3, 0, 0, 0)})
 
 
 def _coefficient(monkeypatch):
@@ -354,32 +390,50 @@ def _coefficient(monkeypatch):
                         region._replace(coefficient=coefficient))
 
 
-def _dropped(monkeypatch):
+def _keys(monkeypatch, change):
+    # change maps the U1 keys at m = 6 to the keys listed instead
     original = equivalence.class_keys
 
     def class_keys(family, m):
         keys = original(family, m)
         if family not in (Family.U1, "u1") or m != 6:
             return keys
-        return (key for key in keys if key != (5, 1, 1))
+        return change(keys)
 
     monkeypatch.setattr(equivalence, "class_keys", class_keys)
 
 
+def _dropped(monkeypatch):
+    _keys(monkeypatch, lambda keys: (key for key in keys if key != (5, 1, 1)))
+
+
+def _repeated(monkeypatch):
+    # the key (5,1,1) listed twice, as two equal tuples
+    _keys(monkeypatch, lambda keys: itertools.chain(keys, [(5, 1, 1)]))
+
+
 FAULTS = [
-    (_outside, [
-        "m=6 key (4, 0, 0): (4, 0, 0, 0) is outside the region",
-        "m=6: no key has (wt, gr) (2, 0, 4); region count 1",
-    ]),
+    (_outside, ["m=6 key (4, 0, 0): (4, 0, 0, 0) is outside the region"]),
+    (_below, ["m=6 key (3, 0, 0): (-3, 2, 0, 2) is outside the region"]),
+    (_crossed, ["m=6 key (3, 0, 0): (0, 0, 0, 1) is outside the region"]),
     (_shared, [
-        "m=6 keys (3, 0, 0) and (4, 0, 0) share (wt, gr) (3, 0, 3)",
-        "m=6: no key has (wt, gr) (2, 0, 4); region count 1",
+        "m=6 keys (3, 0, 0) and (4, 0, 0) share the representative "
+        "(0, 1, 0, 1)",
+        "m=6 key (4, 0, 0): coefficient 1 != class size 2",
+    ]),
+    (_non_canonical, [
+        "m=6 key (3, 0, 0): (3, 0, 0, 0) is not the least point of its class",
     ]),
     (_coefficient, [
-        "m=6 key (3, 0, 0): coefficient 3 != region count 2 at (wt, gr) "
-        "(3, 0, 3)",
+        "m=6 key (3, 0, 0): coefficient 3 != class size 2",
+        "m=6: the coefficients add up to 17, region(6) has 16 points",
     ]),
-    (_dropped, ["m=6: no key has (wt, gr) (0, 1, 5); region count 1"]),
+    (_dropped, ["m=6: the coefficients add up to 15, region(6) has 16 points"]),
+    (_repeated, [
+        "m=6 keys (5, 1, 1) and (5, 1, 1) share the representative "
+        "(0, 1, 1, 1)",
+        "m=6: the coefficients add up to 17, region(6) has 16 points",
+    ]),
 ]
 
 
@@ -403,15 +457,6 @@ def test_injected_faults(monkeypatch, capsys, inject, expected):
     assert code == 1
     assert "".join(f"    {line}\n" for line in expected) in out
     assert "classes u1 (m <= 7): FAIL at m = 6\n" in out
-
-
-def test_partition_compares_the_given_graded_character():
-    graded = kr_graded_character(Family.U1, 6)
-    graded.add(3, Weight(3, 0), 1)
-    assert verify_partition(Family.U1, 6, graded) == [
-        "m=6 key (3, 0, 0): coefficient 2 != region count 3 at (wt, gr) "
-        "(3, 0, 3)"
-    ]
 
 
 def _listed_class_keys(family, m):
