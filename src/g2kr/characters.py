@@ -15,8 +15,9 @@ Everything is exact integer arithmetic.  Every division is checked to be
 exact, and every multiplicity that must be positive is checked, by an
 explicit ArithmeticError, so the checks hold under `python -O` as well.
 The inner loops run on plain (a, b) int pairs; the Weyl group action
-(`weyl_orbit`, `dominant_chamber`) and the form (`inner`) come from
-`weights`.
+(`simple_reflection`, `dominant_chamber`) and the form (`inner`) come from
+`weights`.  A whole character is its dominant part written to the Weyl
+orbits by `_weight_rows`, on sorted int keys, with no `Weight` per term.
 """
 
 from __future__ import annotations
@@ -25,14 +26,16 @@ from functools import lru_cache
 from itertools import repeat
 
 from .weights import (
+    OMEGA1,
+    OMEGA2,
     POSITIVE_ROOTS,
     RHO,
     Weight,
+    _weight,
     dominant_chamber,
     height,
     inner,
     simple_reflection,
-    weyl_orbit,
 )
 
 
@@ -171,20 +174,26 @@ def weyl_dim(lam: Weight) -> int:
     return q
 
 
-def _racah_shifts() -> tuple[tuple[int, int, int], ...]:
-    # (da, db, c) for each w != 1: rho - w(rho) = (da, db), c = -det(w).
-    # rho is regular, so dominant_chamber's sign is det of the unique x
-    # with x(w rho) = rho, and det(x) = det(w).
-    shifts = []
-    for v in weyl_orbit(RHO):
-        if v != RHO:
-            _, _, sign = dominant_chamber(v)
-            shifts.append((RHO.a - v.a, RHO.b - v.b, -sign))
-    return tuple(sorted(shifts))
+def _weyl_group() -> tuple[tuple[Weight, Weight], ...]:
+    """The 12 Weyl group elements, each as the pair (w(omega1), w(omega2)):
+    the closure of the identity under the simple reflections."""
+    group, new = set(), {(OMEGA1, OMEGA2)}
+    while new:
+        group |= new
+        new = {(simple_reflection(i, u), simple_reflection(i, v))
+               for u, v in new for i in (1, 2)} - group
+    return tuple(sorted(group))
 
 
-#: Racah's formula: m(mu) = sum of c * m(mu + (da, db)) over these.
-_SHIFTS = _racah_shifts()
+#: w(x, y) = x * w(omega1) + y * w(omega2) for each (w(omega1), w(omega2)).
+_WEYL_GROUP = _weyl_group()
+
+#: Racah's formula: m(mu) = sum of c * m(mu + (da, db)) over these, one
+#: for each w != 1: (da, db) = rho - w(rho) and c = -det(w).
+_SHIFTS = tuple(sorted(
+    (1 - u.a - v.a, 1 - u.b - v.b, u.b * v.a - u.a * v.b)
+    for u, v in _WEYL_GROUP if (u, v) != (OMEGA1, OMEGA2)
+))
 #: At x >= _INNER_A and y >= _INNER_B every shifted point is dominant.
 _INNER_A = -min(da for da, _, _ in _SHIFTS)
 _INNER_B = -min(db for _, db, _ in _SHIFTS)
@@ -250,12 +259,42 @@ def _dominant_multiplicities(a: int, b: int) -> dict[Weight, int]:
     return mult
 
 
+def _weight_rows(dominant: dict[Weight, int]) -> list[tuple[int, int, int]]:
+    """The support of a Weyl-invariant character, given its dominant part,
+    as (a, b, mult) rows sorted by (a, b); zero multiplicities are dropped.
+
+    Weights are packed into ints: no orbit coordinate of a dominant (x, y)
+    exceeds 2x + 3y in absolute value, so with off the largest of those and
+    span = 2 off + 1, the key (a + off) * span + b + off is injective and
+    ordered as (a, b).  Each Weyl group element is linear, so it sends
+    (x, y) to the key x * k1 + y * k2 + base for two ints k1, k2.  The
+    decoded coordinates are read from one list of the ints -off..off, so
+    rows share them rather than hold a new int each.
+    """
+    weights = [w for w, m in dominant.items() if m]
+    mults = [m for m in dominant.values() if m]
+    off = max((2 * x + 3 * y for x, y in weights), default=0)
+    span = 2 * off + 1
+    base = off * span + off
+    packed: dict[int, int] = {}
+    for (p1, q1), (p2, q2) in _WEYL_GROUP:
+        k1, k2 = p1 * span + q1, p2 * span + q2
+        # a wall weight's images coincide and write the same value
+        packed.update(zip([x * k1 + y * k2 + base for x, y in weights], mults))
+    coordinate = list(range(-off, off + 1))
+    keys = sorted(packed)
+    pairs = zip(map(divmod, keys, repeat(span)), map(packed.__getitem__, keys))
+    return [(coordinate[a], coordinate[b], m) for (a, b), m in pairs]
+
+
+def _rows_character(rows) -> Character:
+    """The Character of (a, b, mult) rows with nonzero multiplicities."""
+    return Character._wrap({_weight((a, b)): m for a, b, m in rows})
+
+
 @lru_cache(maxsize=None)
 def _irreducible_character(lam: Weight) -> Character:
-    terms: dict[Weight, int] = {}
-    for w, m in _dominant_multiplicities(*lam).items():
-        terms.update(zip(weyl_orbit(w), repeat(m)))
-    return Character._wrap(terms)
+    return _rows_character(_weight_rows(_dominant_multiplicities(*lam)))
 
 
 def irreducible_character(lam) -> Character:

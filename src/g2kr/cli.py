@@ -114,19 +114,20 @@ def _render(fmt: str, payload, header, rows, table) -> str:
 # --- char -------------------------------------------------------------------
 
 def _run_char(args):
-    from .characters import irreducible_character, weyl_dim
+    from .characters import _dominant_multiplicities, _weight_rows, weyl_dim
 
-    char = irreducible_character((args.a, args.b))
-    dim = weyl_dim((args.a, args.b))
+    dim = weyl_dim((args.a, args.b))  # ValueError unless dominant
+    terms = _weight_rows(_dominant_multiplicities(args.a, args.b))
 
     def payload():
         head = {"weight": [args.a, args.b], "dim": dim}
-        return head, "terms", _CHAR_TERM, rows()
+        return head, "terms", _CHAR_TERM, terms
 
     def table():
-        # Weights packed highest-first into lines under the width hint.
-        ordered = sorted(char.items(), key=lambda kv: (-height(kv[0]), kv[0]))
-        cells = [f"({w.a},{w.b}):{m}" for w, m in ordered]
+        # Weights packed highest-first into lines under the width hint; the
+        # sort is stable, so equal heights stay in (a, b) order.
+        ordered = sorted(terms, key=lambda t: -3 * t[0] - 5 * t[1])
+        cells = [f"({a},{b}):{m}" for a, b, m in ordered]
         lines = [f"ch V({args.a},{args.b})   dim {dim}   weights {len(cells)}"]
         width = _width()
         line = ""
@@ -139,10 +140,7 @@ def _run_char(args):
             lines.append(line)
         return lines
 
-    def rows():
-        return [(a, b, m) for (a, b), m in sorted(char.items())]
-
-    return payload, ("weight_a", "weight_b", "mult"), rows, table, 0
+    return payload, ("weight_a", "weight_b", "mult"), lambda: terms, table, 0
 
 
 # --- tensor -----------------------------------------------------------------
@@ -181,8 +179,8 @@ def _run_tensor(args):
 def _run_kr(args):
     from .kr import (
         Family,
+        _weight_basis,
         conjecture_graded_character,
-        expand_weights,
         kr_graded_character,
     )
 
@@ -196,8 +194,8 @@ def _run_kr(args):
     if weight_basis:
         items = [
             (grade, a, b, m)
-            for grade, char in expand_weights(g).items()
-            for (a, b), m in sorted(char.items())
+            for grade, rows in _weight_basis(g)
+            for a, b, m in rows
         ]
     else:
         items = [(grade, a, b, m) for grade, (a, b), m in g.items()]

@@ -36,8 +36,8 @@ count the points of equivalence classes inside the region (see the
 equivalence module); `compare` checks the two forms against each other
 exactly.  Quad indices must be four ints and m, j, k nonnegative ints
 (bool excluded); anything else raises ValueError.  The character ring
-(`characters`) is loaded only by the two functions that use it,
-`expand_weights` and `graded_dimensions`.
+(`characters`) is loaded only by the functions that use it,
+`_weight_basis` (and so `expand_weights`) and `graded_dimensions`.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from functools import cache
 from itertools import chain, combinations, repeat
 from operator import add, mul, sub
 
-from .weights import OMEGA1, OMEGA2, Weight, weyl_orbit
+from .weights import OMEGA1, OMEGA2, Weight
 
 QuadIndex = tuple[int, int, int, int]
 
@@ -578,44 +578,34 @@ def compare(
     return diffs
 
 
-def expand_weights(g: GradedDecomposition) -> dict:
-    """Expand each grade through the irreducible characters, in grade
-    order: grade -> `characters.Character`.
-
-    A Weyl-invariant character is fixed by its dominant part, so a grade
-    sums only the dominant multiplicities of its components, and then
-    writes each dominant weight's multiplicity to its Weyl orbit.  Each
-    orbit is computed once per call.  Raises ValueError for a component
-    weight that is not dominant.
-    """
+def _weight_basis(g: GradedDecomposition) -> Iterator[tuple[int, list]]:
+    """Each grade's weights, in grade order: (grade, (a, b, mult) rows
+    sorted by (a, b)), one grade at a time.  A grade sums the dominant
+    multiplicities of its components, and `characters._weight_rows`
+    expands the total.  Raises ValueError for a component weight that is
+    not dominant."""
     from .characters import (
-        Character,
         _dominant_multiplicities,
         _highest_weight,
+        _weight_rows,
     )
 
-    parts: dict[Weight, dict[Weight, int]] = {}
-    orbits: dict[Weight, frozenset[Weight]] = {}
-    out = {}
     for grade in g.grades():
         total: dict[Weight, int] = {}
         for weight, mult in g.component(grade).items():
-            part = parts.get(weight)
-            if part is None:
-                part = parts[weight] = _dominant_multiplicities(
-                    *_highest_weight(weight, "component")
-                )
-            for w, k in part.items():
+            lam = _highest_weight(weight, "component")
+            for w, k in _dominant_multiplicities(*lam).items():
                 total[w] = total.get(w, 0) + mult * k
-        terms: dict[Weight, int] = {}
-        for w, k in total.items():
-            if k:
-                orbit = orbits.get(w)
-                if orbit is None:
-                    orbit = orbits[w] = weyl_orbit(w)
-                terms.update(zip(orbit, repeat(k)))
-        out[grade] = Character._wrap(terms)
-    return out
+        yield grade, _weight_rows(total)
+
+
+def expand_weights(g: GradedDecomposition) -> dict:
+    """Expand each grade through the irreducible characters, in grade
+    order: grade -> `characters.Character`, as `_weight_basis`.  Raises
+    ValueError for a component weight that is not dominant."""
+    from .characters import _rows_character
+
+    return {grade: _rows_character(rows) for grade, rows in _weight_basis(g)}
 
 
 def graded_dimensions(g: GradedDecomposition) -> list[tuple[int, int]]:

@@ -2,7 +2,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from g2kr import characters
@@ -16,6 +16,7 @@ from g2kr.characters import (
     tensor,
     weyl_dim,
 )
+from g2kr.kr import GradedDecomposition, _weight_basis, expand_weights
 from g2kr.weights import (
     ALL_ROOTS,
     OMEGA1,
@@ -219,13 +220,15 @@ def test_weyl_dim_rejects_an_inexact_product(monkeypatch):
 
 
 def test_tensor_rejects_a_negative_multiplicity(monkeypatch):
-    # every reflection's sign flipped: every component comes out negative
+    # every reflection's sign flipped: every component comes out negative,
+    # and the first one reached, visiting V(1,0)'s weights in (a, b) order,
+    # is named
     chamber = characters.dominant_chamber
     irreducible_character(OMEGA1)  # cached before the fault
     monkeypatch.setattr(characters, "dominant_chamber",
                         lambda w: (*chamber(w)[:2], -chamber(w)[2]))
     with pytest.raises(ArithmeticError, match=r"Brauer-Klimyk gives "
-                       r"multiplicity -1 for \(0,1\) in V\(1,0\) \(x\) "
+                       r"multiplicity -1 for \(0,0\) in V\(1,0\) \(x\) "
                        r"V\(1,0\)"):
         tensor(OMEGA1, OMEGA1)
 
@@ -411,6 +414,72 @@ def test_racah_matches_freudenthal_oracle():
             assert _dominant_multiplicities(a, b) == {
                 w: m for w, m in oracle.items() if w.a >= 0 and w.b >= 0
             }, (a, b)
+
+
+def _orbit_rows(dominant):
+    """The test oracle of `characters._weight_rows`: each dominant weight's
+    nonzero multiplicity written to its `weyl_orbit`, then sorted."""
+    terms = {}
+    for w, m in dominant.items():
+        if m:
+            terms.update(dict.fromkeys(weyl_orbit(w), m))
+    return [(a, b, m) for (a, b), m in sorted(terms.items())]
+
+
+def test_weyl_group_is_closed_from_the_reflections():
+    # each element (g(omega1), g(omega2)) maps (x, y) to
+    # x * g(omega1) + y * g(omega2); the images are the orbit, walls too
+    group = characters._WEYL_GROUP
+    assert len(set(group)) == len(group) == 12
+    for x in range(-7, 8):
+        for y in range(-7, 8):
+            images = {x * u + y * v for u, v in group}
+            assert images == weyl_orbit((x, y)), (x, y)
+
+
+def test_weight_rows_match_the_orbit_oracle():
+    for a in range(15):
+        for b in range(15 - a):
+            dominant = _dominant_multiplicities(a, b)
+            rows = characters._weight_rows(dominant)
+            assert rows == _orbit_rows(dominant), (a, b)
+            assert sum(m for _, _, m in rows) == weyl_dim((a, b))
+    # zero multiplicities are dropped, negative ones kept
+    assert characters._weight_rows({}) == []
+    assert characters._weight_rows({ZERO: 0}) == []
+    mixed = {Weight(0, 2): -3, Weight(1, 0): 0, ZERO: 5}
+    assert characters._weight_rows(mixed) == _orbit_rows(mixed)
+
+
+graded_parts = st.lists(
+    st.tuples(st.integers(0, 3), dominants, st.integers(-2, 2)),
+    max_size=6,
+)
+
+
+@given(graded_parts)
+# V(1,0) - V(0,0): the zero weight's multiplicities cancel to 0, and
+# `expected` holds no zero
+@example([(0, OMEGA1, 1), (0, ZERO, -1), (2, OMEGA2, 1)])
+@settings(deadline=None, max_examples=40)
+def test_expand_weights_matches_the_orbit_oracle(parts):
+    g = GradedDecomposition()
+    for grade, weight, mult in parts:
+        g.add(grade, weight, mult)
+    rows = dict(_weight_basis(g))
+    expanded = expand_weights(g)
+    assert list(rows) == list(expanded) == g.grades()
+    for grade in g.grades():
+        # each component expanded by the oracle, then summed
+        total = {}
+        for weight, mult in g.component(grade).items():
+            for a, b, k in _orbit_rows(_dominant_multiplicities(*weight)):
+                total[a, b] = total.get((a, b), 0) + mult * k
+        expected = [(a, b, m) for (a, b), m in sorted(total.items()) if m]
+        assert rows[grade] == expected
+        assert sorted((a, b, m) for (a, b), m in expanded[grade].items()) == (
+            expected
+        )
 
 
 @pytest.fixture

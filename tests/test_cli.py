@@ -687,6 +687,21 @@ OUTPUT_DIGESTS = [
      "3d9dd6e9ed67a8275da17a8c37aa2e7e05a20f956b6c708f98e1b1eb62ac1a46", 0),
     ("char 7 5 --format table",
      "98ae921775a3b89a46f80a27381ae70529e7bed4d8d69b3977f12e4ba51e7938", 0),
+    # wall weights: orbits of 6, not 12, distinct weights
+    ("char 0 9 --format json",
+     "a8c313cf300bc2c0e6320a4c3f5e71c849c570551944fc714eb16d8629b3a052", 0),
+    ("char 0 9 --format csv",
+     "eea6b5db66d4a08c0ace7ac70d7186ef2dca704d92f562a75565201a5b3b86d2", 0),
+    ("char 0 9 --format table",
+     "c4d43946ef1d6ad82eaf1a0acd389a4f94b7e3d4f84b4ab8b732592968afec4d", 0),
+    ("char 11 0 --format json",
+     "765d186d4994d007763eb6ebe5092d2a811693bf378e2ec751e7b047211b8d2f", 0),
+    ("char 11 0 --format csv",
+     "0d53986ec8bf6e16fb635a1d81929eb94bdfb3c526d14445e545daf811717b33", 0),
+    ("char 11 0 --format table",
+     "fae4b459c3bbf70dcaa75c75c2c4e60b05f287787555b8a7635263115744a645", 0),
+    ("char 36 17 --format json",
+     "f70d3d137ae98accf6750fbeaeb4699a3e3bf808b927dc02dfcaf63bad1c31dd", 0),
     ("tensor 3 2 2 3 --format json",
      "3c7672f10043bf2ce8f481d6cd96661080559a72008a862f0bcc6bf095ea4e89", 0),
     ("tensor 3 2 2 3 --format csv",
@@ -723,6 +738,8 @@ OUTPUT_DIGESTS = [
      "88f031d6cb77093a51207e2b86d89090e01c76d87fe5f8402361a65fdaadfbf9", 0),
     ("kr --family t2 --m 5 --basis weight --format table",
      "f3a5c316f6522bb7e4b94b9fb947b4ba5ee49abe64e60b07bf0efe310b80a8b5", 0),
+    ("kr --family t2 --m 9 --conjecture --basis weight --format csv",
+     "be0ea1bda416f30346052e9f387f995d4688caf10f1298ed49b711f039aed15a", 0),
     ("kr --family t2 --m 5 --conjecture --format json",
      "2a68a8690b72667f36800c67407aa48ab317dbafd257a7c2c46ba8a9696e876f", 0),
     ("kr --family t2 --m 5 --conjecture --format csv",
