@@ -2,7 +2,10 @@
 and the verification sweeps, with table / json / csv output.
 
 Exit codes: 0 success, 1 verification failure (or an exactness check that
-fails while computing, as one `error:` line), 2 usage or domain error.
+fails while computing, as one `error:` line), 2 usage or domain error, or a
+failed write of the output (a full disk, a closed pipe).  Output is written
+in chunks as it is rendered, never held whole; every check runs before the
+first byte, so an error leaves no output.
 JSON output is canonical (fixed key order, integers only) and round-trips
 byte-identically through json.loads/json.dumps.  The only environment
 variable consulted is G2KR_WIDTH, a width hint for table output.
@@ -15,6 +18,7 @@ import io
 import json
 import os
 import sys
+from itertools import chain, islice
 
 from .weights import height
 
@@ -29,6 +33,11 @@ def _width() -> int:
     except ValueError:
         return 80
 
+
+#: Rows (or table lines) per chunk of output, about 100 KB of text: each
+#: chunk is one write, so the text is never held whole, and an unbuffered
+#: stdout still makes few writes.
+_CHUNK = 1024
 
 #: json.dumps writes this string as "\u0000"; no payload holds it.
 _FIELD = "\x00"
@@ -72,43 +81,63 @@ _TENSOR_COMPONENT = _template({"weight": [0, 0], "mult": 0, "dim": 0}, 4)
 _KR_COMPONENT = _template({"grade": 0, "weight": [0, 0], "mult": 0}, 4)
 
 
+def _runs(items):
+    """items in lists of `_CHUNK`, the last one shorter; none if empty."""
+    items = iter(items)
+    while run := list(islice(items, _CHUNK)):
+        yield run
+
+
 def _json(head: dict, key: str | None = None, template: str = "",
-          rows=()) -> str:
-    """json.dumps(payload, indent=2) + "\n", byte for byte.
+          rows=()):
+    """json.dumps(payload, indent=2) + "\n", byte for byte, in chunks.
 
     payload is head, followed, if key is given, by key: a list with one
     item per row (a tuple of ints), rendered by template (`_template`).
     json.dumps renders the head, the list's brackets and the separators;
-    each item is one % operation.
+    each item is one % operation, and each chunk one run of items.
     """
-    if key is None:
-        return json.dumps(head, indent=2) + "\n"
-    if not rows:
-        return json.dumps({**head, key: []}, indent=2) + "\n"
+    if key is None or not rows:
+        payload = head if key is None else {**head, key: []}
+        yield json.dumps(payload, indent=2) + "\n"
+        return
     before, separator, after = json.dumps(
         {**head, key: [_FIELD, _FIELD]}, indent=2
     ).split(_SLOT)
-    return before + separator.join(map(template.__mod__, rows)) + after + "\n"
+    yield before
+    lead = ""
+    for run in _runs(map(template.__mod__, rows)):
+        yield lead + separator.join(run)
+        lead = separator
+    yield after + "\n"
 
 
-def _render(fmt: str, payload, header, rows, table) -> str:
-    """Output text in format fmt.
+def _csv(header, rows):
+    import csv  # loaded only for the format that writes it
+
+    buf = io.StringIO()  # one chunk at a time
+    writer = csv.writer(buf, lineterminator="\n")
+    for run in _runs(chain([header], rows)):
+        writer.writerows(run)
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+
+
+def _render(fmt: str, payload, header, rows, table):
+    """Output text in format fmt, as an iterator of chunks of about
+    `_CHUNK` rows or lines each.
 
     Each runner returns (payload, header, rows, table, exit code); payload,
-    rows and table are thunks, and only the one that fmt asks for is called.
-    payload gives the arguments of `_json`.
+    rows and table are thunks, and only the one that fmt asks for is called,
+    here, before the first chunk: an error they raise leaves no output.
+    payload gives the arguments of `_json`; table gives the lines.
     """
     if fmt == "json":
         return _json(*payload())
     if fmt == "csv":
-        import csv  # loaded only for the format that writes it
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows())
-        return buf.getvalue()
-    return "\n".join(table()) + "\n"
+        return _csv(header, rows())
+    return ("\n".join(run) + "\n" for run in _runs(table()))
 
 
 # --- char -------------------------------------------------------------------
@@ -126,19 +155,17 @@ def _run_char(args):
     def table():
         # Weights packed highest-first into lines under the width hint; the
         # sort is stable, so equal heights stay in (a, b) order.
-        ordered = sorted(terms, key=lambda t: -3 * t[0] - 5 * t[1])
-        cells = [f"({a},{b}):{m}" for a, b, m in ordered]
-        lines = [f"ch V({args.a},{args.b})   dim {dim}   weights {len(cells)}"]
+        yield f"ch V({args.a},{args.b})   dim {dim}   weights {len(terms)}"
         width = _width()
         line = ""
-        for cell in cells:
+        for a, b, m in sorted(terms, key=lambda t: -3 * t[0] - 5 * t[1]):
+            cell = f"({a},{b}):{m}"
             if line and len(line) + len(cell) + 2 > width:
-                lines.append(line)
+                yield line
                 line = ""
             line = f"{line}  {cell}" if line else f"  {cell}"
         if line:
-            lines.append(line)
-        return lines
+            yield line
 
     return payload, ("weight_a", "weight_b", "mult"), lambda: terms, table, 0
 
@@ -216,21 +243,20 @@ def _run_kr(args):
         return [(grade, a, b, m, m * dims[a, b]) for grade, a, b, m in items]
 
     def table():
-        lines = [
-            f"family {family.value}  m {args.m}  source {source}  "
-            f"basis {args.basis}",
-            "grade  weight     mult  dim",
-        ]
+        # rows and totals before the first byte; the lines as written
+        data = rows()
         totals: dict[int, int] = {}
-        for grade, a, b, m, d in rows():
-            lines.append(f"{grade:<6} ({a},{b})".ljust(18) + f"{m:<5} {d}")
+        for grade, *_, d in data:
             totals[grade] = totals.get(grade, 0) + d
-        lines.append(
-            "graded dimensions: "
-            + "  ".join(f"{grade}:{d}" for grade, d in totals.items())
-            + f"  total {sum(totals.values())}"
+        return chain(
+            (f"family {family.value}  m {args.m}  source {source}  "
+             f"basis {args.basis}", "grade  weight     mult  dim"),
+            (f"{grade:<6} ({a},{b})".ljust(18) + f"{m:<5} {d}"
+             for grade, a, b, m, d in data),
+            ("graded dimensions: "
+             + "  ".join(f"{grade}:{d}" for grade, d in totals.items())
+             + f"  total {sum(totals.values())}",),
         )
-        return lines
 
     header = ("grade", "weight_a", "weight_b", "mult", "dim")
     return payload, header, rows, table, 0
@@ -455,22 +481,27 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         *view, code = _RUNNERS[args.command](args)
-        text = _render(args.format, *view)
+        chunks = _render(args.format, *view)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # an exactness check failed
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+                fh.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except OSError as exc:  # a full disk or a closed pipe
+        print(f"error: {exc}", file=sys.stderr)
+        if not args.out:
+            # the interpreter flushes stdout at exit: let that write succeed
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        return 2
     return code
 
 

@@ -1,5 +1,7 @@
 import argparse
+import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,7 @@ import sys
 
 import pytest
 
-from g2kr import cli, equivalence, kr
+from g2kr import characters, cli, equivalence, kr
 from g2kr.characters import irreducible_character, tensor, weyl_dim
 from g2kr.cli import main
 from g2kr.kr import (
@@ -619,14 +621,16 @@ def test_json_writer_edge_cases(rows):
             "nested": {"a": [1, [2, []]], "b": None, "c": {}}}
     items = [{"grade": g, "weight": [a, b], "mult": m} for g, a, b, m in rows]
     expected = json.dumps({**head, "components": items}, indent=2) + "\n"
-    assert cli._json(head, "components", cli._KR_COMPONENT, rows) == expected
-    assert cli._json(head) == json.dumps(head, indent=2) + "\n"
+    text = "".join(cli._json(head, "components", cli._KR_COMPONENT, rows))
+    assert text == expected
+    assert "".join(cli._json(head)) == json.dumps(head, indent=2) + "\n"
     # a % in a key and nesting deeper than the CLI's items
     sentinel = {"100%": 0, "x": {"y": [0, [0]]}}
     template = cli._template(sentinel, 3)
     items = [{"100%": a, "x": {"y": [b, [m]]}} for _, a, b, m in rows]
     expected = json.dumps({**head, "k": items}, indent=2) + "\n"
-    assert cli._json(head, "k", template, [r[1:] for r in rows]) == expected
+    text = "".join(cli._json(head, "k", template, [r[1:] for r in rows]))
+    assert text == expected
 
 
 @pytest.mark.parametrize(
@@ -702,6 +706,22 @@ OUTPUT_DIGESTS = [
      "fae4b459c3bbf70dcaa75c75c2c4e60b05f287787555b8a7635263115744a645", 0),
     ("char 36 17 --format json",
      "f70d3d137ae98accf6750fbeaeb4699a3e3bf808b927dc02dfcaf63bad1c31dd", 0),
+    # outputs of many chunks (`cli._CHUNK` rows each), recorded while the
+    # CLI still rendered each output as one string
+    ("char 40 40 --format json",
+     "ce989edb21b7f66a112bbc120339df5998032cd89fcd042c890d7683f89995fa", 0),
+    ("char 40 40 --format csv",
+     "e2344b2c513955882581d08b43150c56080a7f12c5e84caf60cfa20cb9ce8e3f", 0),
+    ("char 40 40 --format table",
+     "dee54e7551bc5c366299a964e7f9a67e88fadac6406db1c5badde4a1b4d755ac", 0),
+    ("kr --family t2 --m 40 --format json",
+     "18cfa538a23d99704cc1ff7dcf4349e44559cf38c333359f7284cadaf618953b", 0),
+    ("kr --family t2 --m 40 --format csv",
+     "487b1a835eb2857cdb621bfab89d4552b40c3a36cb17b24c5029f54986e03672", 0),
+    ("kr --family t2 --m 40 --format table",
+     "f47cf9ddc796fad19effdf1db54dae2a433e320617fdb5395e5017891b8c68e2", 0),
+    ("kr --family t2 --m 9 --basis weight --format json",
+     "0e5e0d6f5b809782c80398f4a6ef3d3047f633f81e659087b0e1ec6b30c18c71", 0),
     ("tensor 3 2 2 3 --format json",
      "3c7672f10043bf2ce8f481d6cd96661080559a72008a862f0bcc6bf095ea4e89", 0),
     ("tensor 3 2 2 3 --format csv",
@@ -797,3 +817,128 @@ def test_output_bytes_unchanged(monkeypatch, capsys, command, digest,
     code, out, _ = run(capsys, *command.split())
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize(
+    "command, digest, exit_code", OUTPUT_DIGESTS,
+    ids=[case[0] for case in OUTPUT_DIGESTS],
+)
+def test_output_bytes_unchanged_in_small_chunks(monkeypatch, capsys, command,
+                                                digest, exit_code, chunk):
+    # runs of one and of three rows: every chunk boundary, and a last run
+    # that is full, short or alone
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    test_output_bytes_unchanged(monkeypatch, capsys, command, digest,
+                                exit_code)
+
+
+class _Stdout(io.StringIO):
+    """A stdout that records each write, and raises `error` on the
+    second one; its descriptor is `fd`."""
+
+    def __init__(self, fd=None, error=None):
+        super().__init__()
+        self.fd, self.error, self.writes = fd, error, []
+
+    def write(self, text):
+        self.writes.append(text)
+        if self.error is not None and len(self.writes) == 2:
+            raise self.error
+        return super().write(text)
+
+    def fileno(self):
+        return self.fd
+
+
+def test_output_arrives_in_bounded_writes(monkeypatch):
+    # 3.2 MB of json: never held whole, nor written in one piece
+    stdout = _Stdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["char", "40", "40", "--format", "json"]) == 0
+    monkeypatch.undo()
+    assert len(stdout.writes) > 1
+    assert max(map(len, stdout.writes)) <= 256 * 1024
+    text = "".join(stdout.writes)
+    assert text == stdout.getvalue()
+    digests = {command: digest for command, digest, _ in OUTPUT_DIGESTS}
+    assert hashlib.sha256(text.encode()).hexdigest() == digests[
+        "char 40 40 --format json"
+    ]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+     BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))],
+    ids=["full-disk", "closed-pipe"],
+)
+def test_failed_write_is_one_error_line(monkeypatch, capsys, tmp_path, error):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        stdout = _Stdout(fd, error)
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            code = main(["char", "40", "40", "--format", "json"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert len(stdout.writes) == 2  # no write after the failed one
+        # the descriptor now discards what the interpreter flushes at exit
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize(
+    "argv, target, unbuffered",
+    [
+        (["char", "40", "40", "--format", "csv"], "full", "1"),
+        (["char", "40", "40", "--format", "csv"], "full", ""),
+        (["char", "0", "0"], "full", ""),
+        (["char", "40", "40", "--format", "json"], "pipe", ""),
+    ],
+    ids=["full-unbuffered", "full-buffered", "full-small", "closed-pipe"],
+)
+def test_failed_write_in_a_process_exits_two(child_env, argv, target,
+                                             unbuffered):
+    # the whole path: one error line, exit 2 and a quiet exit flush, also
+    # when the whole output waits in stdout's buffer until that flush
+    if target == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        read, fd = os.pipe()
+        os.close(read)
+    env = {**child_env, "PYTHONUNBUFFERED": unbuffered}
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "g2kr.cli", *argv], stdout=fd,
+            stderr=subprocess.PIPE, text=True, env=env, check=False,
+        )
+    finally:
+        os.close(fd)
+    code = errno.ENOSPC if target == "full" else errno.EPIPE
+    assert (result.returncode, result.stderr) == (
+        2, f"error: [Errno {code}] {os.strerror(code)}\n"
+    )
+
+
+def _no_dimension(weight):
+    raise ArithmeticError(f"no dimension for {weight}")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_error_in_rows_leaves_no_output(monkeypatch, capsys, tmp_path, fmt):
+    # the csv and table rows' dims are computed before the first byte
+    monkeypatch.setattr(characters, "weyl_dim", _no_dimension)
+    argv = ["kr", "--family", "t2", "--m", "5", "--format", fmt]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: no dimension for (") and err.count("\n") == 1
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (1, "", err)
+    assert not target.exists()
+    # json lists no dims, so it never asks
+    code, out, _ = run(capsys, *argv[:-1], "json")
+    assert code == 0 and json.loads(out)["family"] == "t2"
