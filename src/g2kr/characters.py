@@ -22,6 +22,7 @@ orbits by `_weight_rows`, on sorted int keys, with no `Weight` per term.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import repeat
 
@@ -259,9 +260,10 @@ def _dominant_multiplicities(a: int, b: int) -> dict[Weight, int]:
     return mult
 
 
-def _weight_rows(dominant: dict[Weight, int]) -> list[tuple[int, int, int]]:
+def _weight_rows(dominant: dict[Weight, int]) -> Iterator[tuple]:
     """The support of a Weyl-invariant character, given its dominant part,
-    as (a, b, mult) rows sorted by (a, b); zero multiplicities are dropped.
+    as (a, b, mult) rows sorted by (a, b), yielded as they are decoded;
+    zero multiplicities are dropped.
 
     Weights are packed into ints: no orbit coordinate of a dominant (x, y)
     exceeds 2x + 3y in absolute value, so with off the largest of those and
@@ -284,7 +286,7 @@ def _weight_rows(dominant: dict[Weight, int]) -> list[tuple[int, int, int]]:
     coordinate = list(range(-off, off + 1))
     keys = sorted(packed)
     pairs = zip(map(divmod, keys, repeat(span)), map(packed.__getitem__, keys))
-    return [(coordinate[a], coordinate[b], m) for (a, b), m in pairs]
+    return ((coordinate[a], coordinate[b], m) for (a, b), m in pairs)
 
 
 def _rows_character(rows) -> Character:

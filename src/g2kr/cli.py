@@ -3,8 +3,9 @@ and the verification sweeps, with table / json / csv output.
 
 Exit codes: 0 success, 1 verification failure (or an exactness check that
 fails while computing, as one `error:` line), 2 usage or domain error, or a
-failed write of the output (a full disk, a closed pipe).  Output is written
-in chunks as it is rendered, never held whole; every check runs before the
+failed write of the output (a full disk); a closed pipe on stdout ends the
+output quietly, with the command's own code.  Output is written in chunks
+as its rows are decoded, never held whole; every check runs before the
 first byte, so an error leaves no output.
 JSON output is canonical (fixed key order, integers only) and round-trips
 byte-identically through json.loads/json.dumps.  The only environment
@@ -93,11 +94,14 @@ def _json(head: dict, key: str | None = None, template: str = "",
     """json.dumps(payload, indent=2) + "\n", byte for byte, in chunks.
 
     payload is head, followed, if key is given, by key: a list with one
-    item per row (a tuple of ints), rendered by template (`_template`).
-    json.dumps renders the head, the list's brackets and the separators;
-    each item is one % operation, and each chunk one run of items.
+    item per row (a tuple of ints) of the iterable rows, rendered by
+    template (`_template`).  json.dumps renders the head, the list's
+    brackets and the separators; each item is one % operation, and each
+    chunk one run of items.
     """
-    if key is None or not rows:
+    rows = iter(rows)
+    first = next(rows, None)  # a peek for the empty list
+    if first is None:
         payload = head if key is None else {**head, key: []}
         yield json.dumps(payload, indent=2) + "\n"
         return
@@ -106,7 +110,7 @@ def _json(head: dict, key: str | None = None, template: str = "",
     ).split(_SLOT)
     yield before
     lead = ""
-    for run in _runs(map(template.__mod__, rows)):
+    for run in _runs(map(template.__mod__, chain([first], rows))):
         yield lead + separator.join(run)
         lead = separator
     yield after + "\n"
@@ -155,10 +159,11 @@ def _run_char(args):
     def table():
         # Weights packed highest-first into lines under the width hint; the
         # sort is stable, so equal heights stay in (a, b) order.
-        yield f"ch V({args.a},{args.b})   dim {dim}   weights {len(terms)}"
+        cells = sorted(terms, key=lambda t: -3 * t[0] - 5 * t[1])
+        yield f"ch V({args.a},{args.b})   dim {dim}   weights {len(cells)}"
         width = _width()
         line = ""
-        for a, b, m in sorted(terms, key=lambda t: -3 * t[0] - 5 * t[1]):
+        for a, b, m in cells:
             cell = f"({a},{b}):{m}"
             if line and len(line) + len(cell) + 2 > width:
                 yield line
@@ -206,26 +211,36 @@ def _run_tensor(args):
 def _run_kr(args):
     from .kr import (
         Family,
+        _components,
+        _region_counts,
+        _rows,
         _weight_basis,
         conjecture_graded_character,
         kr_graded_character,
     )
 
     family = Family(args.family)
-    if args.conjecture:
-        source, g = "conjecture", conjecture_graded_character(family, args.m)
+    source = "conjecture" if args.conjecture else "theorem"
+    # items: the (grade, a, b, mult) rows, sorted by grade and weight (a, b)
+    # and decoded as they are written; weights: their distinct (a, b)
+    if family.quad_indexed and not args.conjecture:
+        *_, (_, (packing, counts)) = _region_counts(family, args.m)
+        weights = _components(counts, packing, args.m)
+        items = _rows(counts, packing, args.m)
     else:
-        source, g = "theorem", kr_graded_character(family, args.m)
-    # (grade, a, b, mult), sorted by grade and weight (a, b).
+        g = (conjecture_graded_character if args.conjecture
+             else kr_graded_character)(family, args.m)
+        weights = {(a, b) for grade in g.grades()
+                   for a, b in g.component(grade)}
+        items = ((grade, *w, n) for grade, w, n in g.items())
     weight_basis = args.basis == "weight"
     if weight_basis:
-        items = [
-            (grade, a, b, m)
-            for grade, rows in _weight_basis(g)
-            for a, b, m in rows
-        ]
-    else:
-        items = [(grade, a, b, m) for grade, (a, b), m in g.items()]
+        from .characters import _dominant_multiplicities, _highest_weight
+
+        for weight in sorted(weights):  # Racah keeps each run for the rows
+            _dominant_multiplicities(*_highest_weight(weight, "component"))
+        items = ((grade, *row) for grade, rows in _weight_basis(items)
+                 for row in rows)
 
     def payload():
         head = {"family": family.value, "m": args.m, "source": source}
@@ -236,27 +251,28 @@ def _run_kr(args):
     def rows():
         # A row's dim is its share of the grade's dimension.
         if weight_basis:
-            return [(grade, a, b, m, m) for grade, a, b, m in items]
+            return ((grade, a, b, m, m) for grade, a, b, m in items)
         from .characters import weyl_dim  # csv and table only
 
-        dims = {w: weyl_dim(w) for w in {(a, b) for _, a, b, _ in items}}
-        return [(grade, a, b, m, m * dims[a, b]) for grade, a, b, m in items]
+        dims = {w: weyl_dim(w) for w in weights}
+        return ((grade, a, b, m, m * dims[a, b]) for grade, a, b, m in items)
 
     def table():
-        # rows and totals before the first byte; the lines as written
-        data = rows()
-        totals: dict[int, int] = {}
-        for grade, *_, d in data:
-            totals[grade] = totals.get(grade, 0) + d
-        return chain(
-            (f"family {family.value}  m {args.m}  source {source}  "
-             f"basis {args.basis}", "grade  weight     mult  dim"),
-            (f"{grade:<6} ({a},{b})".ljust(18) + f"{m:<5} {d}"
-             for grade, a, b, m, d in data),
-            ("graded dimensions: "
-             + "  ".join(f"{grade}:{d}" for grade, d in totals.items())
-             + f"  total {sum(totals.values())}",),
-        )
+        data = rows()  # the dims before the first byte
+
+        def lines():
+            yield (f"family {family.value}  m {args.m}  source {source}  "
+                   f"basis {args.basis}")
+            yield "grade  weight     mult  dim"
+            totals: dict[int, int] = {}
+            for grade, a, b, m, d in data:
+                totals[grade] = totals.get(grade, 0) + d
+                yield f"{grade:<6} ({a},{b})".ljust(18) + f"{m:<5} {d}"
+            yield ("graded dimensions: "
+                   + "  ".join(f"{grade}:{d}" for grade, d in totals.items())
+                   + f"  total {sum(totals.values())}")
+
+        return lines()
 
     header = ("grade", "weight_a", "weight_b", "mult", "dim")
     return payload, header, rows, table, 0
@@ -496,11 +512,13 @@ def main(argv=None) -> int:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
     except OSError as exc:  # a full disk or a closed pipe
-        print(f"error: {exc}", file=sys.stderr)
         if not args.out:
             # the interpreter flushes stdout at exit: let that write succeed
             with open(os.devnull, "w") as null:
                 os.dup2(null.fileno(), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return code  # the reader stopped reading, as `head` does
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return code
 

@@ -26,9 +26,11 @@ visits region points one by one in Python.  (wt, gr) is packed into one
 int key, linear in the point in m-free form, so a generator moves every
 key by one constant, and a face is a cascade of C-level maps over the
 four other generators.  `_region_counts` sweeps m with one Counter that
-grows by each face; `kr_graded_character` keeps its last m.  The packed
-form stays inside this module: `conjecture_differences` decodes it only
-to report a difference.
+grows by each face; `kr_graded_character` keeps its last m.  The key is
+grade-major, so the sorted keys are in (grade, a, b) order, the order of
+the output: `_rows` is the one decoder, and yields the rows in that order
+as they are read.  The CLI streams them; `kr_graded_character` collects
+them, and `conjecture_differences` decodes only to report a difference.
 
 The second form is the generating function: the label (j, k, s) carries
 coefficient(m, j, k) copies of one irreducible, and the coefficients
@@ -46,10 +48,10 @@ from collections import Counter, deque, namedtuple
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from functools import cache
-from itertools import chain, combinations, repeat
-from operator import add, mul, sub
+from itertools import chain, combinations, groupby, repeat
+from operator import add, itemgetter, mul, sub
 
-from .weights import OMEGA1, OMEGA2, Weight
+from .weights import OMEGA1, OMEGA2, Weight, _weight
 
 QuadIndex = tuple[int, int, int, int]
 
@@ -359,10 +361,11 @@ def _ladder(family: Family, m: int) -> GradedDecomposition:
 
 #: How (wt, gr) = (a, b, grade) is packed into one int key.  With drift
 #: the d column of the family's wt_gr rows, the m-free values are
-#: (a, b, grade) - m*drift, and the key is (a'*radix + b')*radix + grade'
+#: (a, b, grade) - m*drift, and the key is (grade'*radix + a')*radix + b'
 #: of the m-free (a', b', grade').  The key is injective on the box of
 #: m-free values from low to low + radix - 1 in each coordinate, which
-#: `_packing` builds around the region's points.  A region point r has
+#: `_packing` builds around the region's points, and on that box the
+#: order of the keys is the order of (grade, a, b).  A region point r has
 #: key row . r at every m.
 _Packing = namedtuple("_Packing", "radix low drift row")
 
@@ -382,41 +385,48 @@ def _packing(region: _Region, top: int) -> _Packing:
     high = [max(v[n] * top // d for v, d in values) for n in range(3)]
     radix = 1 + max(map(sub, high, low))
     drift = [d for _, d in region.wt_gr]
-    # the packed combination (a*radix + b)*radix + grade, coordinate-wise
+    # the packed combination (grade*radix + a)*radix + b, coordinate-wise
     linear = [c for c, _ in region.wt_gr]
-    row = tuple((a * radix + b) * radix + g for a, b, g in zip(*linear))
+    row = tuple((g * radix + a) * radix + b for a, b, g in zip(*linear))
     return _Packing(radix, low, drift, row)
 
 
 def _key(packing: _Packing, m: int, a: int, b: int, grade: int) -> int:
     """The key of (wt, gr) = (a, b, grade) at m, for a value in the box."""
     radix, _, (da, db, dg), _ = packing
-    return ((a - m * da) * radix + b - m * db) * radix + grade - m * dg
+    return ((grade - m * dg) * radix + a - m * da) * radix + b - m * db
+
+
+def _rows(counts, packing: _Packing, m: int) -> Iterator[tuple]:
+    """(grade, a, b, n) for each key -> n of counts, n != 0, with (wt, gr)
+    = (a, b, grade) the key's at m, in the order of the sorted keys, which
+    is (grade, a, b): the one decoder of keys, one row at a time."""
+    radix, low, drift, _ = packing
+    base = _key(packing, 0, *low)
+    oa, ob, og = (lo + m * d for lo, d in zip(low, drift))
+    for key in sorted(counts):
+        n = counts[key]
+        if n:
+            ga, b = divmod(key - base, radix)
+            grade, a = divmod(ga, radix)
+            yield grade + og, a + oa, b + ob, n
+
+
+def _components(counts, packing: _Packing, m: int) -> set:
+    """The distinct weights (a, b) of the keys of counts: the keys moved to
+    the box's lowest grade, where those of one weight meet, by `_rows`."""
+    base, square = _key(packing, 0, *packing.low), packing.radix ** 2
+    lowest = {base + (key - base) % square for key in counts}
+    return {(a, b) for _, a, b, _ in _rows(dict.fromkeys(lowest, 1),
+                                           packing, m)}
 
 
 def _decode(counts, packing: _Packing, m: int) -> GradedDecomposition:
-    """The decomposition with multiplicity n at the (wt, gr) at m of each
-    key -> n of counts; zero multiplicities are dropped."""
-    radix, (la, lb, lg), (da, db, dg), _ = packing
-    base = (la * radix + lb) * radix + lg
-    oa, ob = la + m * da, lb + m * db
-    grades: dict[int, dict[Weight, int]] = {}
-    weights: dict[int, Weight] = {}
-    for key, n in counts.items():
-        if n:
-            ab, grade = divmod(key - base, radix)
-            weight = weights.get(ab)
-            if weight is None:
-                a, b = divmod(ab, radix)
-                weight = weights[ab] = Weight(a + oa, b + ob)
-            component = grades.get(grade)
-            if component is None:
-                component = grades[grade] = {}
-            component[weight] = n
-    og = lg + m * dg
-    return GradedDecomposition._wrap(
-        {grade + og: component for grade, component in grades.items()}
-    )
+    """The decomposition of the rows of counts (`_rows`)."""
+    return GradedDecomposition._wrap({
+        grade: {_weight((a, b)): n for _, a, b, n in rows}
+        for grade, rows in groupby(_rows(counts, packing, m), itemgetter(0))
+    })
 
 
 def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
@@ -529,13 +539,14 @@ def _packed(terms, packing: _Packing, m: int):
     (wt, gr) is then no region point's), or two terms share a (wt, gr)."""
     radix, low, drift, _ = packing
     la, lb, lg = (lo + m * d for lo, d in zip(low, drift))
+    square = radix * radix  # one grade up
     bands, cells = [], 0
     for a, b, base, top, coeff in terms:
         if not (la <= a < la + radix and lb <= b < lb + radix
                 and lg <= base and base + top < lg + radix):
             return None
         first = _key(packing, m, a, b, base)
-        band = range(first, first + top + 1)
+        band = range(first, first + (top + 1) * square, square)
         bands.append(zip(band, repeat(coeff)))
         cells += len(band)
     counts = dict(chain.from_iterable(bands))
@@ -578,22 +589,22 @@ def compare(
     return diffs
 
 
-def _weight_basis(g: GradedDecomposition) -> Iterator[tuple[int, list]]:
-    """Each grade's weights, in grade order: (grade, (a, b, mult) rows
-    sorted by (a, b)), one grade at a time.  A grade sums the dominant
-    multiplicities of its components, and `characters._weight_rows`
-    expands the total.  Raises ValueError for a component weight that is
-    not dominant."""
+def _weight_basis(rows) -> Iterator[tuple[int, Iterator]]:
+    """The weights of the (grade, a, b, mult) rows, which come grouped by
+    grade, one grade at a time: (grade, its (a, b, mult) rows sorted by
+    (a, b)).  A grade sums the dominant multiplicities of its components,
+    and `characters._weight_rows` expands the total.  Raises ValueError
+    for a component weight that is not dominant."""
     from .characters import (
         _dominant_multiplicities,
         _highest_weight,
         _weight_rows,
     )
 
-    for grade in g.grades():
+    for grade, components in groupby(rows, itemgetter(0)):
         total: dict[Weight, int] = {}
-        for weight, mult in g.component(grade).items():
-            lam = _highest_weight(weight, "component")
+        for _, a, b, mult in components:
+            lam = _highest_weight((a, b), "component")
             for w, k in _dominant_multiplicities(*lam).items():
                 total[w] = total.get(w, 0) + mult * k
         yield grade, _weight_rows(total)
@@ -605,7 +616,9 @@ def expand_weights(g: GradedDecomposition) -> dict:
     ValueError for a component weight that is not dominant."""
     from .characters import _rows_character
 
-    return {grade: _rows_character(rows) for grade, rows in _weight_basis(g)}
+    rows = ((grade, *weight, mult) for grade, weight, mult in g.items())
+    return {grade: _rows_character(expanded)
+            for grade, expanded in _weight_basis(rows)}
 
 
 def graded_dimensions(g: GradedDecomposition) -> list[tuple[int, int]]:

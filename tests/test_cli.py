@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -722,6 +723,25 @@ OUTPUT_DIGESTS = [
      "f47cf9ddc796fad19effdf1db54dae2a433e320617fdb5395e5017891b8c68e2", 0),
     ("kr --family t2 --m 9 --basis weight --format json",
      "0e5e0d6f5b809782c80398f4a6ef3d3047f633f81e659087b0e1ec6b30c18c71", 0),
+    # every `kr` path in outputs of many chunks, recorded while `kr` still
+    # held its rows as lists: the generating function, the weight basis of
+    # T2, U1 and a ladder, and a single row
+    ("kr --family t2 --m 40 --conjecture --format csv",
+     "487b1a835eb2857cdb621bfab89d4552b40c3a36cb17b24c5029f54986e03672", 0),
+    ("kr --family t2 --m 40 --conjecture --format table",
+     "b0326eef38e8f0065b63d98d999fa58b1e9deb45a25e980c335fe78d4acdb666", 0),
+    ("kr --family t2 --m 9 --basis weight --format csv",
+     "be0ea1bda416f30346052e9f387f995d4688caf10f1298ed49b711f039aed15a", 0),
+    ("kr --family t2 --m 9 --basis weight --format table",
+     "f88c6cbe02ecc3171e98043046722ad3ecb861a75c2a1e9afe88bd33a92c8817", 0),
+    ("kr --family u1 --m 16 --basis weight --format csv",
+     "dfe8987b5130efc94b00f83e7aab2523c624dd7fc048c465c50e9ae423a684c0", 0),
+    ("kr --family u1 --m 16 --basis weight --format table",
+     "ce7ea484bef00fcd0bbacb82898cb68552c0cffdb67905e2526ab6357728bc88", 0),
+    ("kr --family u2 --m 40 --basis weight --format table",
+     "6a833eb3e743b29d0cfc4996ec8985b3fa9691a0d2bb12630e017fa4dd50eb91", 0),
+    ("kr --family t1 --m 0 --format json",
+     "4258cac3471cd1ef65a97f6cd956f74128d532fdec2d148a14d5bdcded050fba", 0),
     ("tensor 3 2 2 3 --format json",
      "3c7672f10043bf2ce8f481d6cd96661080559a72008a862f0bcc6bf095ea4e89", 0),
     ("tensor 3 2 2 3 --format csv",
@@ -867,21 +887,34 @@ def test_output_arrives_in_bounded_writes(monkeypatch):
     ]
 
 
+_FULL = (errno.ENOSPC, os.strerror(errno.ENOSPC))
+_CLOSED = (errno.EPIPE, os.strerror(errno.EPIPE))
+_CHAR = ["char", "40", "40", "--format", "json"]
+_FAILED_VERIFY = ["verify", "conjecture", "--family", "u1", "--max-m", "1"]
+
+
 @pytest.mark.parametrize(
-    "error",
-    [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
-     BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))],
-    ids=["full-disk", "closed-pipe"],
+    "argv, error, expected",
+    [
+        (_CHAR, OSError(*_FULL), (2, "error: [Errno %d] %s\n" % _FULL)),
+        # the reader stopped reading: the output ends quietly, with the
+        # command's own exit code, 1 for a failed verification
+        (_CHAR, BrokenPipeError(*_CLOSED), (0, "")),
+        (_FAILED_VERIFY, BrokenPipeError(*_CLOSED), (1, "")),
+    ],
+    ids=["full-disk", "closed-pipe", "closed-pipe-failed-verify"],
 )
-def test_failed_write_is_one_error_line(monkeypatch, capsys, tmp_path, error):
+def test_failed_write_is_one_error_line(monkeypatch, capsys, tmp_path, argv,
+                                        error, expected):
+    _u1_coefficient_fault(monkeypatch)
+    monkeypatch.setattr(cli, "_CHUNK", 1)  # a table of many writes
     fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
     try:
         stdout = _Stdout(fd, error)
         with monkeypatch.context() as patch:
             patch.setattr(sys, "stdout", stdout)
-            code = main(["char", "40", "40", "--format", "json"])
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {error}\n"
+            code = main(argv)
+        assert (code, capsys.readouterr().err) == expected
         assert len(stdout.writes) == 2  # no write after the failed one
         # the descriptor now discards what the interpreter flushes at exit
         assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
@@ -896,13 +929,16 @@ def test_failed_write_is_one_error_line(monkeypatch, capsys, tmp_path, error):
         (["char", "40", "40", "--format", "csv"], "full", ""),
         (["char", "0", "0"], "full", ""),
         (["char", "40", "40", "--format", "json"], "pipe", ""),
+        (["char", "40", "40", "--format", "json"], "pipe", "1"),
     ],
-    ids=["full-unbuffered", "full-buffered", "full-small", "closed-pipe"],
+    ids=["full-unbuffered", "full-buffered", "full-small", "closed-pipe",
+         "closed-pipe-unbuffered"],
 )
 def test_failed_write_in_a_process_exits_two(child_env, argv, target,
                                              unbuffered):
-    # the whole path: one error line, exit 2 and a quiet exit flush, also
-    # when the whole output waits in stdout's buffer until that flush
+    # the whole path: a full disk is one error line and exit 2, a closed
+    # pipe no line and exit 0, and the exit flush is quiet, also when the
+    # whole output waits in stdout's buffer until that flush
     if target == "full":
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full on this system")
@@ -918,9 +954,8 @@ def test_failed_write_in_a_process_exits_two(child_env, argv, target,
         )
     finally:
         os.close(fd)
-    code = errno.ENOSPC if target == "full" else errno.EPIPE
     assert (result.returncode, result.stderr) == (
-        2, f"error: [Errno {code}] {os.strerror(code)}\n"
+        (2, "error: [Errno %d] %s\n" % _FULL) if target == "full" else (0, "")
     )
 
 
@@ -928,11 +963,14 @@ def _no_dimension(weight):
     raise ArithmeticError(f"no dimension for {weight}")
 
 
-@pytest.mark.parametrize("fmt", ["csv", "table"])
+@pytest.mark.parametrize(
+    "fmt", ["csv", "table", "csv --conjecture", "table --conjecture"],
+    ids=["csv", "table", "conjecture-csv", "conjecture-table"],
+)
 def test_error_in_rows_leaves_no_output(monkeypatch, capsys, tmp_path, fmt):
     # the csv and table rows' dims are computed before the first byte
     monkeypatch.setattr(characters, "weyl_dim", _no_dimension)
-    argv = ["kr", "--family", "t2", "--m", "5", "--format", fmt]
+    argv = ["kr", "--family", "t2", "--m", "5", "--format", *fmt.split()]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: no dimension for (") and err.count("\n") == 1
@@ -940,5 +978,102 @@ def test_error_in_rows_leaves_no_output(monkeypatch, capsys, tmp_path, fmt):
     assert run(capsys, *argv, "--out", str(target)) == (1, "", err)
     assert not target.exists()
     # json lists no dims, so it never asks
-    code, out, _ = run(capsys, *argv[:-1], "json")
+    code, out, _ = run(capsys, *argv[:5], "--format", "json", *argv[7:])
     assert code == 0 and json.loads(out)["family"] == "t2"
+
+
+def _no_multiplicities(monkeypatch):
+    # Racah's formula fails at V(0,0), in the last grade of T2 and U2
+    dominant = characters._dominant_multiplicities
+
+    def faulty(a, b):
+        if (a, b) == (0, 0):
+            raise ArithmeticError("no multiplicities for (0,0)")
+        return dominant(a, b)
+
+    monkeypatch.setattr(characters, "_dominant_multiplicities", faulty)
+
+
+def _non_dominant(monkeypatch):
+    # the closed form's a = r1 + r2 - 2r3, which is -1 at (1, 0, 1, 0) in
+    # grade 3; the generating function's label (0, 0) carries V(0,-1) in
+    # the last grade, 3m
+    region = _REGIONS[Family.T2]
+
+    def term(m, j, k):
+        return (0, -1, 3 * m) if (j, k) == (0, 0) else region.term(m, j, k)
+
+    wt_gr = (((1, 1, -2, 0), 0), *region.wt_gr[1:])
+    monkeypatch.setitem(_REGIONS, Family.T2,
+                        region._replace(wt_gr=wt_gr, term=term))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+@pytest.mark.parametrize(
+    "fault, argv, code, error",
+    [
+        (_no_multiplicities, ["t2", "--basis", "weight"], 1,
+         "no multiplicities for (0,0)"),
+        (_no_multiplicities, ["t2", "--basis", "weight", "--conjecture"], 1,
+         "no multiplicities for (0,0)"),
+        (_no_multiplicities, ["u2", "--basis", "weight"], 1,
+         "no multiplicities for (0,0)"),
+        (_non_dominant, ["t2", "--basis", "weight"], 2,
+         "highest weight component (-"),
+        (_non_dominant, ["t2", "--basis", "weight", "--conjecture"], 2,
+         "highest weight component (0,-1) is not dominant"),
+    ],
+    ids=["racah", "racah-conjecture", "racah-ladder", "non-dominant",
+         "non-dominant-conjecture"],
+)
+def test_weight_basis_fault_leaves_no_output(monkeypatch, capsys, tmp_path,
+                                             fault, argv, code, error, fmt):
+    # every component of the weight basis is checked before the first byte,
+    # also where the fault is in a late grade
+    fault(monkeypatch)
+    argv = ["kr", "--family", *argv, "--m", "5", "--format", fmt]
+    result = run(capsys, *argv)
+    assert result[:2] == (code, "")
+    assert result[2].startswith(f"error: {error}")
+    assert result[2].count("\n") == 1
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == result
+    assert not target.exists()
+
+
+class _Sink:
+    """A stdout that counts the characters written to it and keeps none."""
+
+    length = 0
+
+    def write(self, text):
+        self.length += len(text)
+        return len(text)
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+    def flush(self):
+        pass
+
+
+def test_kr_rows_are_never_held(monkeypatch):
+    # rows are decoded as they are written, and the weight basis expands
+    # one grade at a time: the peak is set by the count and by one grade,
+    # well below the 1.05 MB of text (6.5 MB while rows were held).  A
+    # first run fills Racah's cache, which outlives the command.
+    argv = ["kr", "--family", "t2", "--m", "14", "--basis", "weight",
+            "--format", "table"]
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    assert main(argv) == 0
+    sink = _Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < sink.length
