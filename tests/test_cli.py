@@ -282,6 +282,13 @@ def test_verify_classes_rejects_ladder_family(capsys):
     assert "ladder" in err
 
 
+@pytest.mark.parametrize("family", ["u2", "t1"])
+def test_verify_classes_ladder_message_is_pinned(capsys, family):
+    assert run(capsys, "verify", "classes", "--family", family) == (
+        2, "", f"error: family {family} is ladder-indexed, not quad-indexed\n"
+    )
+
+
 def test_verify_all_with_ladder_family_skips_classes(capsys):
     code, out, _ = run(capsys, "verify", "all", "--family", "t1",
                        "--max-m", "2", "--format", "json")
@@ -742,6 +749,26 @@ OUTPUT_DIGESTS = [
      "6a833eb3e743b29d0cfc4996ec8985b3fa9691a0d2bb12630e017fa4dd50eb91", 0),
     ("kr --family t1 --m 0 --format json",
      "4258cac3471cd1ef65a97f6cd956f74128d532fdec2d148a14d5bdcded050fba", 0),
+    # the ladders' other paths, recorded while U2 and T1 still had their
+    # own code path beside the region table
+    ("kr --family u2 --m 40 --conjecture --format json",
+     "a62cc1dd13e88e8c71d83b1f56127107baa917b1f78141180c3d06c023a072a1", 0),
+    ("kr --family u2 --m 40 --conjecture --format csv",
+     "52b9858077700c784e4145af5fe18d1d01d69e499b96c1d6a9448a6145055deb", 0),
+    ("kr --family u2 --m 40 --conjecture --format table",
+     "04d050f384066c7f7c755f180d16c7047c9c5f3ff94021acd380fb3a59c5a480", 0),
+    ("kr --family t1 --m 40 --conjecture --format json",
+     "829ea2ef2c14488656bb1574316388334cd2fde23b8d2f0b007b6f448fa3b82d", 0),
+    ("kr --family t1 --m 14 --basis weight --format json",
+     "a49e50a3478748031ca97aa60caae98fb6dcf67da6099d0d46b8c893d1bc8c2d", 0),
+    ("kr --family t1 --m 14 --basis weight --format csv",
+     "ef84e47705262aed1578a88dcf353548cfea440feeb8044e930e4f0f75109584", 0),
+    ("kr --family u2 --m 6 --conjecture --basis weight --format table",
+     "f313268ff8d609eed881658c28ee8382f03f4ec31f8ec46ef4cc01cd9f027b58", 0),
+    ("verify conjecture --family t1 --max-m 32 --format table",
+     "401cad9a3613f396ec927068b7dd0ea6f64ad945a9632b62433059865077f256", 0),
+    ("verify all --family u2 --max-m 16 --format json",
+     "66c947177c0fee025fe9a250d8db268a5556762a308c00e3e93a184801702344", 0),
     ("tensor 3 2 2 3 --format json",
      "3c7672f10043bf2ce8f481d6cd96661080559a72008a862f0bcc6bf095ea4e89", 0),
     ("tensor 3 2 2 3 --format csv",
