@@ -211,33 +211,38 @@ def _run_tensor(args):
 def _run_kr(args):
     from .kr import (
         Family,
+        _check_m,
         _components,
         _region_counts,
         _rows,
         _weight_basis,
         conjecture_graded_character,
-        kr_graded_character,
     )
 
     family = Family(args.family)
+    _check_m(args.m)
     source = "conjecture" if args.conjecture else "theorem"
     # items: the (grade, a, b, mult) rows, sorted by grade and weight (a, b)
-    # and decoded as they are written; weights: their distinct (a, b)
-    if family.quad_indexed and not args.conjecture:
-        *_, (_, (packing, counts)) = _region_counts(family, args.m)
-        weights = _components(counts, packing, args.m)
-        items = _rows(counts, packing, args.m)
-    else:
-        g = (conjecture_graded_character if args.conjecture
-             else kr_graded_character)(family, args.m)
-        weights = {(a, b) for grade in g.grades()
-                   for a, b in g.component(grade)}
+    # and decoded as they are written; weights: a thunk of their distinct
+    # (a, b), which only the weight basis and the dims read
+    if args.conjecture:
+        g = conjecture_graded_character(family, args.m)
         items = ((grade, *w, n) for grade, w, n in g.items())
+
+        def weights():
+            return {(a, b) for grade in g.grades()
+                    for a, b in g.component(grade)}
+    else:
+        *_, (_, (packing, counts)) = _region_counts(family, args.m)
+        items = _rows(counts, packing, args.m)
+
+        def weights():
+            return _components(counts, packing, args.m)
     weight_basis = args.basis == "weight"
     if weight_basis:
         from .characters import _dominant_multiplicities, _highest_weight
 
-        for weight in sorted(weights):  # Racah keeps each run for the rows
+        for weight in sorted(weights()):  # Racah keeps each run for the rows
             _dominant_multiplicities(*_highest_weight(weight, "component"))
         items = ((grade, *row) for grade, rows in _weight_basis(items)
                  for row in rows)
@@ -254,7 +259,7 @@ def _run_kr(args):
             return ((grade, a, b, m, m) for grade, a, b, m in items)
         from .characters import weyl_dim  # csv and table only
 
-        dims = {w: weyl_dim(w) for w in weights}
+        dims = {w: weyl_dim(w) for w in weights()}
         return ((grade, a, b, m, m * dims[a, b]) for grade, a, b, m in items)
 
     def table():
@@ -291,17 +296,10 @@ def _entry(check, problems, key="failures", **where):
 def _verify_kr(conjecture_families, class_families, max_m):
     """Conjecture checks, then class checks, for each family and m <= max_m.
 
-    The closed form of U1 and T2 is one region count per family, swept
-    over m (`kr._region_counts`); the class checks count no region.
+    The closed form of a family is one region count, swept over m
+    (`kr._region_counts`); the class checks count no region.
     """
-    from .kr import (
-        Family,
-        _region_counts,
-        compare,
-        conjecture_differences,
-        conjecture_graded_character,
-        kr_graded_character,
-    )
+    from .kr import Family, _region_counts, conjecture_differences
 
     conjecture, classes, negatives = [], [], []
 
@@ -324,14 +322,6 @@ def _verify_kr(conjecture_families, class_families, max_m):
                 for m in range(max_m + 1)
             ]
         if family not in conjecture_families:
-            continue
-        if not family.quad_indexed:
-            for m in range(max_m + 1):
-                diffs = compare(
-                    kr_graded_character(family, m),
-                    conjecture_graded_character(family, m, negatives),
-                )
-                conjecture.append(conjecture_entry(family, m, diffs))
             continue
         for m, count in _region_counts(family, max_m):
             diffs = conjecture_differences(family, m, count, negatives)

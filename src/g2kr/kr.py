@@ -2,9 +2,9 @@
 
 Four families, labelled by untwisted/twisted and by the fundamental node:
 U1 and U2 for the current algebra, T1 and T2 for the twisted current
-algebra.  U2 and T1 are "ladders": grade n carries exactly V((m-n)*omega).
-U1 and T2 sum one irreducible V(wt(r)) in grade gr(r) over the lattice
-points r of a region in Z+^4:
+algebra.  Each sums one irreducible V(wt(r)) in grade gr(r) over the
+lattice points r of a region.  U2 and T1 are "ladders": r = n in 0..m,
+and grade n carries exactly V((m-n)*omega).  U1 and T2 sum over Z+^4:
 
     U1: wt(r) = (m - r1 - 3r2 - 3r3)*omega1 + (r2 + r3 - r4)*omega2,
         gr(r) = r1 + r2 + 2r3 + 2r4;
@@ -12,34 +12,37 @@ points r of a region in Z+^4:
         gr(r) = r1 + 2r2 + 2r3 + 3r4.
 
 Each family is defined once, in the `_REGIONS` table: the region's
-affine constraints, the affine (wt, gr) map and the shift vector, and the
-generating function's labels, terms, coefficients and class
-representatives.  Membership, enumeration, both forms of the graded
-character and the equivalence classes are all read off it.  In (r, m)
-the region is a unimodular simplicial cone, whose five generators
-`_generators` derives from the constraints: the points of region(m) are
-the sums of generators whose degrees add up to m, so |region(m)| is a
-coefficient of a product of geometric series (`_region_size`).  One
-generator, the slack, adds 1 to m and nothing to r, so region(m) is
-region(m - 1) and its face u = 0 (`_faces`).  The graded character never
-visits region points one by one in Python.  (wt, gr) is packed into one
-int key, linear in the point in m-free form, so a generator moves every
-key by one constant, and a face is a cascade of C-level maps over the
-four other generators.  `_region_counts` sweeps m with one Counter that
-grows by each face; `kr_graded_character` keeps its last m.  The key is
-grade-major, so the sorted keys are in (grade, a, b) order, the order of
-the output: `_rows` is the one decoder, and yields the rows in that order
-as they are read.  The CLI streams them; `kr_graded_character` collects
-them, and `conjecture_differences` decodes only to report a difference.
+affine constraints, the affine (wt, gr) map and the shift vector, and
+the generating function's labels, terms, coefficients and class
+representatives (a ladder has no classes).  Membership, enumeration,
+both forms of the graded character and the equivalence classes are all
+read off it.  In (r, m) the region is a unimodular simplicial cone,
+whose rank + 1 generators `_generators` derives from the constraints:
+the points of region(m) are the sums of generators whose degrees add up
+to m, so |region(m)| is a coefficient of a product of geometric series
+(`_region_size`).  One generator, the slack, adds 1 to m and nothing to
+r, so region(m) is region(m - 1) and its face u = 0 (`_faces`).  The
+graded character never visits region points one by one in Python.
+(wt, gr) is packed into one int key, linear in the point in m-free form,
+so a generator moves every key by one constant, and a face is a cascade
+of C-level maps over the other generators.  `_region_counts` sweeps m with
+one Counter that grows by each face; `kr_graded_character` keeps its
+last m.  The key is grade-major, so the sorted keys are in (grade, a, b)
+order, the order of the output: `_rows` is the one decoder, and yields
+the rows in that order as they are read.  The CLI streams them;
+`kr_graded_character` collects them, and `conjecture_differences`
+decodes only to report a difference.
 
 The second form is the generating function: the label (j, k, s) carries
 coefficient(m, j, k) copies of one irreducible, and the coefficients
 count the points of equivalence classes inside the region (see the
 equivalence module); `compare` checks the two forms against each other
-exactly.  Quad indices must be four ints and m, j, k nonnegative ints
-(bool excluded); anything else raises ValueError.  The character ring
-(`characters`) is loaded only by the functions that use it,
-`_weight_basis` (and so `expand_weights`) and `graded_dimensions`.
+exactly; for a ladder that checks its labels against its cone, with no
+oracle from outside the paper.  Quad indices must be four ints and m, j,
+k nonnegative ints (bool excluded); anything else raises ValueError.
+The character ring (`characters`) is loaded only by the functions that
+use it, `_weight_basis` (and so `expand_weights`) and
+`graded_dimensions`.
 """
 
 from __future__ import annotations
@@ -71,25 +74,26 @@ class Family(Enum):
 
     @property
     def quad_indexed(self) -> bool:
-        """True for the two families summed over a region of Z+^4."""
-        return self in _REGIONS
+        """True for U1 and T2, the families with equivalence classes."""
+        return _REGIONS[self].shift is not None
 
 
-#: One quad-indexed family, the one definition of its region and of its
-#: generating function:
-#:   family          U1 or T2;
-#:   constraints     (c, d) pairs; the region is {r in Z^4 : c.r + d*m >= 0
-#:                   for each pair};
+#: One family, the one definition of its region and of its generating
+#: function:
+#:   family          U1, U2, T1 or T2;
+#:   constraints     (c, d) pairs; the region is {r in Z^rank : c.r + d*m
+#:                   >= 0 for each pair}, of rank 1 for a ladder, else 4;
 #:   wt_gr           (c, d) rows of wt = (a, b) and gr: a = c.r + d*m, then
 #:                   b, then gr;
-#:   shift           wt and gr are constant along this vector;
+#:   shift           wt and gr are constant along this vector; None for a
+#:                   ladder, whose (wt, gr) is injective: it has no classes;
 #:   coefficient     (m, j, k) -> the generating-function coefficient,
 #:                   before clamping at 0;
 #:   labels          m -> the labels (j, k, top), with s in 0..top;
 #:   term            (m, j, k) -> (a, b, base): the label (j, k, s) carries
 #:                   V(a, b) in grade base + s;
 #:   representative  (m, j, k, s) -> the canonical region point of the
-#:                   class labelled (j, k, s).
+#:                   class labelled (j, k, s); None for a ladder.
 _Region = namedtuple(
     "_Region",
     "family constraints wt_gr shift coefficient labels term representative",
@@ -103,6 +107,9 @@ def _u1_representative(m: int, j: int, k: int, s: int) -> QuadIndex:
 
 _NONNEGATIVE = (((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0),
                 ((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0))
+
+#: A ladder's region in (n, m): 0 <= n <= m.
+_LADDER = (((1,), 0), ((-1,), 1))
 
 _REGIONS = {
     region.family: region
@@ -132,20 +139,41 @@ _REGIONS = {
             lambda m, j, k: (j, k, 3 * m - 2 * j - 3 * k),
             lambda m, j, k, s: (j - s, s, 0, m - j - k),
         ),
+        # U2 and T1: the point n carries V((m - n)*omega) in grade n, the
+        # label (n, 0, 0).
+        _Region(
+            Family.U2,
+            _LADDER,
+            (((0,), 0), ((-1,), 1), ((1,), 0)),
+            None,
+            lambda m, j, k: 1,
+            lambda m: ((j, 0, 0) for j in range(m + 1)),
+            lambda m, j, k: (0, m - j, j),
+            None,
+        ),
+        _Region(
+            Family.T1,
+            _LADDER,
+            (((-1,), 1), ((0,), 0), ((1,), 0)),
+            None,
+            lambda m, j, k: 1,
+            lambda m: ((j, 0, 0) for j in range(m + 1)),
+            lambda m, j, k: (m - j, 0, j),
+            None,
+        ),
     )
 }
 
 
 def _region(family) -> _Region:
-    """Table entry of a quad-indexed family, given as a Family or its name."""
-    if not isinstance(family, Family):
-        family = Family(family)
-    region = _REGIONS.get(family)
-    if region is None:
+    """Table entry of a quad-indexed family, given as a Family or its name;
+    ValueError for a ladder, which has no quad indices or classes."""
+    family = Family(family)
+    if not family.quad_indexed:
         raise ValueError(
             f"family {family.value} is ladder-indexed, not quad-indexed"
         )
-    return region
+    return _REGIONS[family]
 
 
 def _check_m(m, name: str = "m") -> None:
@@ -168,12 +196,8 @@ def _check_quad(m, r) -> QuadIndex:
 
 
 def _affine(rows, m: int, r) -> list[int]:
-    """c.r + d*m for each (c, d) of rows."""
-    r1, r2, r3, r4 = r
-    return [
-        c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4 + d * m
-        for (c1, c2, c3, c4), d in rows
-    ]
+    """c.r + d*m for each (c, d) of rows, for an index r of any rank."""
+    return [sum(map(mul, c, r)) + d * m for c, d in rows]
 
 
 class GradedDecomposition:
@@ -255,36 +279,35 @@ def _det(rows) -> int:
     )
 
 
-#: The generator (r, d) of the slack facet u = 0: one more m at the same r.
-_SLACK = ((0, 0, 0, 0), 1)
-
-
 @cache
-def _generators(region: _Region) -> tuple[tuple[QuadIndex, int], ...]:
-    """The five generators (r, d) of the region as a cone in (r, m), in the
-    order of their facet rows.  The points of region(m) are the sums of
+def _generators(region: _Region) -> tuple[tuple[tuple, int], ...]:
+    """The rank + 1 generators (r, d) of the region as a cone in (r, m), in
+    the order of their facet rows.  The points of region(m) are the sums of
     generators, with repeats, whose degrees d add up to m: each point once.
 
-    Five constraints, as the rows (*c, d) of a matrix F on (r, m), give
+    rank + 1 constraints, as the rows (*c, d) of a matrix F on (r, m), give
     them when det F = +-1 and every constraint is >= 0 at every column of
     F^-1 = det F * adj F (no division): the cone is then unimodular and
     simplicial, and the columns are its generators.  One of them must be
-    `_SLACK`, and each must have degree d >= 1, or region(m) is infinite.
-    Any other table raises ValueError naming the reason.
+    the slack (0, ..., 0, 1), one more m at the same r, and each must have
+    degree d >= 1, or region(m) is infinite.  Any other table raises
+    ValueError naming the reason.
     """
     name = region.family.value
-    for facets in combinations([(*c, d) for c, d in region.constraints], 5):
+    size = len(region.constraints[0][0]) + 1
+    for facets in combinations([(*c, d) for c, d in region.constraints],
+                               size):
         det = _det(facets)
         if det not in (1, -1):
             continue
         # column j of det F * adj F: its entry i is det F * (-1)^(i + j)
         # times the minor of F without row j and column i
         generators = []
-        for j in range(5):
+        for j in range(size):
             others = facets[:j] + facets[j + 1:]
             *r, d = (det * (-1) ** (i + j)
                      * _det([row[:i] + row[i + 1:] for row in others])
-                     for i in range(5))
+                     for i in range(size))
             generators.append((tuple(r), d))
         if all(min(_affine(region.constraints, d, r)) >= 0
                for r, d in generators):
@@ -293,9 +316,10 @@ def _generators(region: _Region) -> tuple[tuple[QuadIndex, int], ...]:
         raise ValueError(
             f"the {name} region is not a unimodular simplicial cone in (r, m)"
         )
-    if _SLACK not in generators:
+    slack = ((0,) * (size - 1), 1)
+    if slack not in generators:
         raise ValueError(f"the {name} region has no slack facet: no "
-                         f"generator (0, 0, 0, 0, 1) of one more m")
+                         f"generator {(*slack[0], 1)} of one more m")
     for r, d in generators:
         if d < 1:
             raise ValueError(f"the {name} region is infinite: its generator "
@@ -310,13 +334,13 @@ def _faces(region: _Region, top: int, origin, move) -> Iterator[list]:
 
     The slack moves no r, so region(m) is region(m - 1) and face(m),
     disjoint: region(m) is face(0) + ... + face(m).  A face is a cascade
-    over the four other generators: the face with the first k of them is
-    the one with the first k - 1 at m plus the one with the first k at
-    m - d_k moved by generator k.  Int keys move by C-level maps, with no
-    Python step per point.
+    over the other generators: the face with the first k of them is the
+    one with the first k - 1 at m plus the one with the first k at m - d_k
+    moved by generator k.  Int keys move by C-level maps, with no Python
+    step per point.
     """
     stages = [(move(r), deque(maxlen=d))
-              for r, d in _generators(region) if (r, d) != _SLACK]
+              for r, d in _generators(region) if any(r)]
     for m in range(top + 1):
         face = [origin] if m == 0 else []
         for step, earlier in stages:  # earlier: the stage at m - d .. m - 1
@@ -328,7 +352,7 @@ def _faces(region: _Region, top: int, origin, move) -> Iterator[list]:
 
 def _region_size(region: _Region, m: int) -> int:
     """|region(m)|: the x^m coefficient of the product of 1/(1 - x^d) over
-    the degrees d of the generators, an O(5m) recurrence."""
+    the degrees d of the generators, an O(m) recurrence per generator."""
     series = [1] + [0] * m
     for _, d in _generators(region):
         for n in range(d, m + 1):
@@ -349,14 +373,6 @@ def in_region(family: Family, m: int, r) -> bool:
     """Membership test for the family's region."""
     region = _region(family)
     return min(_affine(region.constraints, m, _check_quad(m, r))) >= 0
-
-
-def _ladder(family: Family, m: int) -> GradedDecomposition:
-    g = GradedDecomposition()
-    fund = family.fundamental
-    for r in range(m + 1):
-        g.add(m - r, r * fund, 1)
-    return g
 
 
 #: How (wt, gr) = (a, b, grade) is packed into one int key.  With drift
@@ -435,10 +451,7 @@ def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
     Counts the packed (wt, gr) keys of the region points with C-level
     updates, one per face of region(m) (`_region_counts`).
     """
-    family = Family(family)
     _check_m(m)
-    if not family.quad_indexed:
-        return _ladder(family, m)
     *_, (_, (packing, counts)) = _region_counts(family, m)
     return _decode(counts, packing, m)
 
@@ -450,13 +463,13 @@ def _key_faces(region: _Region, top: int, packing: _Packing):
 
 
 def _region_counts(family: Family, top: int) -> Iterator[tuple]:
-    """The closed form of U1 or T2 for m = 0, ..., top, in packed form.
+    """The closed form of the family for m = 0, ..., top, in packed form.
 
     Yields (m, (packing, counts)) for each m: counts is the Counter of the
     keys of region(m) under the packing of region(top).  It is one Counter
     that grows by face(m) at each m (`_faces`), so use it before the next.
     """
-    region = _region(family)
+    region = _REGIONS[Family(family)]
     _check_m(top, "top")
     packing = _packing(region, top)
     counts = Counter()
@@ -509,16 +522,10 @@ def _terms(region: _Region, m: int, negatives=None) -> Iterator[tuple]:
 def conjecture_graded_character(
     family: Family, m: int, negatives: list | None = None
 ) -> GradedDecomposition:
-    """Generating-function form of the graded character.
-
-    For U2/T1 the expression is the same ladder as the closed form.  For
-    U1/T2 it sums the terms of the table's labels (see `_terms`).
-    """
-    family = Family(family)
+    """Generating-function form of the graded character: the sum of the
+    terms of the table's labels (see `_terms`)."""
     _check_m(m)
-    if not family.quad_indexed:
-        return _ladder(family, m)
-    return _nested(_terms(_REGIONS[family], m, negatives))
+    return _nested(_terms(_REGIONS[Family(family)], m, negatives))
 
 
 def _nested(terms) -> GradedDecomposition:
@@ -556,15 +563,15 @@ def _packed(terms, packing: _Packing, m: int):
 def conjecture_differences(
     family: Family, m: int, count: tuple, negatives: list | None = None
 ) -> list[tuple[int, Weight, int, int]]:
-    """compare(closed form, generating function) of U1 or T2 at m, for the
-    closed form held as the count that `_region_counts` yields for m.
+    """compare(closed form, generating function) of the family at m, for
+    the closed form held as the count that `_region_counts` yields for m.
 
     The two forms are compared as dicts of keys (a plain dict first: a
     Counter's own == walks both sides in Python); they are decoded to
     GradedDecompositions only when they differ, to list the differences.
     """
     packing, counts = count
-    terms = list(_terms(_region(family), m, negatives))
+    terms = list(_terms(_REGIONS[Family(family)], m, negatives))
     if _packed(terms, packing, m) == counts:
         return []
     return compare(_decode(counts, packing, m), _nested(terms))

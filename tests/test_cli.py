@@ -256,7 +256,7 @@ def test_verify_classes(capsys):
 
 def test_verify_classes_counts_no_region(monkeypatch, capsys):
     # the class check works in r-space: only the conjecture check sweeps
-    # the region counts
+    # the region counts, of every family, the ladders included
     calls = []
     region_counts = kr._region_counts
 
@@ -272,18 +272,11 @@ def test_verify_classes_counts_no_region(monkeypatch, capsys):
     assert calls == []
     code, _, _ = run(capsys, "verify", "all", "--max-m", "6")
     assert code == 0
-    assert calls == [Family.U1, Family.T2]
-
-
-def test_verify_classes_rejects_ladder_family(capsys):
-    code, _, err = run(capsys, "verify", "classes", "--family", "u2",
-                       "--max-m", "3")
-    assert code == 2
-    assert "ladder" in err
+    assert calls == list(Family)
 
 
 @pytest.mark.parametrize("family", ["u2", "t1"])
-def test_verify_classes_ladder_message_is_pinned(capsys, family):
+def test_verify_classes_rejects_ladder_family(capsys, family):
     assert run(capsys, "verify", "classes", "--family", family) == (
         2, "", f"error: family {family} is ladder-indexed, not quad-indexed\n"
     )
@@ -352,6 +345,69 @@ def test_verify_failure_exits_one(monkeypatch, capsys):
                                    "u1", "--max-m", "1")
     assert code_table == 1
     assert "FAIL" in out_table
+
+
+def _ladder_fault(region, fault):
+    # a fault in a ladder's generating function: the term of the label
+    # (3, 0, 0) one grade up, the label (2, 0, 0) dropped, or coefficient 2
+    # at the label (1, 0, 0)
+    if fault == "grade":
+        def term(m, j, k):
+            a, b, base = region.term(m, j, k)
+            return a, b, base + (j == 3)
+
+        return region._replace(term=term)
+    if fault == "label":
+        return region._replace(labels=lambda m: (
+            label for label in region.labels(m) if label != (2, 0, 0)
+        ))
+    return region._replace(coefficient=lambda m, j, k: 1 + (j == 1))
+
+
+#: (m, grade, n, theorem, conjecture) of each difference that a ladder
+#: fault makes at m <= 4, at the weight n*omega.
+_LADDER_DIFFERENCES = {
+    "grade": [(m, grade, m - 3, *mults) for m in (3, 4)
+              for grade, mults in ((3, (1, 0)), (4, (0, 1)))],
+    "label": [(m, 2, m - 2, 1, 0) for m in (2, 3, 4)],
+    "coefficient": [(m, 1, m - 1, 1, 2) for m in (1, 2, 3, 4)],
+}
+
+
+@pytest.mark.parametrize("fault", list(_LADDER_DIFFERENCES))
+@pytest.mark.parametrize("family", [Family.U2, Family.T1], ids=["u2", "t1"])
+def test_ladder_table_fault_fails_verify(monkeypatch, capsys, family, fault):
+    # the ladders' conjecture entries check the table's labels against the
+    # cone: a fault in either fails them, though neither is an oracle from
+    # outside the paper
+    monkeypatch.setitem(_REGIONS, family,
+                        _ladder_fault(_REGIONS[family], fault))
+    code, out, _ = run(capsys, "verify", "conjecture", "--family",
+                       family.value, "--max-m", "4", "--format", "json")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    expected = [[] for _ in range(5)]
+    for m, grade, n, theorem, conjecture in _LADDER_DIFFERENCES[fault]:
+        weight = list(n * family.fundamental)
+        expected[m].append({"grade": grade, "weight": weight,
+                            "theorem": theorem, "conjecture": conjecture})
+    assert [c.get("differences", []) for c in checks] == expected
+    assert [c["ok"] for c in checks] == [not d for d in expected]
+
+
+@pytest.mark.parametrize("family", ["u2", "t1"])
+def test_ladder_facet_of_degree_two_is_refused(monkeypatch, capsys, family):
+    # 2m - n >= 0 in place of m - n >= 0: the facet matrix has det 2, so
+    # the cone has no generators to count from
+    region = _REGIONS[Family(family)]
+    monkeypatch.setitem(_REGIONS, Family(family), region._replace(
+        constraints=(((1,), 0), ((-1,), 2))
+    ))
+    message = (f"error: the {family} region is not a unimodular simplicial "
+               f"cone in (r, m)\n")
+    for argv in (("verify", "conjecture", "--family", family),
+                 ("kr", "--family", family, "--m", "3")):
+        assert run(capsys, *argv) == (2, "", message)
 
 
 def _per_m_verify_kr(conjecture_families, class_families, max_m):
@@ -1007,6 +1063,27 @@ def test_error_in_rows_leaves_no_output(monkeypatch, capsys, tmp_path, fmt):
     # json lists no dims, so it never asks
     code, out, _ = run(capsys, *argv[:5], "--format", "json", *argv[7:])
     assert code == 0 and json.loads(out)["family"] == "t2"
+
+
+@pytest.mark.parametrize("family", ["u1", "u2", "t1", "t2"])
+def test_irrep_json_finds_no_components(monkeypatch, capsys, family):
+    # only the weight basis and the csv and table dims read the distinct
+    # weights of the count
+    found = []
+    components = kr._components
+
+    def counted(*args):
+        found.append(args[2])
+        return components(*args)
+
+    monkeypatch.setattr(kr, "_components", counted)
+    for fmt, basis in (("json", "irrep"), ("csv", "irrep"),
+                       ("table", "irrep"), ("json", "weight")):
+        code, _, _ = run(capsys, "kr", "--family", family, "--m", "4",
+                         "--format", fmt, "--basis", basis)
+        assert code == 0
+        assert found == ([4] if fmt != "json" or basis == "weight" else [])
+        found.clear()
 
 
 def _no_multiplicities(monkeypatch):

@@ -254,7 +254,7 @@ def test_conjecture_coefficient_arguments_checked(position, bad):
 
 
 def test_conjecture_fixtures():
-    # ladder families: identical expressions
+    # ladder families: the labels agree with the cone
     for family in LADDER:
         for m in (0, 1, 5):
             assert conjecture_graded_character(family, m) == kr_graded_character(
@@ -409,7 +409,7 @@ def test_derived_generators_count_another_cone(monkeypatch):
 #: The generators (r, d) of ROADMAP item 2, checked by hand, with the
 #: (a, b, grade) of each at m = d: U1 for r1, r3, r4, v = r2 - r4 and
 #: u = m - 2r1 - 3r2 - 3r3; T2 for r2, r3, r4, w = r1 - r3 and
-#: u = m - r1 - r2 - r3 - r4.
+#: u = m - r1 - r2 - r3 - r4; a ladder for n and u = m - n.
 _GENERATORS = {
     Family.U1: [((1, 0, 0, 0), 2, (1, 0, 1)), ((0, 0, 1, 0), 3, (0, 1, 2)),
                 ((0, 1, 0, 1), 3, (0, 0, 3)), ((0, 1, 0, 0), 3, (0, 1, 1)),
@@ -417,11 +417,15 @@ _GENERATORS = {
     Family.T2: [((0, 1, 0, 0), 1, (1, 0, 2)), ((1, 0, 1, 0), 2, (0, 1, 3)),
                 ((0, 0, 0, 1), 1, (0, 0, 3)), ((1, 0, 0, 0), 1, (1, 0, 1)),
                 ((0, 0, 0, 0), 1, (0, 1, 0))],
+    Family.U2: [((1,), 1, (0, 0, 1)), ((0,), 1, (0, 1, 0))],
+    Family.T1: [((1,), 1, (0, 0, 1)), ((0,), 1, (1, 0, 0))],
 }
 
 
 def nested_count(family, m):
     """|region(m)| by nested loops over the raw inequalities."""
+    if family in LADDER:  # n in 0..m
+        return m + 1
     if family is Family.U1:  # r4 in 0..r2, 2r1 + 3r2 + 3r3 <= m
         return sum(r2 + 1 for r1 in range(m // 2 + 1)
                    for r2 in range((m - 2 * r1) // 3 + 1)
@@ -431,20 +435,19 @@ def nested_count(family, m):
                for r1 in range(m + 1) for r3 in range(min(r1, m - r1) + 1))
 
 
-@pytest.mark.parametrize("family", QUAD)
+@pytest.mark.parametrize("family", list(Family))
 def test_derived_generators_are_the_hand_checked_table(family):
-    table = _GENERATORS[family]
-    assert kr._generators(_REGIONS[family]) == tuple(
-        (r, d) for r, d, _ in table
-    )
-    for r, d, (a, b, grade) in table:
-        assert wt_gr(family, d, r) == (Weight(a, b), grade)
+    table, region = _GENERATORS[family], _REGIONS[family]
+    assert kr._generators(region) == tuple((r, d) for r, d, _ in table)
+    for r, d, wt_gr_at_d in table:
+        assert tuple(kr._affine(region.wt_gr, d, r)) == wt_gr_at_d
     # |region(m)| is the x^m coefficient of the product of 1/(1 - x^d)
     for m in range(41):
-        size = kr._region_size(_REGIONS[family], m)
-        points = enumerate_region(family, m)
-        assert len(set(points)) == len(points) == size, m
+        size = kr._region_size(region, m)
         assert size == nested_count(family, m), m
+        if family.quad_indexed:  # a ladder has no quad indices to list
+            points = enumerate_region(family, m)
+            assert len(set(points)) == len(points) == size, m
 
 
 def slack(family, m, r):
@@ -700,7 +703,7 @@ def test_q_systems_on_dimensions():
     # G2^(1) and D4^(3) Q-systems (Kirillov-Reshetikhin 1987; Hatayama,
     # Kuniba, Okado, Takagi, Tsuboi 2002), with S, L, A, B the families
     # U1, U2, T1, T2 and X_0 = 1.  For U2 and T1 it is the only check from
-    # outside: `verify conjecture` compares their ladder with itself.
+    # outside: `verify conjecture` checks their labels against their cone.
     def dims(family, top):
         graded = (kr_graded_character(family, m) for m in range(top + 1))
         return [sum(d for _, d in graded_dimensions(g)) for g in graded]
