@@ -10,7 +10,7 @@ are the generating function's labels, and the canonical representatives
 r_{j,k,s} and the class sizes (the coefficients) come from the same
 table.  `verify_partition` machine-checks for a given m that these keys
 label each class exactly once: a kernel certificate valid for every m
-makes the classes the (wt, gr) fibres, and one pass over the keys does
+makes the classes the (wt, gr) fibres, and one pass over the labels does
 the rest in r-space.  Each representative must be the least point of its
 class, the class must have the coefficient's size, and the sizes must
 add up to |region(m)|; no class is listed and no region point visited.
@@ -152,43 +152,46 @@ def verify_partition(family: Family, m: int) -> list[str]:
     # value below 0 at t = -1, and the class then has 1 + min(value //
     # -rate) points over the negative rates.  A zero rate only bounds.
     rates = _affine(region.constraints, 0, region.shift)
-    rows = [(*c, d * m) for c, d in region.constraints]
-    lower = [(row, rate) for row, rate in zip(rows, rates) if rate >= 0]
-    upper = [(row, -rate) for row, rate in zip(rows, rates) if rate < 0]
+    rows = list(zip(region.constraints, rates))
+    lower = [(*c, d * m, rate) for (c, d), rate in rows if rate >= 0]
+    upper = [(*c, d * m, -rate) for (c, d), rate in rows if rate < 0]
     owners, total = {}, 0
-    for key in class_keys(region.family, m):
-        j, k, s = key
-        rep = region.representative(m, j, k, s)
-        owner = owners.setdefault(rep, key)
-        if owner is not key:  # a key listed twice shares it too
-            failures.append(
-                f"m={m} keys {owner} and {key} share the representative {rep}"
-            )
+    # the keys (j, k, s), s <= top, of a label share its coefficient
+    for j, k, top in region.labels(m):
         coefficient = region.coefficient(m, j, k)
-        total += coefficient
-        r1, r2, r3, r4 = rep
-        outside = least = False
-        for (c1, c2, c3, c4, e), rate in lower:
-            value = c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4 + e
-            if value < rate:
-                least = True
-                outside = outside or value < 0
-        # a class has fewer steps than region(m) has points; a negative
-        # value, a point outside, leaves steps negative
-        steps = points
-        for (c1, c2, c3, c4, e), rate in upper:
-            reach = (c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4 + e) // rate
-            if reach < steps:
-                steps = reach
-        if outside or steps < 0:
-            failures.append(f"m={m} key {key}: {rep} is outside the region")
-        elif not least:
-            failures.append(
-                f"m={m} key {key}: {rep} is not the least point of its class"
-            )
-        elif steps + 1 != coefficient:
-            failures.append(f"m={m} key {key}: coefficient {coefficient} "
-                            f"!= class size {steps + 1}")
+        if coefficient <= 0:
+            continue
+        total += coefficient * (top + 1)
+        for s in range(top + 1):
+            key = j, k, s
+            rep = region.representative(m, j, k, s)
+            owner = owners.setdefault(rep, key)
+            if owner is not key:  # a key listed twice shares it too
+                failures.append(f"m={m} keys {owner} and {key} share the "
+                                f"representative {rep}")
+            r1, r2, r3, r4 = rep
+            outside = least = False
+            for c1, c2, c3, c4, e, rate in lower:
+                value = c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4 + e
+                if value < rate:
+                    least = True
+                    outside = outside or value < 0
+            # a class has fewer steps than region(m) has points; a negative
+            # value, a point outside, leaves steps negative
+            steps = points
+            for c1, c2, c3, c4, e, rate in upper:
+                reach = (c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4 + e) // rate
+                if reach < steps:
+                    steps = reach
+            if outside or steps < 0:
+                failures.append(f"m={m} key {key}: {rep} is outside "
+                                "the region")
+            elif not least:
+                failures.append(f"m={m} key {key}: {rep} is not the least "
+                                "point of its class")
+            elif steps + 1 != coefficient:
+                failures.append(f"m={m} key {key}: coefficient {coefficient} "
+                                f"!= class size {steps + 1}")
     if total != points:
         failures.append(f"m={m}: the coefficients add up to {total}, "
                         f"region({m}) has {points} points")

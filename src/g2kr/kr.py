@@ -438,11 +438,14 @@ def _components(counts, packing: _Packing, m: int) -> set:
 
 
 def _decode(counts, packing: _Packing, m: int) -> GradedDecomposition:
-    """The decomposition of the rows of counts (`_rows`)."""
-    return GradedDecomposition._wrap({
-        grade: {_weight((a, b)): n for _, a, b, n in rows}
-        for grade, rows in groupby(_rows(counts, packing, m), itemgetter(0))
-    })
+    """The decomposition of the `_rows` of counts, one Weight per (a, b)."""
+    grades, weights = {}, {}
+    for grade, a, b, n in _rows(counts, packing, m):
+        weight = weights.get((a, b))
+        if weight is None:
+            weight = weights[a, b] = _weight((a, b))
+        grades.setdefault(grade, {})[weight] = n
+    return GradedDecomposition._wrap(grades)
 
 
 def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
@@ -525,12 +528,8 @@ def conjecture_graded_character(
     """Generating-function form of the graded character: the sum of the
     terms of the table's labels (see `_terms`)."""
     _check_m(m)
-    return _nested(_terms(_REGIONS[Family(family)], m, negatives))
-
-
-def _nested(terms) -> GradedDecomposition:
-    """The decomposition of the (a, b, base, top, multiplicity) terms."""
     grades: dict[int, dict[Weight, int]] = {}
+    terms = _terms(_REGIONS[Family(family)], m, negatives)
     for a, b, base, top, coeff in terms:
         weight = Weight(a, b)
         for grade in range(base, base + top + 1):
@@ -539,42 +538,43 @@ def _nested(terms) -> GradedDecomposition:
     return GradedDecomposition._wrap(grades)
 
 
-def _packed(terms, packing: _Packing, m: int):
-    """{key: multiplicity} of the (a, b, base, top, multiplicity) terms at
-    m, each V(a, b) in the grades base..base + top, or None where a dict
-    of keys cannot stand for them: a term leaves the packing's box (its
-    (wt, gr) is then no region point's), or two terms share a (wt, gr)."""
-    radix, low, drift, _ = packing
-    la, lb, lg = (lo + m * d for lo, d in zip(low, drift))
-    square = radix * radix  # one grade up
-    bands, cells = [], 0
-    for a, b, base, top, coeff in terms:
-        if not (la <= a < la + radix and lb <= b < lb + radix
-                and lg <= base and base + top < lg + radix):
-            return None
-        first = _key(packing, m, a, b, base)
-        band = range(first, first + (top + 1) * square, square)
-        bands.append(zip(band, repeat(coeff)))
-        cells += len(band)
-    counts = dict(chain.from_iterable(bands))
-    return counts if len(counts) == cells else None
-
-
 def conjecture_differences(
     family: Family, m: int, count: tuple, negatives: list | None = None
 ) -> list[tuple[int, Weight, int, int]]:
     """compare(closed form, generating function) of the family at m, for
     the closed form held as the count that `_region_counts` yields for m.
 
-    The two forms are compared as dicts of keys (a plain dict first: a
-    Counter's own == walks both sides in Python); they are decoded to
-    GradedDecompositions only when they differ, to list the differences.
+    The labels' bands of keys go into one plain dict, compared with the
+    count (a Counter's own == walks both sides in Python).  A negative
+    coefficient, a term outside the packing's box, a key two labels share
+    or a difference take `conjecture_graded_character`'s route instead.
     """
     packing, counts = count
-    terms = list(_terms(_REGIONS[Family(family)], m, negatives))
-    if _packed(terms, packing, m) == counts:
-        return []
-    return compare(_decode(counts, packing, m), _nested(terms))
+    region = _REGIONS[Family(family)]
+    radix, (la, lb, lg), drift, _ = packing
+    ma, mb, mg = (m * d for d in drift)  # (a, b, gr) - m*drift is m-free
+    square = radix * radix  # one grade up
+    bands, cells = [], 0
+    for j, k, top in region.labels(m):
+        coeff = region.coefficient(m, j, k)
+        if coeff <= 0:
+            if coeff:
+                break
+            continue
+        a, b, base = region.term(m, j, k)
+        if not (la <= a - ma < la + radix and lb <= b - mb < lb + radix
+                and lg <= base - mg and base + top - mg < lg + radix):
+            break
+        first = ((base - mg) * radix + a - ma) * radix + b - mb
+        bands.append(zip(range(first, first + (top + 1) * square, square),
+                         repeat(coeff)))
+        cells += top + 1
+    else:
+        packed = dict(chain.from_iterable(bands))
+        if len(packed) == cells and packed == counts:
+            return []
+    return compare(_decode(counts, packing, m),
+                   conjecture_graded_character(family, m, negatives))
 
 
 def compare(

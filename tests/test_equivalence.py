@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2kr import equivalence
+from g2kr import equivalence, kr
 from g2kr.cli import main
 from g2kr.equivalence import (
     _certificate,
@@ -21,8 +21,12 @@ from g2kr.kr import (
     _REGIONS,
     Family,
     GradedDecomposition,
+    _region_counts,
+    compare,
+    conjecture_differences,
     conjecture_graded_character,
     enumerate_region,
+    kr_graded_character,
     wt_gr,
 )
 
@@ -390,26 +394,28 @@ def _coefficient(monkeypatch):
                         region._replace(coefficient=coefficient))
 
 
-def _keys(monkeypatch, change):
-    # change maps the U1 keys at m = 6 to the keys listed instead
-    original = equivalence.class_keys
+def _labels(monkeypatch, change):
+    # change maps the U1 labels (j, k, top) at m = 6 to the labels listed
+    # instead; both partition routes read them
+    region = _REGIONS[Family.U1]
 
-    def class_keys(family, m):
-        keys = original(family, m)
-        if family not in (Family.U1, "u1") or m != 6:
-            return keys
-        return change(keys)
+    def labels(m):
+        return change(region.labels(m)) if m == 6 else region.labels(m)
 
-    monkeypatch.setattr(equivalence, "class_keys", class_keys)
+    monkeypatch.setitem(_REGIONS, Family.U1, region._replace(labels=labels))
 
 
 def _dropped(monkeypatch):
-    _keys(monkeypatch, lambda keys: (key for key in keys if key != (5, 1, 1)))
+    # the label (5,1) keeps s = 0 only: its key (5,1,1) goes
+    _labels(monkeypatch, lambda labels: (
+        (j, k, 0) if (j, k) == (5, 1) else (j, k, top)
+        for j, k, top in labels
+    ))
 
 
 def _repeated(monkeypatch):
-    # the key (5,1,1) listed twice, as two equal tuples
-    _keys(monkeypatch, lambda keys: itertools.chain(keys, [(5, 1, 1)]))
+    # the label (5,1) listed twice: both of its keys repeat
+    _labels(monkeypatch, lambda labels: itertools.chain(labels, [(5, 1, 1)]))
 
 
 FAULTS = [
@@ -430,9 +436,11 @@ FAULTS = [
     ]),
     (_dropped, ["m=6: the coefficients add up to 15, region(6) has 16 points"]),
     (_repeated, [
+        "m=6 keys (5, 1, 0) and (5, 1, 0) share the representative "
+        "(0, 2, 0, 1)",
         "m=6 keys (5, 1, 1) and (5, 1, 1) share the representative "
         "(0, 1, 1, 1)",
-        "m=6: the coefficients add up to 17, region(6) has 16 points",
+        "m=6: the coefficients add up to 18, region(6) has 16 points",
     ]),
 ]
 
@@ -457,6 +465,120 @@ def test_injected_faults(monkeypatch, capsys, inject, expected):
     assert code == 1
     assert "".join(f"    {line}\n" for line in expected) in out
     assert "classes u1 (m <= 7): FAIL at m = 6\n" in out
+
+
+def _counted(monkeypatch, family, *fields):
+    # the family's table with the named functions wrapped: calls[field]
+    # lists the arguments of each call
+    region = _REGIONS[family]
+    calls = {field: [] for field in fields}
+
+    def counted(field):
+        function = getattr(region, field)
+
+        def wrapper(*args):
+            calls[field].append(args)
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setitem(_REGIONS, family, region._replace(
+        **{field: counted(field) for field in fields}))
+    return calls
+
+
+def test_partition_reads_each_coefficient_once(monkeypatch):
+    # the coefficient does not depend on s: one call per label, not one
+    # per key
+    family, m = Family.T2, 12
+    labels = list(_REGIONS[family].labels(m))
+    calls = _counted(monkeypatch, family, "coefficient")
+    assert verify_partition(family, m) == []
+    assert calls["coefficient"] == [(m, j, k) for j, k, _ in labels]
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_conjecture_compare_reads_each_label_once(monkeypatch, family):
+    # one pass over the labels: a coefficient per label, a term per label
+    # of positive coefficient, and no `_terms` stream when the forms agree
+    m, region = 12, _REGIONS[family]
+    labels = [(m, j, k) for j, k, _ in region.labels(m)]
+    positive = [label for label in labels if region.coefficient(*label) > 0]
+    *_, (_, count) = _region_counts(family, m)
+    calls = _counted(monkeypatch, family, "coefficient", "term")
+
+    def terms(*args):
+        raise AssertionError("the generating function was streamed")
+
+    monkeypatch.setattr(kr, "_terms", terms)
+    assert conjecture_differences(family, m, count) == []
+    assert calls == {"coefficient": labels, "term": positive}
+
+
+def _faulty(region, m, label, s, fault):
+    """The table with one fault at the label (j, k, top) of region(m): its
+    coefficient +-1 or -1, its grade +1, the label dropped or repeated, or
+    the representative of its key (j, k, s) moved by +-shift."""
+    here = label[:2]
+
+    def coefficient(n, j, k):
+        c = region.coefficient(n, j, k)
+        if (n, j, k) != (m, *here):
+            return c
+        return {"coefficient+1": c + 1, "coefficient-1": c - 1,
+                "negative": -1}[fault]
+
+    def term(n, j, k):
+        a, b, base = region.term(n, j, k)
+        return a, b, base + ((n, j, k) == (m, *here))
+
+    def labels(n):
+        listed = list(region.labels(n))
+        if n == m and fault == "dropped":
+            listed.remove(label)
+        elif n == m:
+            listed.append(label)
+        return listed
+
+    def representative(n, j, k, t):
+        r = region.representative(n, j, k, t)
+        if (n, j, k, t) != (m, *here, s):
+            return r
+        step = 1 if fault == "shift+1" else -1
+        return tuple(x + step * d for x, d in zip(r, region.shift))
+
+    if fault in ("dropped", "repeated"):
+        return region._replace(labels=labels)
+    if fault in ("shift+1", "shift-1"):
+        return region._replace(representative=representative)
+    if fault == "grade+1":
+        return region._replace(term=term)
+    return region._replace(coefficient=coefficient)
+
+
+@given(family=st.sampled_from(QUAD), m=st.integers(0, 8),
+       fault=st.sampled_from(["coefficient+1", "coefficient-1", "negative",
+                              "grade+1", "dropped", "repeated", "shift+1",
+                              "shift-1"]),
+       data=st.data())
+@settings(deadline=None, max_examples=150)
+def test_fast_paths_against_oracles(family, m, fault, data):
+    # one fault at one label: each per-label kernel agrees with its oracle
+    region = _REGIONS[family]
+    label = data.draw(st.sampled_from(list(region.labels(m))))
+    s = data.draw(st.integers(0, label[2]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(_REGIONS, family, _faulty(region, m, label, s, fault))
+        assert (verify_partition(family, m) == []) == (
+            listing_partition(family, m) == []
+        )
+        *_, (_, count) = _region_counts(family, m)
+        negatives, expected = [], []
+        assert conjecture_differences(family, m, count, negatives) == compare(
+            kr_graded_character(family, m),
+            conjecture_graded_character(family, m, expected),
+        )
+        assert negatives == expected
 
 
 def _listed_class_keys(family, m):

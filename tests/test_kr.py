@@ -306,6 +306,9 @@ def test_closed_form_matches_per_point_oracle(family):
         assert fast == oracle, m
         assert list(fast.items()) == list(oracle.items())
         assert all(type(w) is Weight for _, w, _ in fast.items())
+        # one Weight per distinct (a, b), shared by its grades
+        weights = [w for _, w, _ in fast.items()]
+        assert len(set(map(id, weights))) == len(set(weights))
     # the count swept over m, to tops where the packing's box is tiny and
     # to 30 and 40
     for top in (0, 1, 30, 40):
