@@ -293,68 +293,45 @@ def _entry(check, problems, key="failures", **where):
     return entry
 
 
-def _verify_kr(conjecture_families, class_families, max_m):
-    """Conjecture checks, then class checks, for each family and m <= max_m.
-
-    The closed form of a family is one region count, swept over m
-    (`kr._region_counts`); the class checks count no region.
-    """
-    from .kr import Family, _region_counts, conjecture_differences
-
-    conjecture, classes, negatives = [], [], []
-
-    def conjecture_entry(family, m, diffs):
-        differences = [
-            {"grade": g, "weight": [w.a, w.b], "theorem": ma, "conjecture": mb}
-            for g, w, ma, mb in diffs
-        ]
-        return _entry("conjecture", differences, "differences",
-                      family=family.value, m=m)
-
-    for family in Family:
-        if family in class_families:
-            from . import equivalence  # loaded only for the class checks
-
-            # raises ValueError for a ladder family: it has no classes
-            classes += [
-                _entry("classes", equivalence.verify_partition(family, m),
-                       family=family.value, m=m)
-                for m in range(max_m + 1)
-            ]
-        if family not in conjecture_families:
-            continue
-        for m, count in _region_counts(family, max_m):
-            diffs = conjecture_differences(family, m, count, negatives)
-            conjecture.append(conjecture_entry(family, m, diffs))
-    negative_entries = [
-        {"family": f.value, "m": m, "j": j, "k": k, "coefficient": c}
-        for f, m, j, k, c in negatives
-    ]
-    return conjecture + classes, negative_entries
-
-
 def _run_verify(args):
     if args.max_m < 0:
         raise ValueError(f"--max-m must be nonnegative, got {args.max_m}")
 
     checks, negatives = [], []
     if args.target != "chevalley":
-        from .kr import Family  # loaded only for the targets that run kr
+        from . import kr  # loaded only for the targets that run it
 
-        family = Family(args.family) if args.family else None
-        conjecture_families, class_families = [], []
-        if args.target in ("conjecture", "all"):
-            conjecture_families = [family] if family else list(Family)
-        if args.target in ("classes", "all"):
-            # Ladder families have no classes: the library rejects an
-            # explicit request; "all" skips them.
-            if family is None:
-                class_families = [f for f in Family if f.quad_indexed]
-            elif family.quad_indexed or args.target == "classes":
-                class_families = [family]
-        checks, negatives = _verify_kr(
-            conjecture_families, class_families, args.max_m
-        )
+        conjecture, classes = [], []
+        for family in [kr.Family(args.family)] if args.family else kr.Family:
+            # A ladder family has no classes: the library refuses one that
+            # `verify classes` names; otherwise the ladders are skipped.
+            if args.target in ("classes", "all") and (
+                family.quad_indexed or args.family and args.target == "classes"
+            ):
+                from . import equivalence  # loaded only for the class checks
+
+                classes += [
+                    _entry("classes", equivalence.verify_partition(family, m),
+                           family=family.value, m=m)
+                    for m in range(args.max_m + 1)
+                ]
+            if args.target == "classes":
+                continue
+            # the closed form is one region count, swept over m
+            for m, count in kr._region_counts(family, args.max_m):
+                diffs = kr.conjecture_differences(family, m, count, negatives)
+                differences = [
+                    {"grade": g, "weight": [w.a, w.b], "theorem": ma,
+                     "conjecture": mb} for g, w, ma, mb in diffs
+                ]
+                conjecture.append(_entry("conjecture", differences,
+                                         "differences", family=family.value,
+                                         m=m))
+        checks = conjecture + classes
+        negatives = [
+            {"family": f.value, "m": m, "j": j, "k": k, "coefficient": c}
+            for f, m, j, k, c in negatives
+        ]
     if args.target in ("chevalley", "all"):
         from . import chevalley  # loaded only for the targets that run it
 

@@ -459,12 +459,6 @@ def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
     return _decode(counts, packing, m)
 
 
-def _key_faces(region: _Region, top: int, packing: _Packing):
-    """`_faces` of the packed keys under packing: row . r for a point r."""
-    return _faces(region, top, 0,
-                  lambda r: sum(map(mul, packing.row, r)).__add__)
-
-
 def _region_counts(family: Family, top: int) -> Iterator[tuple]:
     """The closed form of the family for m = 0, ..., top, in packed form.
 
@@ -476,7 +470,10 @@ def _region_counts(family: Family, top: int) -> Iterator[tuple]:
     _check_m(top, "top")
     packing = _packing(region, top)
     counts = Counter()
-    for m, face in enumerate(_key_faces(region, top, packing)):
+    # the faces of the packed keys: row . r for a point r
+    faces = _faces(region, top, 0,
+                   lambda r: sum(map(mul, packing.row, r)).__add__)
+    for m, face in enumerate(faces):
         counts.update(face)
         yield m, (packing, counts)
 

@@ -275,21 +275,60 @@ def test_verify_classes_counts_no_region(monkeypatch, capsys):
     assert calls == list(Family)
 
 
-@pytest.mark.parametrize("family", ["u2", "t1"])
-def test_verify_classes_rejects_ladder_family(capsys, family):
-    assert run(capsys, "verify", "classes", "--family", family) == (
-        2, "", f"error: family {family} is ladder-indexed, not quad-indexed\n"
-    )
+#: (target, --family, the checks `verify` runs at --max-m 1, in order): a
+#: group "check f g" is check's entries for f at m = 0 and 1, then g's;
+#: "chevalley" is the four Chevalley checks, which take no family.  A
+#: ladder (u2, t1) has no classes: "classes" refuses one (None), "all"
+#: skips it.
+_VERIFY_RUNS = [
+    ("conjecture", None, ["conjecture u1 u2 t1 t2"]),
+    ("conjecture", "u1", ["conjecture u1"]),
+    ("conjecture", "u2", ["conjecture u2"]),
+    ("conjecture", "t1", ["conjecture t1"]),
+    ("conjecture", "t2", ["conjecture t2"]),
+    ("classes", None, ["classes u1 t2"]),
+    ("classes", "u1", ["classes u1"]),
+    ("classes", "u2", None),
+    ("classes", "t1", None),
+    ("classes", "t2", ["classes t2"]),
+    ("chevalley", None, ["chevalley"]),
+    ("chevalley", "u1", ["chevalley"]),
+    ("chevalley", "u2", ["chevalley"]),
+    ("chevalley", "t1", ["chevalley"]),
+    ("chevalley", "t2", ["chevalley"]),
+    ("all", None, ["conjecture u1 u2 t1 t2", "classes u1 t2", "chevalley"]),
+    ("all", "u1", ["conjecture u1", "classes u1", "chevalley"]),
+    ("all", "u2", ["conjecture u2", "chevalley"]),
+    ("all", "t1", ["conjecture t1", "chevalley"]),
+    ("all", "t2", ["conjecture t2", "classes t2", "chevalley"]),
+]
 
 
-def test_verify_all_with_ladder_family_skips_classes(capsys):
-    code, out, _ = run(capsys, "verify", "all", "--family", "t1",
-                       "--max-m", "2", "--format", "json")
-    assert code == 0
+@pytest.mark.parametrize(
+    "target, family, groups", _VERIFY_RUNS,
+    ids=[f"{target}-{family or 'every'}" for target, family, _ in _VERIFY_RUNS],
+)
+def test_verify_runs_each_family_resolved(capsys, target, family, groups):
+    argv = ["verify", target, "--max-m", "1", "--format", "json"]
+    if family:
+        argv += ["--family", family]
+    code, out, err = run(capsys, *argv)
+    if groups is None:
+        assert (code, out, err) == (2, "", f"error: family {family} is "
+                                           "ladder-indexed, not quad-indexed\n")
+        return
+    assert (code, err) == (0, "")
+    expected = []
+    for check, *families in map(str.split, groups):
+        if check == "chevalley":
+            expected += [(f"chevalley-{name}", None, None) for name in (
+                "structure", "killing", "kr-relations", "adjoint-weights")]
+        else:
+            expected += [(check, f, m) for f in families for m in (0, 1)]
     payload = json.loads(out)
-    kinds = {c["check"] for c in payload["checks"]}
-    assert "conjecture" in kinds
-    assert "classes" not in kinds
+    assert (payload["target"], payload["family"]) == (target, family)
+    assert [(c["check"], c.get("family"), c.get("m"))
+            for c in payload["checks"]] == expected
 
 
 def test_verify_chevalley(capsys):
@@ -410,33 +449,10 @@ def test_ladder_facet_of_degree_two_is_refused(monkeypatch, capsys, family):
         assert run(capsys, *argv) == (2, "", message)
 
 
-def _per_m_verify_kr(conjecture_families, class_families, max_m):
-    # the verify runner as one call of the public functions per check
-    conjecture, classes, negatives = [], [], []
-    for family in Family:
-        for m in range(max_m + 1):
-            if family in conjecture_families:
-                diffs = compare(
-                    kr_graded_character(family, m),
-                    conjecture_graded_character(family, m, negatives),
-                )
-                differences = [
-                    {"grade": g, "weight": [w.a, w.b], "theorem": ma,
-                     "conjecture": mb}
-                    for g, w, ma, mb in diffs
-                ]
-                conjecture.append(cli._entry(
-                    "conjecture", differences, "differences",
-                    family=family.value, m=m,
-                ))
-            if family in class_families:
-                failures = equivalence.verify_partition(family, m)
-                classes.append(cli._entry("classes", failures,
-                                          family=family.value, m=m))
-    return conjecture + classes, [
-        {"family": f.value, "m": m, "j": j, "k": k, "coefficient": c}
-        for f, m, j, k, c in negatives
-    ]
+def _per_m_conjecture_differences(family, m, count, negatives):
+    # the swept compare as one call of the public functions per m
+    return compare(kr_graded_character(family, m),
+                   conjecture_graded_character(family, m, negatives))
 
 
 @pytest.mark.parametrize("max_m", ["0", "1", "8"])
@@ -446,7 +462,8 @@ def test_failing_verify_matches_per_m_functions(monkeypatch, capsys, fmt,
     _u1_coefficient_fault(monkeypatch)
     argv = ("verify", "all", "--max-m", max_m, "--format", fmt)
     code, out, _ = run(capsys, *argv)
-    monkeypatch.setattr(cli, "_verify_kr", _per_m_verify_kr)
+    monkeypatch.setattr(kr, "conjecture_differences",
+                        _per_m_conjecture_differences)
     expected_code, expected, _ = run(capsys, *argv)
     assert code == expected_code == 1
     assert out == expected
