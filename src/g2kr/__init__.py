@@ -9,12 +9,12 @@ __version__ = "0.1.0"
 _NAMES = {
     "characters": ("Character", "decompose", "irreducible_character",
                    "multiply", "tensor", "weyl_dim"),
-    "equivalence": ("class_keys", "class_members", "class_size_formula",
-                    "representative", "shift_vector", "verify_partition"),
+    "equivalence": ("class_size_formula", "representative", "shift_vector",
+                    "verify_partition"),
     "kr": ("Family", "GradedDecomposition", "compare",
            "conjecture_coefficient", "conjecture_graded_character",
            "enumerate_region", "expand_weights", "graded_dimensions",
-           "in_region", "kr_graded_character", "wt_gr"),
+           "kr_graded_character", "wt_gr"),
     "weights": ("ALL_ROOTS", "ALPHA1", "ALPHA2", "LONG_ROOTS", "OMEGA1",
                 "OMEGA2", "POSITIVE_ROOTS", "RHO", "SHORT_ROOTS", "Weight",
                 "dominant_chamber", "dominant_representative",

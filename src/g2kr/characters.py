@@ -32,6 +32,7 @@ from .weights import (
     POSITIVE_ROOTS,
     RHO,
     Weight,
+    _as_weight,
     _weight,
     dominant_chamber,
     height,
@@ -134,19 +135,6 @@ def multiply(c1: Character, c2: Character) -> Character:
             w = w1 + w2
             out[w] = out.get(w, 0) + m1 * m2
     return Character(out)
-
-
-def _as_weight(w, name: str) -> Weight:
-    """w as a Weight; ValueError naming it unless it is a pair of ints."""
-    if type(w) is Weight:
-        return w
-    try:
-        a, b = w
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a pair of ints, got {w!r}") from None
-    if type(a) is not int or type(b) is not int:
-        raise ValueError(f"{name} must have int coordinates, got {w!r}")
-    return Weight(a, b)
 
 
 def _highest_weight(lam, name: str) -> Weight:

@@ -18,7 +18,6 @@ add up to |region(m)|; no class is listed and no region point visited.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import cache
 from math import gcd
 
@@ -27,7 +26,6 @@ from .kr import (
     QuadIndex,
     _affine,
     _check_m,
-    _check_quad,
     _det,
     _region,
     _region_size,
@@ -39,15 +37,8 @@ def shift_vector(family: Family) -> QuadIndex:
     return _region(family).shift
 
 
-def validate_key(family: Family, m: int, j: int, k: int, s: int) -> None:
-    """Raise ValueError naming the violated inequality, if any.
-
-    m, j, k and s must be nonnegative ints (bool excluded).
-    """
-    _validate(_region(family), m, j, k, s)
-
-
 def _validate(region, m, j, k, s) -> None:
+    """Raise ValueError naming the violated inequality of the key, if any."""
     for name, value in (("m", m), ("j", j), ("k", k), ("s", s)):
         _check_m(value, name)
     if region.family is Family.U1:
@@ -78,40 +69,6 @@ def class_size_formula(family: Family, m: int, j: int, k: int, s: int) -> int:
     region = _region(family)
     _validate(region, m, j, k, s)
     return region.coefficient(m, j, k)
-
-
-def class_members(family: Family, m: int, r) -> list[QuadIndex]:
-    """Region points on the shift line through r, in increasing step order.
-
-    Every constraint of the region is affine in the step t along the
-    shift, so the class is the interval of t that the constraints leave.
-    """
-    region = _region(family)
-    r = _check_quad(m, r)
-    values = _affine(region.constraints, m, r)
-    if min(values) < 0:
-        raise ValueError(
-            f"{r} is not in the {region.family.value} region for m={m}"
-        )
-    # constraint n is values[n] + rate*t at step t: a positive rate bounds
-    # t below, a negative one above
-    pairs = list(zip(values, _affine(region.constraints, 0, region.shift)))
-    steps = range(max([-(v // rate) for v, rate in pairs if rate > 0]),
-                  min([v // -rate for v, rate in pairs if rate < 0]) + 1)
-    (r1, r2, r3, r4), (s1, s2, s3, s4) = r, region.shift
-    return [
-        (r1 + t * s1, r2 + t * s2, r3 + t * s3, r4 + t * s4) for t in steps
-    ]
-
-
-def class_keys(family: Family, m: int) -> Iterator[tuple[int, int, int]]:
-    """All valid (j, k, s) keys for the family at this m."""
-    _check_m(m)
-    region = _region(family)
-    for j, k, top in region.labels(m):
-        if region.coefficient(m, j, k) > 0:
-            for s in range(top + 1):
-                yield j, k, s
 
 
 @cache

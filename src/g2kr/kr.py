@@ -14,9 +14,9 @@ and grade n carries exactly V((m-n)*omega).  U1 and T2 sum over Z+^4:
 Each family is defined once, in the `_REGIONS` table: the region's
 affine constraints, the affine (wt, gr) map and the shift vector, and
 the generating function's labels, terms, coefficients and class
-representatives (a ladder has no classes).  Membership, enumeration,
-both forms of the graded character and the equivalence classes are all
-read off it.  In (r, m) the region is a unimodular simplicial cone,
+representatives (a ladder has no classes).  The region's points, both
+forms of the graded character and the equivalence classes are all read
+off it.  In (r, m) the region is a unimodular simplicial cone,
 whose rank + 1 generators `_generators` derives from the constraints:
 the points of region(m) are the sums of generators whose degrees add up
 to m, so |region(m)| is a coefficient of a product of geometric series
@@ -54,7 +54,7 @@ from functools import cache
 from itertools import chain, combinations, groupby, repeat
 from operator import add, itemgetter, mul, sub
 
-from .weights import OMEGA1, OMEGA2, Weight, _weight
+from .weights import OMEGA1, OMEGA2, Weight, _as_weight, _weight
 
 QuadIndex = tuple[int, int, int, int]
 
@@ -221,6 +221,14 @@ class GradedDecomposition:
         return g
 
     def add(self, grade: int, weight: Weight, mult: int = 1) -> None:
+        """Add mult copies of V(weight) in grade.  ValueError naming the
+        argument unless grade and mult are ints (bool excluded) and weight
+        is a pair of ints."""
+        if type(grade) is not int:
+            raise ValueError(f"grade must be an int, got {grade!r}")
+        if type(mult) is not int:
+            raise ValueError(f"multiplicity must be an int, got {mult!r}")
+        weight = _as_weight(weight, "weight")
         if mult == 0:
             return
         component = self._grades.setdefault(grade, {})
@@ -360,6 +368,7 @@ def _region_size(region: _Region, m: int) -> int:
     return series[m]
 
 
+# No command calls it; benchmarks/test_benchmark.py imports it.
 def enumerate_region(family: Family, m: int) -> list[QuadIndex]:
     """All quad indices of the family's region, in lexicographic order."""
     region = _region(family)
@@ -367,12 +376,6 @@ def enumerate_region(family: Family, m: int) -> list[QuadIndex]:
     faces = _faces(region, m, (0, 0, 0, 0),
                    lambda r: lambda point: tuple(map(add, point, r)))
     return sorted(chain.from_iterable(faces))
-
-
-def in_region(family: Family, m: int, r) -> bool:
-    """Membership test for the family's region."""
-    region = _region(family)
-    return min(_affine(region.constraints, m, _check_quad(m, r))) >= 0
 
 
 #: How (wt, gr) = (a, b, grade) is packed into one int key.  With drift

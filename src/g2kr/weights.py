@@ -95,8 +95,12 @@ ALL_ROOTS = tuple(r.weight for r in POSITIVE_ROOTS) + tuple(
 
 
 def to_root_coords(w: Weight) -> tuple[int, int]:
-    """Coordinates (p, q) with w = p*alpha1 + q*alpha2."""
-    return (2 * w.a + 3 * w.b, w.a + 2 * w.b)
+    """Coordinates (p, q) with w = p*alpha1 + q*alpha2, for any pair of
+    ints w; ValueError for other coordinates, as for `Weight`."""
+    a, b = w
+    if type(a) is not int or type(b) is not int:
+        raise _not_a_weight(a, b)
+    return (2 * a + 3 * b, a + 2 * b)
 
 
 def from_root_coords(p: int, q: int) -> Weight:
@@ -117,7 +121,11 @@ def in_root_cone(w: Weight) -> bool:
 
 
 def is_dominant(w: Weight) -> bool:
-    return w.a >= 0 and w.b >= 0
+    """True iff both coordinates of the pair of ints w are nonnegative."""
+    a, b = w
+    if type(a) is not int or type(b) is not int:
+        raise _not_a_weight(a, b)
+    return a >= 0 and b >= 0
 
 
 def inner(v: Weight, w: Weight) -> int:
@@ -140,6 +148,19 @@ def simple_reflection(i: int, w: Weight) -> Weight:
 #: Weight(a, b) from the pair (a, b) of ints, without the type check of
 #: `Weight.__new__`.
 _weight = partial(_tuple_new, Weight)
+
+
+def _as_weight(w, name: str) -> Weight:
+    """w as a Weight; ValueError naming it unless it is a pair of ints."""
+    if type(w) is Weight:
+        return w
+    try:
+        a, b = w
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair of ints, got {w!r}") from None
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"{name} must have int coordinates, got {w!r}")
+    return Weight(a, b)
 
 
 def weyl_orbit(w: Weight) -> frozenset[Weight]:

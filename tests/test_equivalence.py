@@ -5,16 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2kr import equivalence, kr
+from g2kr import kr
 from g2kr.cli import main
 from g2kr.equivalence import (
     _certificate,
-    class_keys,
-    class_members,
     class_size_formula,
     representative,
     shift_vector,
-    validate_key,
     verify_partition,
 )
 from g2kr.kr import (
@@ -33,37 +30,49 @@ from g2kr.kr import (
 QUAD = (Family.U1, Family.T2)
 
 
-def listing_partition(family, m):
-    """The listing route, the oracle of `verify_partition`: every key's
-    class_members against a set of the whole region.
+def keys(family, m):
+    """The keys (j, k, s) of the table's labels of positive coefficient,
+    read at call time."""
+    region = _REGIONS[family]
+    return [(j, k, s) for j, k, top in region.labels(m)
+            if region.coefficient(m, j, k) > 0 for s in range(top + 1)]
 
-    Empty iff the classes are pairwise disjoint, cover the region, have
-    the coefficients as sizes and start at their representatives; a key
-    listed twice meets its own class.  Keys, representatives and
-    coefficients are looked up at call time, so injected faults reach
-    this route too.
+
+def listing_partition(family, m):
+    """The listing route, the oracle of `verify_partition`: the region's
+    points grouped by (wt, gr), and each key's fibre looked up there.
+
+    Empty iff the fibres of the keys' representatives are pairwise
+    distinct, cover the region, have the coefficients as sizes and start
+    at their representatives.  Keys, representatives and coefficients
+    are looked up at call time, so injected faults reach this route too;
+    no shift line is walked.
     """
     failures = []
     coefficient = _REGIONS[family].coefficient
-    region = set(enumerate_region(family, m))
-    seen = {}
-    for key in equivalence.class_keys(family, m):
-        j, k, s = key
+    fibres = {}
+    for r in enumerate_region(family, m):  # in lexicographic order
+        fibres.setdefault(wt_gr(family, m, r), []).append(r)
+    covered = []
+    for j, k, s in keys(family, m):
         try:
-            rep = equivalence.representative(family, m, j, k, s)
-            members = class_members(family, m, rep)
+            rep = representative(family, m, j, k, s)
         except ValueError as exc:
             failures.append(f"key ({j},{k},{s}): {exc}")
+            continue
+        members = fibres.get(wt_gr(family, m, rep), [])
+        if rep not in members:
+            failures.append(f"key ({j},{k},{s}): {rep} is outside the region")
             continue
         if len(members) != coefficient(m, j, k):
             failures.append(f"key ({j},{k},{s}): {len(members)} members")
         if members[0] != rep:
             failures.append(f"key ({j},{k},{s}): class starts at {members[0]}")
-        for point in members:
-            if seen.setdefault(point, key) is not key:
-                failures.append(f"{point} in {seen[point]} and ({j},{k},{s})")
-    if region != seen.keys():
-        failures.append(f"{len(region - seen.keys())} points uncovered")
+        covered += members
+    if len(covered) != len(set(covered)):
+        failures.append("a region point lies in two classes")
+    if len(set(covered)) != sum(map(len, fibres.values())):
+        failures.append("the classes do not cover the region")
     return failures
 
 
@@ -94,7 +103,7 @@ def test_representative_fixtures():
 
 def test_representative_weight_and_grade():
     for m in range(11):
-        for j, k, s in class_keys(Family.U1, m):
+        for j, k, s in keys(Family.U1, m):
             rep = representative(Family.U1, m, j, k, s)
             assert wt_gr(Family.U1, m, rep) == (
                 wt_gr(Family.U1, m, rep)[0],
@@ -102,7 +111,7 @@ def test_representative_weight_and_grade():
             )
             weight, grade = wt_gr(Family.U1, m, rep)
             assert weight.a == m - j - k and weight.b == k
-        for j, k, s in class_keys(Family.T2, m):
+        for j, k, s in keys(Family.T2, m):
             rep = representative(Family.T2, m, j, k, s)
             weight, grade = wt_gr(Family.T2, m, rep)
             assert (weight.a, weight.b) == (j, k)
@@ -131,7 +140,7 @@ def test_invalid_keys_rejected():
 @pytest.mark.parametrize("bad", [6.0, True, "6", None])
 @pytest.mark.parametrize("position", range(4))
 @pytest.mark.parametrize(
-    "key_function", [validate_key, representative, class_size_formula]
+    "key_function", [representative, class_size_formula]
 )
 def test_key_arguments_must_be_ints(key_function, position, bad):
     # (m, j, k, s) = (6, 2, 0, 0) is a valid U1 key
@@ -144,51 +153,12 @@ def test_key_arguments_must_be_ints(key_function, position, bad):
 
 @pytest.mark.parametrize("family", ["u1", "t2"])
 @pytest.mark.parametrize(
-    "key_function", [validate_key, representative, class_size_formula]
+    "key_function", [representative, class_size_formula]
 )
 def test_key_functions_reject_negative_m(key_function, family):
     # a negative m is named as such, before any inequality of the key
     with pytest.raises(ValueError, match="^m must be nonnegative, got -3$"):
         key_function(family, -3, 0, 0, 0)
-
-
-@pytest.mark.parametrize("bad", [6.0, True, "6", None])
-def test_class_members_m_must_be_an_int(bad):
-    with pytest.raises(ValueError, match="m must be an int"):
-        class_members("u1", bad, (2, 0, 0, 0))
-
-
-def test_class_members_fixtures():
-    assert class_members(Family.U1, 6, (0, 1, 0, 1)) == [
-        (0, 1, 0, 1),
-        (3, 0, 0, 0),
-    ]
-    assert class_members(Family.U1, 3, (0, 1, 0, 1)) == [(0, 1, 0, 1)]
-    for family in QUAD:
-        assert class_members(family, 4, (0, 0, 0, 0)) == [(0, 0, 0, 0)]
-    with pytest.raises(ValueError, match="not in the"):
-        class_members(Family.U1, 3, (5, 0, 0, 0))
-
-
-def test_class_members_mutual():
-    for family, m in [(Family.U1, 9), (Family.T2, 5)]:
-        for r in enumerate_region(family, m):
-            members = class_members(family, m, r)
-            assert r in members
-            for other in members:
-                assert class_members(family, m, other) == members
-
-
-@pytest.mark.parametrize("family, m", [(Family.U1, 8), (Family.T2, 5)])
-def test_class_members_against_brute_force(family, m):
-    # oracle: group the whole region by (weight, grade)
-    groups = {}
-    for r in enumerate_region(family, m):
-        groups.setdefault(wt_gr(family, m, r), []).append(r)
-    for r in enumerate_region(family, m):
-        assert class_members(family, m, r) == sorted(
-            groups[wt_gr(family, m, r)]
-        )
 
 
 def test_class_size_fixtures():
@@ -208,18 +178,19 @@ def test_partition_sweep(family):
 
 @pytest.mark.parametrize("family", QUAD)
 def test_class_keys_are_the_valid_keys(family):
-    # the table's labels against the inequalities of `validate_key`
+    # the table's labels against the inequalities that `class_size_formula`
+    # checks
     for m in range(13):
         valid = set()
         for key in itertools.product(range(m + 1), repeat=3):
             try:
-                validate_key(family, m, *key)
+                class_size_formula(family, m, *key)
             except ValueError:
                 continue
             valid.add(key)
-        keys = list(class_keys(family, m))
-        assert len(keys) == len(set(keys))
-        assert set(keys) == valid
+        listed = keys(family, m)
+        assert len(listed) == len(set(listed))
+        assert set(listed) == valid
 
 
 @pytest.mark.parametrize("family", QUAD)
@@ -227,7 +198,7 @@ def test_class_sizes_sum_to_region(family):
     for m in range(31):
         total = sum(
             class_size_formula(family, m, j, k, s)
-            for j, k, s in class_keys(family, m)
+            for j, k, s in keys(family, m)
         )
         assert total == len(enumerate_region(family, m))
 
@@ -235,7 +206,7 @@ def test_class_sizes_sum_to_region(family):
 def rebuilt_graded_character(family, m):
     """V(wt_gr(representative)) times the class size, summed over the keys."""
     rebuilt = GradedDecomposition()
-    for key in class_keys(family, m):
+    for key in keys(family, m):
         weight, grade = wt_gr(family, m, representative(family, m, *key))
         rebuilt.add(grade, weight, class_size_formula(family, m, *key))
     return rebuilt
@@ -254,12 +225,11 @@ def test_two_route_equality(family):
 def test_family_names_accepted(family):
     name = family.value
     assert shift_vector(name) == shift_vector(family)
-    assert list(class_keys(name, 6)) == list(class_keys(family, 6))
     assert representative(name, 6, 3, 1, 1) == (
         representative(family, 6, 3, 1, 1)
     )
-    assert class_members(name, 6, (1, 1, 0, 1)) == (
-        class_members(family, 6, (1, 1, 0, 1))
+    assert class_size_formula(name, 6, 3, 1, 1) == (
+        class_size_formula(family, 6, 3, 1, 1)
     )
     assert verify_partition(name, 6) == []
 
@@ -305,15 +275,15 @@ def run_classes(capsys, fmt, max_m):
     "field, value, minors, listing_fails",
     [
         # a wrong grade row: the shift-line classes stop being (wt, gr)
-        # fibres; the listing route never reads (wt, gr) and misses it
+        # fibres; the listing route groups by it and sees singletons
         ("wt_gr", (((-1, -3, -3, 0), 1), ((0, 1, 1, -1), 0),
-                   ((1, 1, 2, 3), 0)), (-3, 2, -1, 1), False),
+                   ((1, 1, 2, 3), 0)), (-3, 2, -1, 1), True),
         # a shift in the kernel but not its generator: the listing route
-        # sees half-size classes
-        ("shift", (6, -2, 0, -2), (-3, 1, 0, 1), True),
+        # never reads the shift, and the keys still label the fibres
+        ("shift", (6, -2, 0, -2), (-3, 1, 0, 1), False),
         # no shift: no class would be bounded, so the certificate is
         # reported alone
-        ("shift", (0, 0, 0, 0), (-3, 1, 0, 1), True),
+        ("shift", (0, 0, 0, 0), (-3, 1, 0, 1), False),
     ],
     ids=["wt_gr", "shift", "zero_shift"],
 )
@@ -581,13 +551,8 @@ def test_fast_paths_against_oracles(family, m, fault, data):
         assert negatives == expected
 
 
-def _listed_class_keys(family, m):
-    # class_keys is a generator: its check runs at the first key drawn
-    return list(class_keys(family, m))
-
-
 @pytest.mark.parametrize("bad", [6.0, True, "6", None, -1])
-@pytest.mark.parametrize("function", [verify_partition, _listed_class_keys])
+@pytest.mark.parametrize("function", [verify_partition])
 def test_partition_routes_check_m(function, bad):
     for family in ("u1", "t2"):
         with pytest.raises(ValueError, match="m must be"):

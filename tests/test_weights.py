@@ -18,6 +18,7 @@ from g2kr.weights import (
     dominant_chamber,
     dominant_representative,
     from_root_coords,
+    height,
     in_root_cone,
     inner,
     is_dominant,
@@ -37,6 +38,9 @@ def test_root_coords_fixtures():
     # highest long root, hence equals omega2
     assert to_root_coords(OMEGA2) == (3, 2)
     assert 3 * ALPHA1 + 2 * ALPHA2 == OMEGA2
+    # a pair of ints is a weight too
+    assert to_root_coords((1, 2)) == (8, 5) and height((1, 2)) == 13
+    assert in_root_cone((-1, 1)) and not in_root_cone((-2, 1))
 
 
 @given(weights)
@@ -177,16 +181,25 @@ def test_dominant_chamber_matches_reflection_oracle():
 )
 def test_weyl_helpers_reject_non_int_coordinates(w):
     # checked once per call, as `Weight` checks them
-    with pytest.raises(ValueError, match=r"a weight is two ints, got \("):
-        weyl_orbit(w)
-    with pytest.raises(ValueError, match=r"a weight is two ints, got \("):
-        dominant_chamber(w)
+    for function in (weyl_orbit, dominant_chamber, to_root_coords, height,
+                     in_root_cone, is_dominant):
+        with pytest.raises(ValueError, match=r"a weight is two ints, got \("):
+            function(w)
+
+
+@given(weights)
+def test_weight_helpers_accept_int_pairs(w):
+    # a pair of ints is a weight here, as it is to `inner` and `weyl_orbit`
+    for function in (to_root_coords, height, in_root_cone, is_dominant,
+                     weyl_orbit, dominant_chamber):
+        assert function((w.a, w.b)) == function(w)
 
 
 def test_dominance():
     assert is_dominant(Weight(0, 0))
     assert is_dominant(Weight(2, 1))
     assert not is_dominant(Weight(-1, 1))
+    assert is_dominant((0, 3)) and not is_dominant((2, -1))
 
 
 def test_coroot_coefficients():
