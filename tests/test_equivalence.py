@@ -76,11 +76,36 @@ def listing_partition(family, m):
     return failures
 
 
+def shift_class(family, m, r):
+    """Brute force: the region points r + t * shift_vector(family), t in Z,
+    sorted.  Membership is read off the table's constraints."""
+    rows, shift = _REGIONS[family].constraints, shift_vector(family)
+    line = set()
+    for step in (1, -1):
+        point = tuple(r)
+        while min(kr._affine(rows, m, point)) >= 0:
+            line.add(point)
+            point = tuple(c + step * d for c, d in zip(point, shift))
+    return sorted(line)
+
+
 def test_shift_vectors():
     assert shift_vector(Family.U1) == (3, -1, 0, -1)
     assert shift_vector(Family.T2) == (1, 0, 1, -1)
     with pytest.raises(ValueError):
         shift_vector(Family.U2)
+
+
+@pytest.mark.parametrize("family", [Family.U2, Family.T1])
+def test_class_ops_reject_ladder_families(family):
+    for call in (
+        lambda: shift_vector(family),
+        lambda: representative(family, 3, 0, 0, 0),
+        lambda: class_size_formula(family, 3, 0, 0, 0),
+        lambda: verify_partition(family, 3),
+    ):
+        with pytest.raises(ValueError, match="ladder-indexed"):
+            call()
 
 
 @pytest.mark.parametrize("family", QUAD)
@@ -159,6 +184,33 @@ def test_key_functions_reject_negative_m(key_function, family):
     # a negative m is named as such, before any inequality of the key
     with pytest.raises(ValueError, match="^m must be nonnegative, got -3$"):
         key_function(family, -3, 0, 0, 0)
+
+
+def test_class_members_fixtures():
+    # the shift lines through hand-checked points, and their keys' sizes
+    assert shift_class(Family.U1, 6, (0, 1, 0, 1)) == [
+        (0, 1, 0, 1),
+        (3, 0, 0, 0),
+    ]
+    assert representative(Family.U1, 6, 3, 0, 0) == (0, 1, 0, 1)
+    assert class_size_formula(Family.U1, 6, 3, 0, 0) == 2
+    assert shift_class(Family.U1, 3, (0, 1, 0, 1)) == [(0, 1, 0, 1)]
+    assert shift_class(Family.T2, 4, (1, 0, 0, 2)) == [
+        (1, 0, 0, 2),
+        (2, 0, 1, 1),
+    ]
+    for family in QUAD:
+        assert shift_class(family, 4, (0, 0, 0, 0)) == [(0, 0, 0, 0)]
+
+
+@pytest.mark.parametrize("family, m", [(Family.U1, 8), (Family.T2, 5)])
+def test_class_members_against_brute_force(family, m):
+    # the shift line through each point is its (weight, grade) fibre
+    groups = {}
+    for r in enumerate_region(family, m):
+        groups.setdefault(wt_gr(family, m, r), []).append(r)
+    for r in enumerate_region(family, m):
+        assert shift_class(family, m, r) == groups[wt_gr(family, m, r)]
 
 
 def test_class_size_fixtures():
@@ -552,7 +604,7 @@ def test_fast_paths_against_oracles(family, m, fault, data):
 
 
 @pytest.mark.parametrize("bad", [6.0, True, "6", None, -1])
-@pytest.mark.parametrize("function", [verify_partition])
+@pytest.mark.parametrize("function", [verify_partition, enumerate_region])
 def test_partition_routes_check_m(function, bad):
     for family in ("u1", "t2"):
         with pytest.raises(ValueError, match="m must be"):

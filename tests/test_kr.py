@@ -564,6 +564,7 @@ def test_shift_in_kernel_of_wt_gr(family):
 
 
 @pytest.mark.parametrize("function", [wt_gr])
+@pytest.mark.parametrize("family", QUAD)
 @pytest.mark.parametrize(
     "m, r, message",
     [
@@ -581,9 +582,9 @@ def test_shift_in_kernel_of_wt_gr(family):
     ids=["bool-coordinate", "float-list", "fraction", "three", "five",
          "bool", "str", "negative-m", "float-m", "bool-m"],
 )
-def test_quad_index_boundary(function, m, r, message):
+def test_quad_index_boundary(function, family, m, r, message):
     with pytest.raises(ValueError, match=message):
-        function(Family.U1, m, r)
+        function(family, m, r)
 
 
 def test_quad_index_legal_forms():
@@ -849,8 +850,9 @@ def test_negative_m_rejected():
 
 
 @pytest.mark.parametrize("m", [2.0, True, "3", None])
+@pytest.mark.parametrize("family", list(Family))
 @pytest.mark.parametrize("build", [kr_graded_character,
                                    conjecture_graded_character])
-def test_non_int_m_rejected(build, m):
+def test_non_int_m_rejected(build, family, m):
     with pytest.raises(ValueError, match="m must be an int"):
-        build(Family.U1, m)
+        build(family, m)
