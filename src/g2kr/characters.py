@@ -22,9 +22,10 @@ orbits by `_weight_rows`, on sorted int keys, with no `Weight` per term.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from functools import lru_cache
 from itertools import repeat
+from math import prod
+from operator import floordiv, mod
 
 from .weights import (
     OMEGA1,
@@ -147,15 +148,22 @@ def _highest_weight(lam, name: str) -> Weight:
     return lam
 
 
+#: (<omega1, alpha>, <omega2, alpha>, <rho, alpha>) for each positive root
+#: alpha, so <lam + rho, alpha> = a*c1 + b*c2 + c3 for lam = (a, b); and
+#: the product of the <rho, alpha>, the Weyl formula's denominator.
+_WEYL_ROWS = tuple(tuple(inner(w, root.weight) for w in (OMEGA1, OMEGA2, RHO))
+                   for root in POSITIVE_ROOTS)
+_WEYL_DENOMINATOR = prod(c for _, _, c in _WEYL_ROWS)
+
+
 def weyl_dim(lam: Weight) -> int:
     """dim V(lam) by the Weyl product formula (exact integers)."""
     lam = _highest_weight(lam, "lam")
-    shifted = lam + RHO
-    num = den = 1
-    for root in POSITIVE_ROOTS:
-        num *= inner(shifted, root.weight)
-        den *= inner(RHO, root.weight)
-    q, r = divmod(num, den)
+    a, b = lam
+    num = 1
+    for c1, c2, c3 in _WEYL_ROWS:
+        num *= a * c1 + b * c2 + c3
+    q, r = divmod(num, _WEYL_DENOMINATOR)
     if r:
         raise ArithmeticError(
             f"Weyl dimension product for {lam} does not divide exactly"
@@ -248,18 +256,18 @@ def _dominant_multiplicities(a: int, b: int) -> dict[Weight, int]:
     return mult
 
 
-def _weight_rows(dominant: dict[Weight, int]) -> Iterator[tuple]:
+def _weight_rows(dominant: dict[Weight, int]) -> tuple:
     """The support of a Weyl-invariant character, given its dominant part,
-    as (a, b, mult) rows sorted by (a, b), yielded as they are decoded;
-    zero multiplicities are dropped.
+    as the columns a, b (iterators) and mult (a list) of its rows sorted by
+    (a, b), to be read in step; zero multiplicities are dropped.
 
     Weights are packed into ints: no orbit coordinate of a dominant (x, y)
     exceeds 2x + 3y in absolute value, so with off the largest of those and
     span = 2 off + 1, the key (a + off) * span + b + off is injective and
     ordered as (a, b).  Each Weyl group element is linear, so it sends
     (x, y) to the key x * k1 + y * k2 + base for two ints k1, k2.  The
-    decoded coordinates are read from one list of the ints -off..off, so
-    rows share them rather than hold a new int each.
+    columns are C-level maps over the sorted keys, with no Python step per
+    row, and share the coordinates of one list of the ints -off..off.
     """
     weights = [w for w, m in dominant.items() if m]
     mults = [m for m in dominant.values() if m]
@@ -271,20 +279,23 @@ def _weight_rows(dominant: dict[Weight, int]) -> Iterator[tuple]:
         k1, k2 = p1 * span + q1, p2 * span + q2
         # a wall weight's images coincide and write the same value
         packed.update(zip([x * k1 + y * k2 + base for x, y in weights], mults))
-    coordinate = list(range(-off, off + 1))
+    coordinate = list(range(-off, off + 1)).__getitem__
     keys = sorted(packed)
-    pairs = zip(map(divmod, keys, repeat(span)), map(packed.__getitem__, keys))
-    return ((coordinate[a], coordinate[b], m) for (a, b), m in pairs)
+    mults = list(map(packed.__getitem__, keys))  # packed is freed here
+    return (map(coordinate, map(floordiv, keys, repeat(span))),
+            map(coordinate, map(mod, keys, repeat(span))), mults)
 
 
-def _rows_character(rows) -> Character:
-    """The Character of (a, b, mult) rows with nonzero multiplicities."""
-    return Character._wrap({_weight((a, b)): m for a, b, m in rows})
+def _rows_character(weights, mults) -> Character:
+    """The Character of rows given as the columns weights (int pairs) and
+    mults (nonzero)."""
+    return Character._wrap(dict(zip(map(_weight, weights), mults)))
 
 
 @lru_cache(maxsize=None)
 def _irreducible_character(lam: Weight) -> Character:
-    return _rows_character(_weight_rows(_dominant_multiplicities(*lam)))
+    a, b, mults = _weight_rows(_dominant_multiplicities(*lam))
+    return _rows_character(zip(a, b), mults)
 
 
 def irreducible_character(lam) -> Character:

@@ -19,7 +19,8 @@ import io
 import json
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import itemgetter, mul
 
 from .weights import height
 
@@ -80,6 +81,8 @@ def _template(sentinel: dict, fields: int) -> str:
 _CHAR_TERM = _template({"weight": [0, 0], "mult": 0}, 3)
 _TENSOR_COMPONENT = _template({"weight": [0, 0], "mult": 0, "dim": 0}, 4)
 _KR_COMPONENT = _template({"grade": 0, "weight": [0, 0], "mult": 0}, 4)
+
+_A, _B = itemgetter(0), itemgetter(1)  # the coordinates of a weight (a, b)
 
 
 def _runs(items):
@@ -150,7 +153,9 @@ def _run_char(args):
     from .characters import _dominant_multiplicities, _weight_rows, weyl_dim
 
     dim = weyl_dim((args.a, args.b))  # ValueError unless dominant
-    terms = _weight_rows(_dominant_multiplicities(args.a, args.b))
+    # strict: every column runs to its end, which frees the packed keys
+    terms = zip(*_weight_rows(_dominant_multiplicities(args.a, args.b)),
+                strict=True)
 
     def payload():
         head = {"weight": [args.a, args.b], "dim": dim}
@@ -208,79 +213,82 @@ def _run_tensor(args):
 
 # --- kr ---------------------------------------------------------------------
 
+def _kr_line(grade: int) -> str:
+    """The % template of a table line of grade, for (weight text, mult,
+    dim): f"{grade:<6} {weight}".ljust(18) + f"{mult:<5} {dim}"."""
+    head = "%-6d " % grade
+    return f"{head}%-{max(18 - len(head), 0)}s%-5d %d"
+
+
 def _run_kr(args):
-    from .kr import (
-        Family,
-        _check_m,
-        _components,
-        _region_counts,
-        _rows,
-        _weight_basis,
-        conjecture_graded_character,
-    )
+    from .kr import (Family, _check_m, _closed_form, _weight_basis,
+                     conjecture_graded_character)
 
     family = Family(args.family)
     _check_m(args.m)
     source = "conjecture" if args.conjecture else "theorem"
-    # items: the (grade, a, b, mult) rows, sorted by grade and weight (a, b)
-    # and decoded as they are written; weights: a thunk of their distinct
-    # (a, b), which only the weight basis and the dims read
+    # weights: the distinct component weights; grades: (grade, weights,
+    # mults) for each grade in order, decoded as they are written
     if args.conjecture:
         g = conjecture_graded_character(family, args.m)
-        items = ((grade, *w, n) for grade, w, n in g.items())
-
-        def weights():
-            return {(a, b) for grade in g.grades()
-                    for a, b in g.component(grade)}
+        weights, grades = g._by_grade()
     else:
-        *_, (_, (packing, counts)) = _region_counts(family, args.m)
-        items = _rows(counts, packing, args.m)
-
-        def weights():
-            return _components(counts, packing, args.m)
+        weights, grades = _closed_form(family, args.m)
     weight_basis = args.basis == "weight"
     if weight_basis:
         from .characters import _dominant_multiplicities, _highest_weight
 
-        for weight in sorted(weights()):  # Racah keeps each run for the rows
+        for weight in sorted(weights):  # Racah keeps each run for the rows
             _dominant_multiplicities(*_highest_weight(weight, "component"))
-        items = ((grade, *row) for grade, rows in _weight_basis(items)
-                 for row in rows)
+        grades = _weight_basis(grades)
 
     def payload():
         head = {"family": family.value, "m": args.m, "source": source}
         if weight_basis:
             head["basis"] = "weight"
-        return head, "components", _KR_COMPONENT, items
+        return head, "components", _KR_COMPONENT, chain.from_iterable(
+            zip(repeat(grade), map(_A, ws), map(_B, ws), mults)
+            for grade, ws, mults in grades)
 
-    def rows():
-        # A row's dim is its share of the grade's dimension.
+    def shares():
+        # (grade, weights, mults, dims): a row's dim is its share of the
+        # grade's dimension; every weyl_dim runs here, before the first byte
         if weight_basis:
-            return ((grade, a, b, m, m) for grade, a, b, m in items)
+            return ((grade, ws, mults, mults) for grade, ws, mults in grades)
         from .characters import weyl_dim  # csv and table only
 
-        dims = {w: weyl_dim(w) for w in weights()}
-        return ((grade, a, b, m, m * dims[a, b]) for grade, a, b, m in items)
+        dim = {w: weyl_dim(w) for w in weights}.__getitem__
+        return ((grade, ws, mults, list(map(mul, mults, map(dim, ws))))
+                for grade, ws, mults in grades)
 
-    def table():
-        data = rows()  # the dims before the first byte
+    def lines(data):
+        yield (f"family {family.value}  m {args.m}  source {source}  "
+               f"basis {args.basis}", "grade  weight     mult  dim")
+        # a weight's text "(a,b)", made once for each of the components, or
+        # for each row of the weight basis, which repeats fewer weights
+        text = "(%d,%d)".__mod__
+        if not weight_basis:
+            text = dict(zip(weights, map(text, weights))).__getitem__
+        totals = {}
+        for grade, ws, mults, dims in data:
+            totals[grade] = sum(dims)
+            yield map(_kr_line(grade).__mod__, zip(map(text, ws), mults, dims))
+        yield ("graded dimensions: "
+               + "  ".join(f"{grade}:{d}" for grade, d in totals.items())
+               + f"  total {sum(totals.values())}",)
 
-        def lines():
-            yield (f"family {family.value}  m {args.m}  source {source}  "
-                   f"basis {args.basis}")
-            yield "grade  weight     mult  dim"
-            totals: dict[int, int] = {}
-            for grade, a, b, m, d in data:
-                totals[grade] = totals.get(grade, 0) + d
-                yield f"{grade:<6} ({a},{b})".ljust(18) + f"{m:<5} {d}"
-            yield ("graded dimensions: "
-                   + "  ".join(f"{grade}:{d}" for grade, d in totals.items())
-                   + f"  total {sum(totals.values())}")
-
-        return lines()
+    def rows():
+        # csv.writer copies text faster than it converts an int: the grade
+        # and, for the components, each weight's coordinates go in as text
+        a, b = ((_A, _B) if weight_basis else
+                ({w: str(w[i]) for w in weights}.__getitem__ for i in (0, 1)))
+        return chain.from_iterable(
+            zip(repeat(str(grade)), map(a, ws), map(b, ws), mults, dims)
+            for grade, ws, mults, dims in shares())
 
     header = ("grade", "weight_a", "weight_b", "mult", "dim")
-    return payload, header, rows, table, 0
+    return payload, header, rows, lambda: chain.from_iterable(
+        lines(shares())), 0
 
 
 # --- verify -----------------------------------------------------------------
@@ -343,25 +351,13 @@ def _run_verify(args):
     ok = all(entry["ok"] for entry in checks)
 
     def payload():
-        return ({
-            "target": args.target,
-            "max_m": args.max_m,
-            "family": args.family,
-            "ok": ok,
-            "negative_coefficients": negatives,
-            "checks": checks,
-        },)
+        return ({"target": args.target, "max_m": args.max_m,
+                 "family": args.family, "ok": ok,
+                 "negative_coefficients": negatives, "checks": checks},)
 
     def rows():
-        return [
-            (
-                entry["check"],
-                entry.get("family", ""),
-                entry.get("m", ""),
-                "ok" if entry["ok"] else "fail",
-            )
-            for entry in checks
-        ]
+        return [(entry["check"], entry.get("family", ""), entry.get("m", ""),
+                 "ok" if entry["ok"] else "fail") for entry in checks]
 
     def table():
         lines = []
@@ -395,20 +391,13 @@ def _run_verify(args):
 # --- parser -----------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="g2kr",
-        description="Exact G2 characters and graded Kirillov-Reshetikhin "
-        "characters.",
-    )
+    parser = argparse.ArgumentParser(prog="g2kr", description=(
+        "Exact G2 characters and graded Kirillov-Reshetikhin characters."))
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument(
-            "--format",
-            choices=("table", "json", "csv"),
-            default="table",
-            help="output format (default: table)",
-        )
+        p.add_argument("--format", choices=("table", "json", "csv"),
+                       default="table", help="output format (default: table)")
         p.add_argument("--out", metavar="FILE", help="write output to FILE")
 
     p_char = sub.add_parser("char", help="character of an irreducible module")
@@ -424,23 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_kr = sub.add_parser("kr", help="graded Kirillov-Reshetikhin character")
     p_kr.add_argument("--family", choices=FAMILIES, required=True)
     p_kr.add_argument("--m", type=int, required=True)
-    p_kr.add_argument(
-        "--basis",
-        choices=("irrep", "weight"),
-        default="irrep",
-        help="list irreducible components or expanded weights",
-    )
-    p_kr.add_argument(
-        "--conjecture",
-        action="store_true",
-        help="render the generating-function form instead of the closed form",
-    )
+    p_kr.add_argument("--basis", choices=("irrep", "weight"), default="irrep",
+                      help="list irreducible components or expanded weights")
+    p_kr.add_argument("--conjecture", action="store_true", help="render the "
+                      "generating-function form instead of the closed form")
     add_common(p_kr)
 
     p_verify = sub.add_parser("verify", help="run the verification sweeps")
-    p_verify.add_argument(
-        "target", choices=("conjecture", "classes", "chevalley", "all")
-    )
+    p_verify.add_argument("target", choices=("conjecture", "classes",
+                                             "chevalley", "all"))
     p_verify.add_argument("--family", choices=FAMILIES)
     p_verify.add_argument("--max-m", type=int, default=30)
     add_common(p_verify)
@@ -448,12 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RUNNERS = {
-    "char": _run_char,
-    "tensor": _run_tensor,
-    "kr": _run_kr,
-    "verify": _run_verify,
-}
+_RUNNERS = {"char": _run_char, "tensor": _run_tensor, "kr": _run_kr,
+            "verify": _run_verify}
 
 
 def main(argv=None) -> int:

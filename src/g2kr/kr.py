@@ -28,10 +28,11 @@ so a generator moves every key by one constant, and a face is a cascade
 of C-level maps over the other generators.  `_region_counts` sweeps m with
 one Counter that grows by each face; `kr_graded_character` keeps its
 last m.  The key is grade-major, so the sorted keys are in (grade, a, b)
-order, the order of the output: `_rows` is the one decoder, and yields
-the rows in that order as they are read.  The CLI streams them;
-`kr_graded_character` collects them, and `conjecture_differences`
-decodes only to report a difference.
+order, the order of the output, and a key's residue mod radix**2 names
+its weight: `_grades` is the one decoder, and yields a grade at a time,
+each distinct weight decoded once.  The CLI renders the grades as they
+come; `_decode` collects them, and `conjecture_differences` decodes only
+to report a difference.
 
 The second form is the generating function: the label (j, k, s) carries
 coefficient(m, j, k) copies of one irreducible, and the coefficients
@@ -47,12 +48,13 @@ use it, `_weight_basis` (and so `expand_weights`) and
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque, namedtuple
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from functools import cache
-from itertools import chain, combinations, groupby, repeat
-from operator import add, itemgetter, mul, sub
+from itertools import chain, combinations, repeat
+from operator import add, mod, mul, sub
 
 from .weights import OMEGA1, OMEGA2, Weight, _as_weight, _weight
 
@@ -249,6 +251,13 @@ class GradedDecomposition:
     def multiplicity(self, grade: int, weight: Weight) -> int:
         return self._grades.get(grade, {}).get(weight, 0)
 
+    def _by_grade(self) -> tuple:
+        """(weights, grades) in the form of `_grades`: the distinct weights,
+        and (grade, its weights sorted, their multiplicities) by grade."""
+        grades = ((g, sorted(c), c) for g, c in sorted(self._grades.items()))
+        return set().union(*self._grades.values()), (
+            (g, ws, list(map(c.__getitem__, ws))) for g, ws, c in grades)
+
     def items(self) -> Iterable[tuple[int, Weight, int]]:
         """All (grade, weight, multiplicity) triples, sorted."""
         for grade in sorted(self._grades):
@@ -416,39 +425,49 @@ def _key(packing: _Packing, m: int, a: int, b: int, grade: int) -> int:
     return ((grade - m * dg) * radix + a - m * da) * radix + b - m * db
 
 
-def _rows(counts, packing: _Packing, m: int) -> Iterator[tuple]:
-    """(grade, a, b, n) for each key -> n of counts, n != 0, with (wt, gr)
-    = (a, b, grade) the key's at m, in the order of the sorted keys, which
-    is (grade, a, b): the one decoder of keys, one row at a time."""
+def _grades(counts, packing: _Packing, m: int) -> tuple:
+    """The one decoder of keys: counts a grade at a time, (weights, grades).
+
+    The key is grade-major and a grade spans radix**2 keys, so a key's
+    residue mod radix**2 names its weight, the same in every grade: weights
+    maps each residue to its Weight, decoded once.  grades yields (grade,
+    its weights in (a, b) order, their counts) for each grade in order,
+    lists built by C-level maps over the grade's sorted keys, with no
+    Python step per key.  counts is read here, not by grades."""
     radix, low, drift, _ = packing
+    square = radix * radix
     base = _key(packing, 0, *low)
     oa, ob, og = (lo + m * d for lo, d in zip(low, drift))
-    for key in sorted(counts):
-        n = counts[key]
-        if n:
-            ga, b = divmod(key - base, radix)
-            grade, a = divmod(ga, radix)
-            yield grade + og, a + oa, b + ob, n
+    keys = sorted(counts)
+    mults = list(map(counts.__getitem__, keys))
+    weights = {}
+    for residue in set(map(mod, keys, repeat(square))):
+        a, b = divmod((residue - base) % square, radix)
+        weights[residue] = _weight((a + oa, b + ob))
+
+    def grades():
+        lo = 0
+        while lo < len(keys):
+            grade = (keys[lo] - base) // square
+            hi = bisect_left(keys, base + (grade + 1) * square, lo)
+            residues = map(mod, keys[lo:hi], repeat(square))
+            yield (grade + og, list(map(weights.__getitem__, residues)),
+                   mults[lo:hi])
+            lo = hi
+
+    return weights.values(), grades()
 
 
-def _components(counts, packing: _Packing, m: int) -> set:
-    """The distinct weights (a, b) of the keys of counts: the keys moved to
-    the box's lowest grade, where those of one weight meet, by `_rows`."""
-    base, square = _key(packing, 0, *packing.low), packing.radix ** 2
-    lowest = {base + (key - base) % square for key in counts}
-    return {(a, b) for _, a, b, _ in _rows(dict.fromkeys(lowest, 1),
-                                           packing, m)}
+def _closed_form(family: Family, m: int) -> tuple:
+    """`_grades` of the closed form at m; the count is freed once read."""
+    (_, (packing, counts)), = deque(_region_counts(family, m), maxlen=1)
+    return _grades(counts, packing, m)
 
 
-def _decode(counts, packing: _Packing, m: int) -> GradedDecomposition:
-    """The decomposition of the `_rows` of counts, one Weight per (a, b)."""
-    grades, weights = {}, {}
-    for grade, a, b, n in _rows(counts, packing, m):
-        weight = weights.get((a, b))
-        if weight is None:
-            weight = weights[a, b] = _weight((a, b))
-        grades.setdefault(grade, {})[weight] = n
-    return GradedDecomposition._wrap(grades)
+def _decode(grades) -> GradedDecomposition:
+    """The decomposition of grades in the form of `_grades`."""
+    return GradedDecomposition._wrap({grade: dict(zip(weights, mults))
+                                      for grade, weights, mults in grades})
 
 
 def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
@@ -458,8 +477,7 @@ def kr_graded_character(family: Family, m: int) -> GradedDecomposition:
     updates, one per face of region(m) (`_region_counts`).
     """
     _check_m(m)
-    *_, (_, (packing, counts)) = _region_counts(family, m)
-    return _decode(counts, packing, m)
+    return _decode(_closed_form(family, m)[1])
 
 
 def _region_counts(family: Family, top: int) -> Iterator[tuple]:
@@ -573,7 +591,7 @@ def conjecture_differences(
         packed = dict(chain.from_iterable(bands))
         if len(packed) == cells and packed == counts:
             return []
-    return compare(_decode(counts, packing, m),
+    return compare(_decode(_grades(counts, packing, m)[1]),
                    conjecture_graded_character(family, m, negatives))
 
 
@@ -586,35 +604,32 @@ def compare(
     """
     if a == b:
         return []
-    keys = {(g, w) for g, w, _ in a.items()} | {(g, w) for g, w, _ in b.items()}
-    diffs = []
-    for grade, weight in sorted(keys):
-        ma = a.multiplicity(grade, weight)
-        mb = b.multiplicity(grade, weight)
-        if ma != mb:
-            diffs.append((grade, weight, ma, mb))
-    return diffs
+    cells = sorted({(g, w) for g, w, _ in chain(a.items(), b.items())})
+    return [(g, w, ma, mb) for g, w in cells
+            if (ma := a.multiplicity(g, w)) != (mb := b.multiplicity(g, w))]
 
 
-def _weight_basis(rows) -> Iterator[tuple[int, Iterator]]:
-    """The weights of the (grade, a, b, mult) rows, which come grouped by
-    grade, one grade at a time: (grade, its (a, b, mult) rows sorted by
-    (a, b)).  A grade sums the dominant multiplicities of its components,
-    and `characters._weight_rows` expands the total.  Raises ValueError
-    for a component weight that is not dominant."""
-    from .characters import (
-        _dominant_multiplicities,
-        _highest_weight,
-        _weight_rows,
-    )
+def _weight_basis(grades) -> Iterator[tuple[int, list, list]]:
+    """The weight basis of grades, given and yielded one grade at a time as
+    (grade, weights, mults) in the form of `_grades`: a grade sums the
+    dominant multiplicities of its components, and
+    `characters._weight_rows` expands the total into its weights (int
+    pairs) in (a, b) order.  Only the yielded lists outlive a grade's
+    expansion.  Raises ValueError for a component weight that is not
+    dominant."""
+    from .characters import (_dominant_multiplicities, _highest_weight,
+                             _weight_rows)
 
-    for grade, components in groupby(rows, itemgetter(0)):
+    def expanded(weights, mults):
         total: dict[Weight, int] = {}
-        for _, a, b, mult in components:
-            lam = _highest_weight((a, b), "component")
+        for weight, mult in zip(weights, mults):
+            lam = _highest_weight(weight, "component")
             for w, k in _dominant_multiplicities(*lam).items():
                 total[w] = total.get(w, 0) + mult * k
-        yield grade, _weight_rows(total)
+        a, b, mults = _weight_rows(total)
+        return list(zip(a, b)), mults
+
+    return ((grade, *expanded(ws, ms)) for grade, ws, ms in grades)
 
 
 def expand_weights(g: GradedDecomposition) -> dict:
@@ -623,19 +638,15 @@ def expand_weights(g: GradedDecomposition) -> dict:
     ValueError for a component weight that is not dominant."""
     from .characters import _rows_character
 
-    rows = ((grade, *weight, mult) for grade, weight, mult in g.items())
-    return {grade: _rows_character(expanded)
-            for grade, expanded in _weight_basis(rows)}
+    _, grades = g._by_grade()
+    return {grade: _rows_character(weights, mults)
+            for grade, weights, mults in _weight_basis(grades)}
 
 
 def graded_dimensions(g: GradedDecomposition) -> list[tuple[int, int]]:
     """(grade, total dimension) pairs, sorted by grade."""
     from .characters import weyl_dim
 
-    return [
-        (
-            grade,
-            sum(m * weyl_dim(w) for w, m in g.component(grade).items()),
-        )
-        for grade in g.grades()
-    ]
+    _, grades = g._by_grade()
+    return [(grade, sum(map(mul, mults, map(weyl_dim, weights))))
+            for grade, weights, mults in grades]

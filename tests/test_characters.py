@@ -211,9 +211,39 @@ def test_tensor_fixtures():
 
 
 def test_weyl_dim_rejects_an_inexact_product(monkeypatch):
-    # the product over three of the six positive roots only
-    monkeypatch.setattr(characters, "POSITIVE_ROOTS", POSITIVE_ROOTS[:3])
+    # the product over three of the six positive roots only, over their
+    # denominator 1 * 3 * 4
+    monkeypatch.setattr(characters, "_WEYL_ROWS", characters._WEYL_ROWS[:3])
+    monkeypatch.setattr(characters, "_WEYL_DENOMINATOR", 12)
     assert weyl_dim((1, 1)) == 8
+    with pytest.raises(ArithmeticError, match=r"Weyl dimension product for "
+                       r"Weight\(a=1, b=0\) does not divide exactly"):
+        weyl_dim((1, 0))
+
+
+def test_weyl_dim_rows_match_the_inner_products():
+    # each root's row gives <lam + rho, alpha> as the form does
+    assert characters._WEYL_ROWS == tuple(
+        (inner(OMEGA1, root.weight), inner(OMEGA2, root.weight),
+         inner(RHO, root.weight)) for root in POSITIVE_ROOTS
+    )
+    for a in range(61):
+        for b in range(61):
+            num = den = 1
+            for root in POSITIVE_ROOTS:
+                num *= inner((a + 1, b + 1), root.weight)
+                den *= inner(RHO, root.weight)
+            assert num % den == 0
+            assert weyl_dim((a, b)) == weyl_dim(Weight(a, b)) == num // den
+
+
+def test_weyl_dim_rejects_a_tampered_row(monkeypatch):
+    # alpha1's row (1, 0, 1) with <rho, alpha1> = 2: V(1,0)'s product is
+    # 3 * 3 * 5 * 7 * 9 * 12, which the denominator 3240 does not divide
+    rows = ((1, 0, 2), *characters._WEYL_ROWS[1:])
+    assert characters._WEYL_ROWS[0] == (1, 0, 1)
+    monkeypatch.setattr(characters, "_WEYL_ROWS", rows)
+    assert characters._WEYL_DENOMINATOR == 3240
     with pytest.raises(ArithmeticError, match=r"Weyl dimension product for "
                        r"Weight\(a=1, b=0\) does not divide exactly"):
         weyl_dim((1, 0))
@@ -437,18 +467,23 @@ def test_weyl_group_is_closed_from_the_reflections():
             assert images == weyl_orbit((x, y)), (x, y)
 
 
+def _weight_rows(dominant):
+    """The (a, b, mult) rows of `characters._weight_rows`' columns."""
+    return list(zip(*characters._weight_rows(dominant)))
+
+
 def test_weight_rows_match_the_orbit_oracle():
     for a in range(15):
         for b in range(15 - a):
             dominant = _dominant_multiplicities(a, b)
-            rows = list(characters._weight_rows(dominant))
+            rows = _weight_rows(dominant)
             assert rows == _orbit_rows(dominant), (a, b)
             assert sum(m for _, _, m in rows) == weyl_dim((a, b))
     # zero multiplicities are dropped, negative ones kept
-    assert list(characters._weight_rows({})) == []
-    assert list(characters._weight_rows({ZERO: 0})) == []
+    assert _weight_rows({}) == []
+    assert _weight_rows({ZERO: 0}) == []
     mixed = {Weight(0, 2): -3, Weight(1, 0): 0, ZERO: 5}
-    assert list(characters._weight_rows(mixed)) == _orbit_rows(mixed)
+    assert _weight_rows(mixed) == _orbit_rows(mixed)
 
 
 graded_parts = st.lists(
@@ -466,9 +501,8 @@ def test_expand_weights_matches_the_orbit_oracle(parts):
     g = GradedDecomposition()
     for grade, weight, mult in parts:
         g.add(grade, weight, mult)
-    rows = {grade: list(expanded) for grade, expanded in _weight_basis(
-        (grade, *weight, mult) for grade, weight, mult in g.items()
-    )}
+    rows = {grade: [(*w, k) for w, k in zip(weights, mults)]
+            for grade, weights, mults in _weight_basis(g._by_grade()[1])}
     expanded = expand_weights(g)
     assert list(rows) == list(expanded) == g.grades()
     for grade in g.grades():

@@ -181,6 +181,18 @@ def test_kr_csv_columns(capsys):
     assert lines[1:] == ["0,0,1,1,14", "1,0,0,1,1"]
 
 
+@pytest.mark.parametrize("grade", [0, 7, 42, 999, 4096, 12345, 999999,
+                                   1000000, 12345678])
+def test_kr_table_line_template(grade):
+    # a grade's template pads the weight as `ljust(18)` padded the head of
+    # the line, for grades of 1 to 8 digits, where the head outgrows 18
+    template = cli._kr_line(grade)
+    for a, b, m, d in [(0, 0, 1, 1), (3, -1, 12, 3456),
+                       (-123, 45, 100000, 7), (-1234, -56789, 3, 123456789)]:
+        old = f"{grade:<6} ({a},{b})".ljust(18) + f"{m:<5} {d}"
+        assert template % ("(%d,%d)" % (a, b), m, d) == old
+
+
 def test_kr_weight_basis(capsys):
     code, out, _ = run(capsys, "kr", "--family", "u2", "--m", "1",
                        "--basis", "weight", "--format", "json")
@@ -916,6 +928,18 @@ OUTPUT_DIGESTS = [
      "dee7e5cd42a5398adcf58f20c60e717f9fc477bb60ef9d219a0aee9953bd9712", 0),
     ("verify conjecture --max-m 40 --format json",
      "8424a4eeb32a795d2db15e2dc2fc3c4451e3faaf57de9531ba6d36daebc4eadd", 0),
+    # the benchmark's slowest `kr` runs, recorded while each row still
+    # passed through a Python step
+    ("kr --family t2 --m 36 --format csv",
+     "c117a1786543717bd68b922c34d3f7b38aa8341ca21b7bef1d66f6c84011cba1", 0),
+    ("kr --family t2 --m 36 --conjecture --format table",
+     "72ceb63b70a1b844f9e9348a054c2707e43ae90ad55471009e6cd0205d34a8fe", 0),
+    ("kr --family u1 --m 12 --basis weight --format table",
+     "23452e444776e555d007491d60aa11629ec5a8b6ddf2a8654c151bc31155757b", 0),
+    ("kr --family t2 --m 8 --basis weight --format csv",
+     "531c06771c3bae783fe930dd69908d650ee42607ffac1847c5fad1059081effe", 0),
+    ("kr --family u1 --m 16 --conjecture --basis weight --format json",
+     "2968134bdbd078bf143582c7e99f5bb25473e4ecaedf798a0eba6243c3ff0355", 0),
     ("char 2 -1 --format json",
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 2),
     ("tensor 1 0 0 -2 --format json",
@@ -1060,7 +1084,7 @@ def test_failed_write_in_a_process_exits_two(child_env, argv, target,
 
 
 def _no_dimension(weight):
-    raise ArithmeticError(f"no dimension for {weight}")
+    raise ArithmeticError(f"no dimension for {tuple(weight)}")
 
 
 @pytest.mark.parametrize(
@@ -1083,24 +1107,27 @@ def test_error_in_rows_leaves_no_output(monkeypatch, capsys, tmp_path, fmt):
 
 
 @pytest.mark.parametrize("family", ["u1", "u2", "t1", "t2"])
-def test_irrep_json_finds_no_components(monkeypatch, capsys, family):
-    # only the weight basis and the csv and table dims read the distinct
-    # weights of the count
-    found = []
-    components = kr._components
+def test_kr_decodes_each_weight_once(monkeypatch, capsys, family):
+    # the count's keys are decoded a grade at a time, each distinct weight
+    # once, whatever the format and basis
+    decoded = []
+    weight = kr._weight
 
-    def counted(*args):
-        found.append(args[2])
-        return components(*args)
+    def counted(pair):
+        decoded.append(pair)
+        return weight(pair)
 
-    monkeypatch.setattr(kr, "_components", counted)
-    for fmt, basis in (("json", "irrep"), ("csv", "irrep"),
-                       ("table", "irrep"), ("json", "weight")):
-        code, _, _ = run(capsys, "kr", "--family", family, "--m", "4",
-                         "--format", fmt, "--basis", basis)
-        assert code == 0
-        assert found == ([4] if fmt != "json" or basis == "weight" else [])
-        found.clear()
+    monkeypatch.setattr(kr, "_weight", counted)
+    g = kr_graded_character(Family(family), 12)
+    distinct = {w for _, w, _ in g.items()}
+    decoded.clear()
+    for fmt in ("json", "csv", "table"):
+        for basis in ("irrep", "weight"):
+            code, _, _ = run(capsys, "kr", "--family", family, "--m", "12",
+                             "--format", fmt, "--basis", basis)
+            assert code == 0
+            assert sorted(decoded) == sorted(distinct)
+            decoded.clear()
 
 
 def _no_multiplicities(monkeypatch):

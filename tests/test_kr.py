@@ -315,12 +315,17 @@ def per_point(family, m):
 
 def swept(family, top):
     """The count of `_region_counts` at each m of 0..top, decoded; its
-    rows come in (grade, a, b) order, the order of the output."""
+    rows come a grade at a time in strictly increasing (grade, a, b) order,
+    the order of the output, and its weights are the rows' distinct ones."""
     decoded = []
     for m, (packing, counts) in _region_counts(family, top):
-        rows = list(kr._rows(counts, packing, m))
-        assert rows == sorted(rows), m
-        decoded.append(_decode(counts, packing, m))
+        weights, grades = kr._grades(counts, packing, m)
+        rows = [(grade, *w, n) for grade, ws, ns in grades
+                for w, n in zip(ws, ns)]
+        cells = [row[:3] for row in rows]
+        assert cells == sorted(set(cells)), m
+        assert sorted(weights) == sorted({(a, b) for _, a, b in cells}), m
+        decoded.append(_decode(kr._grades(counts, packing, m)[1]))
     return decoded
 
 
