@@ -15,7 +15,6 @@ variable consulted is G2KR_WIDTH, a width hint for table output.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -119,18 +118,6 @@ def _json(head: dict, key: str | None = None, template: str = "",
     yield after + "\n"
 
 
-def _csv(header, rows):
-    import csv  # loaded only for the format that writes it
-
-    buf = io.StringIO()  # one chunk at a time
-    writer = csv.writer(buf, lineterminator="\n")
-    for run in _runs(chain([header], rows)):
-        writer.writerows(run)
-        yield buf.getvalue()
-        buf.seek(0)
-        buf.truncate()
-
-
 def _render(fmt: str, payload, header, rows, table):
     """Output text in format fmt, as an iterator of chunks of about
     `_CHUNK` rows or lines each.
@@ -138,13 +125,20 @@ def _render(fmt: str, payload, header, rows, table):
     Each runner returns (payload, header, rows, table, exit code); payload,
     rows and table are thunks, and only the one that fmt asks for is called,
     here, before the first chunk: an error they raise leaves no output.
-    payload gives the arguments of `_json`; table gives the lines.
+    payload gives the arguments of `_json`; table gives the lines; csv's
+    lines are the header and each row (a tuple) through one % template.
     """
     if fmt == "json":
         return _json(*payload())
     if fmt == "csv":
-        return _csv(header, rows())
-    return ("\n".join(run) + "\n" for run in _runs(table()))
+        # csv.writer (QUOTE_MINIMAL) would quote no field: each is an int, a
+        # header or check name, a family or "", an m or "", or ok/fail, none
+        # holds , " \r or \n, and no row has only one field
+        template = ",".join(["%s"] * len(header))
+        lines = chain([",".join(header)], map(template.__mod__, rows()))
+    else:
+        lines = table()
+    return ("\n".join(run) + "\n" for run in _runs(lines))
 
 
 # --- char -------------------------------------------------------------------
@@ -236,11 +230,7 @@ def _run_kr(args):
         weights, grades = _closed_form(family, args.m)
     weight_basis = args.basis == "weight"
     if weight_basis:
-        from .characters import _dominant_multiplicities, _highest_weight
-
-        for weight in sorted(weights):  # Racah keeps each run for the rows
-            _dominant_multiplicities(*_highest_weight(weight, "component"))
-        grades = _weight_basis(grades)
+        grades = _weight_basis(weights, grades)
 
     def payload():
         head = {"family": family.value, "m": args.m, "source": source}
@@ -278,12 +268,8 @@ def _run_kr(args):
                + f"  total {sum(totals.values())}",)
 
     def rows():
-        # csv.writer copies text faster than it converts an int: the grade
-        # and, for the components, each weight's coordinates go in as text
-        a, b = ((_A, _B) if weight_basis else
-                ({w: str(w[i]) for w in weights}.__getitem__ for i in (0, 1)))
         return chain.from_iterable(
-            zip(repeat(str(grade)), map(a, ws), map(b, ws), mults, dims)
+            zip(repeat(grade), map(_A, ws), map(_B, ws), mults, dims)
             for grade, ws, mults, dims in shares())
 
     header = ("grade", "weight_a", "weight_b", "mult", "dim")

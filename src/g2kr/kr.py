@@ -609,22 +609,25 @@ def compare(
             if (ma := a.multiplicity(g, w)) != (mb := b.multiplicity(g, w))]
 
 
-def _weight_basis(grades) -> Iterator[tuple[int, list, list]]:
+def _weight_basis(weights, grades) -> Iterator[tuple[int, list, list]]:
     """The weight basis of grades, given and yielded one grade at a time as
-    (grade, weights, mults) in the form of `_grades`: a grade sums the
-    dominant multiplicities of its components, and
-    `characters._weight_rows` expands the total into its weights (int
-    pairs) in (a, b) order.  Only the yielded lists outlive a grade's
-    expansion.  Raises ValueError for a component weight that is not
-    dominant."""
+    (grade, weights, mults) in the form of `_grades`, whose distinct
+    component weights are weights: a grade sums the dominant multiplicities
+    of its components, found once per weight, in sorted order, before the
+    first grade, and `characters._weight_rows` expands the total into its
+    weights (int pairs) in (a, b) order.  Only the yielded lists outlive a
+    grade's expansion.  Raises ValueError, before the first grade, for a
+    component weight that is not dominant."""
     from .characters import (_dominant_multiplicities, _highest_weight,
                              _weight_rows)
+
+    dominant = {w: _dominant_multiplicities(*_highest_weight(w, "component"))
+                for w in sorted(weights)}
 
     def expanded(weights, mults):
         total: dict[Weight, int] = {}
         for weight, mult in zip(weights, mults):
-            lam = _highest_weight(weight, "component")
-            for w, k in _dominant_multiplicities(*lam).items():
+            for w, k in dominant[weight].items():
                 total[w] = total.get(w, 0) + mult * k
         a, b, mults = _weight_rows(total)
         return list(zip(a, b)), mults
@@ -638,9 +641,8 @@ def expand_weights(g: GradedDecomposition) -> dict:
     ValueError for a component weight that is not dominant."""
     from .characters import _rows_character
 
-    _, grades = g._by_grade()
     return {grade: _rows_character(weights, mults)
-            for grade, weights, mults in _weight_basis(grades)}
+            for grade, weights, mults in _weight_basis(*g._by_grade())}
 
 
 def graded_dimensions(g: GradedDecomposition) -> list[tuple[int, int]]:

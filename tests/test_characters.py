@@ -502,7 +502,7 @@ def test_expand_weights_matches_the_orbit_oracle(parts):
     for grade, weight, mult in parts:
         g.add(grade, weight, mult)
     rows = {grade: [(*w, k) for w, k in zip(weights, mults)]
-            for grade, weights, mults in _weight_basis(g._by_grade()[1])}
+            for grade, weights, mults in _weight_basis(*g._by_grade())}
     expanded = expand_weights(g)
     assert list(rows) == list(expanded) == g.grades()
     for grade in g.grades():

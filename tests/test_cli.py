@@ -1,4 +1,5 @@
 import argparse
+import csv
 import errno
 import hashlib
 import io
@@ -365,6 +366,24 @@ def test_verify_csv(capsys):
     assert lines[1] == "conjecture,u2,0,ok"
 
 
+@pytest.mark.parametrize("argv", [
+    "char 7 5", "tensor 3 2 2 3", "kr --family t2 --m 8 --basis weight",
+    "kr --family u1 --m 6 --conjecture", "verify all --max-m 2",
+])
+def test_csv_is_what_csv_writer_writes(capsys, argv):
+    # the csv module is the oracle: the output, read and written back by
+    # it, gives the same bytes, so no field needed quoting, and every row
+    # has the header's fields; only verify leaves fields (family, m) empty
+    code, out, _ = run(capsys, *argv.split(), "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    written = io.StringIO()
+    csv.writer(written, lineterminator="\n").writerows(rows)
+    assert written.getvalue() == out
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert any("" in row for row in rows) == argv.startswith("verify")
+
+
 def _u1_coefficient_fault(monkeypatch):
     # one copy too many of the label (0, 0) at every m, and at m = 8 a
     # negative pre-clamp coefficient that drops the label (2, 0)
@@ -541,22 +560,25 @@ def test_optimized_run_matches_plain_run(command, child_env):
 #: The g2kr modules each command loads in a fresh process, with csv and
 #: logging if it loads them, sorted: characters where a character or a
 #: dimension is computed, kr for kr and the KR checks, chevalley for verify
-#: chevalley|all, equivalence for the class checks, csv for --format csv,
-#: and logging only when a coefficient is negative.
+#: chevalley|all, equivalence for the class checks, and logging only when a
+#: coefficient is negative.  No command loads csv: --format csv writes its
+#: lines through a % template.
 _LOADS = [
     (["char", "1", "0"], "characters weights"),
-    (["char", "1", "0", "--format", "csv"], "characters csv weights"),
+    (["char", "1", "0", "--format", "csv"], "characters weights"),
     (["tensor", "1", "0", "1", "0"], "characters weights"),
     (["kr", "--family", "u1", "--m", "2", "--format", "json"], "kr weights"),
     (["kr", "--family", "t2", "--m", "3", "--basis", "weight",
       "--format", "json"], "characters kr weights"),
     (["kr", "--family", "u1", "--m", "2", "--format", "csv"],
-     "characters csv kr weights"),
+     "characters kr weights"),
     (["kr", "--family", "u1", "--m", "2", "--conjecture"],
      "characters kr weights"),
     (["verify", "conjecture", "--max-m", "1"], "kr weights"),
     (["verify", "classes", "--max-m", "1"], "equivalence kr weights"),
     (["verify", "chevalley"], "characters chevalley weights"),
+    (["verify", "chevalley", "--format", "csv"],
+     "characters chevalley weights"),
     (["verify", "all", "--max-m", "1", "--format", "json"],
      "characters chevalley equivalence kr weights"),
 ]
