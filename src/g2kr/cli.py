@@ -8,8 +8,8 @@ output quietly, with the command's own code.  Output is written in chunks
 as its rows are decoded, never held whole; every check runs before the
 first byte, so an error leaves no output.
 JSON output is canonical (fixed key order, integers only) and round-trips
-byte-identically through json.loads/json.dumps.  The only environment
-variable consulted is G2KR_WIDTH, a width hint for table output.
+byte-identically through json.loads/json.dumps.  Nothing is read from
+the environment.
 """
 
 from __future__ import annotations
@@ -28,13 +28,6 @@ from .weights import height
 FAMILIES = ("u1", "u2", "t1", "t2")
 
 
-def _width() -> int:
-    try:
-        return max(40, int(os.environ.get("G2KR_WIDTH", "80")))
-    except ValueError:
-        return 80
-
-
 #: Rows (or table lines) per chunk of output, about 100 KB of text: each
 #: chunk is one write, so the text is never held whole, and an unbuffered
 #: stdout still makes few writes.
@@ -44,51 +37,26 @@ _CHUNK = 1024
 _FIELD = "\x00"
 _SLOT = json.dumps(_FIELD)
 
-
-def _marked(value):
-    """value with each int leaf replaced by _FIELD; TypeError for any other
-    leaf."""
-    if isinstance(value, dict):
-        return {k: _marked(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_marked(v) for v in value]
-    if type(value) is not int:
-        raise TypeError(f"template fields must be ints, got {value!r}")
-    return _FIELD
-
-
-def _template(sentinel: dict, fields: int) -> str:
-    """The % template of one item of a long list, taken from json.dumps.
-
-    The template renders a tuple of `fields` ints as json.dumps(indent=2)
-    renders sentinel as an item of a list that is a value of the top-level
-    object, except for the indent of the first line, which the list
-    supplies.  sentinel's int leaves, in order, become the fields.  Raises
-    TypeError for a leaf that is not an int and ValueError unless there
-    are `fields` leaves.
-    """
-    text = json.dumps({"": [_marked(sentinel)]}, indent=2)
-    item = text[text.index("[\n") + 2:text.rindex("\n  ]")].lstrip(" ")
-    count = item.count(_SLOT)
-    if count != fields:
-        raise ValueError(
-            f"template sentinel has {count} int fields, expected {fields}"
-        )
-    return item.replace("%", "%%").replace(_SLOT, "%d")
-
-
-_CHAR_TERM = _template({"weight": [0, 0], "mult": 0}, 3)
-_TENSOR_COMPONENT = _template({"weight": [0, 0], "mult": 0, "dim": 0}, 4)
-_KR_COMPONENT = _template({"grade": 0, "weight": [0, 0], "mult": 0}, 4)
+# The % templates of the items of the one long list of a payload: each is
+# what json.dumps(payload, indent=2) writes for one item, with a %d for each
+# int field, but for the indent of its first line, which the list supplies.
+_WEIGHT_MULT = ('"weight": [\n        %d,\n        %d\n      ],\n'
+                '      "mult": %d')
+_CHAR_TERM = "{\n      " + _WEIGHT_MULT + "\n    }"
+_TENSOR_COMPONENT = "{\n      " + _WEIGHT_MULT + ',\n      "dim": %d\n    }'
+_KR_COMPONENT = '{\n      "grade": %d,\n      ' + _WEIGHT_MULT + "\n    }"
 
 _A, _B = itemgetter(0), itemgetter(1)  # the coordinates of a weight (a, b)
 
 
-def _runs(items):
-    """items in lists of `_CHUNK`, the last one shorter; none if empty."""
+def _chunks(before: str, separator: str, items, after: str):
+    """before + separator.join(items) + after, in chunks of `_CHUNK` items
+    each, the first one led by before, and after on its own."""
     items = iter(items)
+    yield before + separator.join(islice(items, _CHUNK))
     while run := list(islice(items, _CHUNK)):
-        yield run
+        yield separator + separator.join(run)
+    yield after
 
 
 def _json(head: dict, key: str | None = None, template: str = "",
@@ -97,9 +65,8 @@ def _json(head: dict, key: str | None = None, template: str = "",
 
     payload is head, followed, if key is given, by key: a list with one
     item per row (a tuple of ints) of the iterable rows, rendered by
-    template (`_template`).  json.dumps renders the head, the list's
-    brackets and the separators; each item is one % operation, and each
-    chunk one run of items.
+    template (`_CHAR_TERM`, ...).  json.dumps renders the head, the list's
+    brackets and the separators; each item is one % operation.
     """
     rows = iter(rows)
     first = next(rows, None)  # a peek for the empty list
@@ -110,17 +77,14 @@ def _json(head: dict, key: str | None = None, template: str = "",
     before, separator, after = json.dumps(
         {**head, key: [_FIELD, _FIELD]}, indent=2
     ).split(_SLOT)
-    yield before
-    lead = ""
-    for run in _runs(map(template.__mod__, chain([first], rows))):
-        yield lead + separator.join(run)
-        lead = separator
-    yield after + "\n"
+    yield from _chunks(before, separator,
+                       map(template.__mod__, chain([first], rows)),
+                       after + "\n")
 
 
 def _render(fmt: str, payload, header, rows, table):
-    """Output text in format fmt, as an iterator of chunks of about
-    `_CHUNK` rows or lines each.
+    """Output text in format fmt, as an iterator of chunks of `_CHUNK`
+    rows or lines each.
 
     Each runner returns (payload, header, rows, table, exit code); payload,
     rows and table are thunks, and only the one that fmt asks for is called,
@@ -138,7 +102,7 @@ def _render(fmt: str, payload, header, rows, table):
         lines = chain([",".join(header)], map(template.__mod__, rows()))
     else:
         lines = table()
-    return ("\n".join(run) + "\n" for run in _runs(lines))
+    return _chunks("", "\n", lines, "\n")
 
 
 # --- char -------------------------------------------------------------------
@@ -156,15 +120,14 @@ def _run_char(args):
         return head, "terms", _CHAR_TERM, terms
 
     def table():
-        # Weights packed highest-first into lines under the width hint; the
-        # sort is stable, so equal heights stay in (a, b) order.
+        # Weights packed highest-first into lines of 80 columns; the sort is
+        # stable, so equal heights stay in (a, b) order.
         cells = sorted(terms, key=lambda t: -3 * t[0] - 5 * t[1])
         yield f"ch V({args.a},{args.b})   dim {dim}   weights {len(cells)}"
-        width = _width()
         line = ""
         for a, b, m in cells:
             cell = f"({a},{b}):{m}"
-            if line and len(line) + len(cell) + 2 > width:
+            if line and len(line) + len(cell) + 2 > 80:
                 yield line
                 line = ""
             line = f"{line}  {cell}" if line else f"  {cell}"

@@ -32,6 +32,19 @@ def _not_a_weight(a, b) -> ValueError:
     return ValueError(f"a weight is two ints, got ({a!r}, {b!r})")
 
 
+def _as_weight(w, name: str) -> Weight:
+    """w as a Weight; ValueError naming it unless it is a pair of ints."""
+    if type(w) is Weight:
+        return w
+    try:
+        a, b = w
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a pair of ints, got {w!r}") from None
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"{name} must have int coordinates, got {w!r}")
+    return Weight(a, b)
+
+
 class Weight(namedtuple("Weight", "a b")):
     """Lattice point a*omega1 + b*omega2; a and b are ints (bool excluded)."""
 
@@ -47,11 +60,20 @@ class Weight(namedtuple("Weight", "a b")):
     def _make(cls, iterable):
         return cls(*iterable)
 
+    # A pair of ints on either side is a weight: tuple concatenation would
+    # be a silent bug, so (1, 0) + Weight(1, 0) is Weight(2, 0).
     def __add__(self, other):
+        other = _as_weight(other, "a weight operand")
         return Weight(self.a + other.a, self.b + other.b)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
+        other = _as_weight(other, "a weight operand")
         return Weight(self.a - other.a, self.b - other.b)
+
+    def __rsub__(self, other):
+        return _as_weight(other, "a weight operand") - self
 
     def __neg__(self):
         return Weight(-self.a, -self.b)
@@ -129,8 +151,13 @@ def is_dominant(w: Weight) -> bool:
 
 
 def inner(v: Weight, w: Weight) -> int:
-    """Weyl-invariant form with (alpha1, alpha1) = 2 (any two int pairs)."""
+    """Weyl-invariant form with (alpha1, alpha1) = 2, for any two pairs of
+    ints; ValueError for other coordinates, as for `Weight`."""
     (va, vb), (wa, wb) = v, w
+    if type(va) is not int or type(vb) is not int:
+        raise _not_a_weight(va, vb)
+    if type(wa) is not int or type(wb) is not int:
+        raise _not_a_weight(wa, wb)
     return 2 * va * wa + 3 * (va * wb + vb * wa) + 6 * vb * wb
 
 
@@ -148,19 +175,6 @@ def simple_reflection(i: int, w: Weight) -> Weight:
 #: Weight(a, b) from the pair (a, b) of ints, without the type check of
 #: `Weight.__new__`.
 _weight = partial(_tuple_new, Weight)
-
-
-def _as_weight(w, name: str) -> Weight:
-    """w as a Weight; ValueError naming it unless it is a pair of ints."""
-    if type(w) is Weight:
-        return w
-    try:
-        a, b = w
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a pair of ints, got {w!r}") from None
-    if type(a) is not int or type(b) is not int:
-        raise ValueError(f"{name} must have int coordinates, got {w!r}")
-    return Weight(a, b)
 
 
 def weyl_orbit(w: Weight) -> frozenset[Weight]:

@@ -22,7 +22,6 @@ from g2kr.equivalence import (
     verify_partition,
 )
 from g2kr.kr import (
-    _REGIONS,
     Family,
     GradedDecomposition,
     compare,
@@ -32,6 +31,7 @@ from g2kr.kr import (
     wt_gr,
 )
 from g2kr.weights import OMEGA1, OMEGA2, SHORT_ROOTS, Weight, in_root_cone
+from test_equivalence import keys
 
 ZERO = Weight(0, 0)
 SWEEP = range(31)
@@ -39,13 +39,6 @@ SWEEP = range(31)
 
 def _report(n, text):
     print(f"[PASS] criterion {n:2d}: {text}")
-
-
-def _keys(family, m):
-    # the keys (j, k, s) of the table's labels of positive coefficient
-    region = _REGIONS[family]
-    return [(j, k, s) for j, k, top in region.labels(m)
-            if region.coefficient(m, j, k) > 0 for s in range(top + 1)]
 
 
 def test_criterion_01_basic_characters():
@@ -146,7 +139,7 @@ def test_criterion_06_partition_sweep():
             assert verify_partition(family, m) == [], (family, m)
             total = sum(
                 class_size_formula(family, m, j, k, s)
-                for j, k, s in _keys(family, m)
+                for j, k, s in keys(family, m)
             )
             assert total == len(enumerate_region(family, m)), (family, m)
     _report(6, "representative classes partition both regions for m<=30, "
@@ -157,7 +150,7 @@ def test_criterion_07_two_route_equality():
     for family in (Family.U1, Family.T2):
         for m in SWEEP:
             rebuilt = GradedDecomposition()
-            for key in _keys(family, m):
+            for key in keys(family, m):
                 weight, grade = wt_gr(family, m,
                                       representative(family, m, *key))
                 rebuilt.add(grade, weight,

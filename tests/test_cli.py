@@ -704,7 +704,9 @@ def _kr_payload(family, m, basis="irrep"):
 JSON_ORACLE_CASES = [
     ("char 40 40", lambda: _char_payload(40, 40)),
     ("char 0 0", lambda: _char_payload(0, 0)),
+    ("char 1 0", lambda: _char_payload(1, 0)),
     ("tensor 6 6 6 6", lambda: _tensor_payload(6, 6, 6, 6)),
+    ("tensor 0 0 0 0", lambda: _tensor_payload(0, 0, 0, 0)),
     ("kr --family u1 --m 30 --basis weight",
      lambda: _kr_payload("u1", 30, "weight")),
     ("kr --family t2 --m 40", lambda: _kr_payload("t2", 40)),
@@ -722,6 +724,16 @@ def test_json_writer_matches_json_dumps(capsys, command, payload):
     assert out == json.dumps(payload(), indent=2) + "\n"
 
 
+# each item template, its key in the payload, and the item of a row
+ITEM_TEMPLATES = [
+    (cli._CHAR_TERM, "terms", lambda a, b, m: {"weight": [a, b], "mult": m}),
+    (cli._TENSOR_COMPONENT, "components",
+     lambda a, b, m, d: {"weight": [a, b], "mult": m, "dim": d}),
+    (cli._KR_COMPONENT, "components",
+     lambda g, a, b, m: {"grade": g, "weight": [a, b], "mult": m}),
+]
+
+
 @pytest.mark.parametrize(
     "rows",
     [
@@ -734,52 +746,12 @@ def test_json_writer_matches_json_dumps(capsys, command, payload):
 def test_json_writer_edge_cases(rows):
     head = {"family": "u1", "m": -5, "basis": "100%",
             "nested": {"a": [1, [2, []]], "b": None, "c": {}}}
-    items = [{"grade": g, "weight": [a, b], "mult": m} for g, a, b, m in rows]
-    expected = json.dumps({**head, "components": items}, indent=2) + "\n"
-    text = "".join(cli._json(head, "components", cli._KR_COMPONENT, rows))
-    assert text == expected
+    for template, key, item in ITEM_TEMPLATES:
+        fields = [row[:item.__code__.co_argcount] for row in rows]
+        items = [item(*row) for row in fields]
+        expected = json.dumps({**head, key: items}, indent=2) + "\n"
+        assert "".join(cli._json(head, key, template, fields)) == expected
     assert "".join(cli._json(head)) == json.dumps(head, indent=2) + "\n"
-    # a % in a key and nesting deeper than the CLI's items
-    sentinel = {"100%": 0, "x": {"y": [0, [0]]}}
-    template = cli._template(sentinel, 3)
-    items = [{"100%": a, "x": {"y": [b, [m]]}} for _, a, b, m in rows]
-    expected = json.dumps({**head, "k": items}, indent=2) + "\n"
-    text = "".join(cli._json(head, "k", template, [r[1:] for r in rows]))
-    assert text == expected
-
-
-@pytest.mark.parametrize(
-    "sentinel, fields, error",
-    [
-        ({"weight": [0, 0], "mult": 0}, 4, ValueError),
-        ({"weight": [0, 0], "mult": 0}, 2, ValueError),
-        ({"weight": [0, 0.0], "mult": 0}, 3, TypeError),
-        ({"weight": [0, 0], "mult": True}, 3, TypeError),
-        ({"weight": [0, 0], "mult": "0"}, 3, TypeError),
-        ({"weight": [0, 0], "mult": None}, 3, TypeError),
-    ],
-    ids=["too-few", "too-many", "float", "bool", "str", "none"],
-)
-def test_template_rejects_mismatched_sentinel(sentinel, fields, error):
-    with pytest.raises(error, match="template"):
-        cli._template(sentinel, fields)
-
-
-def test_width_hint(monkeypatch, capsys):
-    monkeypatch.setenv("G2KR_WIDTH", "44")
-    code, narrow, _ = run(capsys, "char", "0", "1")
-    monkeypatch.setenv("G2KR_WIDTH", "400")
-    code2, wide, _ = run(capsys, "char", "0", "1")
-    assert code == code2 == 0
-    assert narrow.count("\n") > wide.count("\n")
-    # same content either way
-    assert sorted(narrow.split()) == sorted(wide.split())
-    # a hint that is not an integer is ignored, byte for byte
-    monkeypatch.delenv("G2KR_WIDTH")
-    unset = run(capsys, "char", "0", "1")
-    monkeypatch.setenv("G2KR_WIDTH", "wide")
-    assert run(capsys, "char", "0", "1") == unset
-    assert unset[1] not in (narrow, wide)
 
 
 def test_unwalkable_region_is_one_error_line(monkeypatch, capsys):

@@ -182,7 +182,8 @@ def test_dominant_chamber_matches_reflection_oracle():
 def test_weyl_helpers_reject_non_int_coordinates(w):
     # checked once per call, as `Weight` checks them
     for function in (weyl_orbit, dominant_chamber, to_root_coords, height,
-                     in_root_cone, is_dominant):
+                     in_root_cone, is_dominant, lambda v: inner(v, RHO),
+                     lambda v: inner(RHO, v)):
         with pytest.raises(ValueError, match=r"a weight is two ints, got \("):
             function(w)
 
@@ -248,3 +249,27 @@ def test_unchecked_constructor_builds_the_same_weight():
     # a scalar multiple is one only by an int
     with pytest.raises(ValueError, match="a weight is two ints"):
         w * 1.5
+
+
+@given(weights, weights)
+def test_sum_and_difference_with_int_pairs(v, w):
+    # an int pair on either side is a weight, never a tuple to concatenate
+    total = Weight(v.a + w.a, v.b + w.b)
+    difference = Weight(v.a - w.a, v.b - w.b)
+    for pair in (w, (w.a, w.b), [w.a, w.b]):
+        for result, expected in ((v + pair, total), (pair + v, total),
+                                 (v - pair, difference),
+                                 (pair - v, -difference)):
+            assert type(result) is Weight and result == expected
+
+
+@pytest.mark.parametrize(
+    "operand",
+    [5, None, "ab", (1, 2, 3), (1.0, 0), (True, 0), (0, "1")],
+    ids=["int", "none", "str", "triple", "float", "bool", "str-b"],
+)
+def test_sum_and_difference_reject_other_operands(operand):
+    for operation in (lambda w: w + operand, lambda w: operand + w,
+                      lambda w: w - operand, lambda w: operand - w):
+        with pytest.raises(ValueError, match="a weight operand must"):
+            operation(RHO)
