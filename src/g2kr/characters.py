@@ -15,8 +15,9 @@ Everything is exact integer arithmetic.  Every division is checked to be
 exact, and every multiplicity that must be positive is checked, by an
 explicit ArithmeticError, so the checks hold under `python -O` as well.
 The inner loops run on plain (a, b) int pairs; the Weyl group action
-(`simple_reflection`, `dominant_chamber`) and the form (`inner`) come from
-`weights`.  A whole character is its dominant part written to the Weyl
+(`simple_reflection`, and `_chamber` of `dominant_chamber`) and the form
+(`_inner` of `inner`) come from `weights`, the kernels without the pair
+check.  A whole character is its dominant part written to the Weyl
 orbits by `_weight_rows`, on sorted int keys, with no `Weight` per term.
 """
 
@@ -34,8 +35,9 @@ from .weights import (
     RHO,
     Weight,
     _as_weight,
+    _chamber,
+    _inner,
     _weight,
-    dominant_chamber,
     height,
     inner,
     simple_reflection,
@@ -205,7 +207,7 @@ def _wall_terms(x: int, y: int) -> tuple[tuple[tuple[int, int], int], ...]:
     for da, db, c in _SHIFTS:
         na, nb = x + da, y + db
         if na < 0 or nb < 0:
-            na, nb, _ = dominant_chamber((na, nb))
+            na, nb, _ = _chamber(na, nb)
         terms[na, nb] = terms.get((na, nb), 0) + c
     return tuple((w, c) for w, c in terms.items() if c)
 
@@ -223,9 +225,9 @@ def _dominant_multiplicities(a: int, b: int) -> dict[Weight, int]:
     of a weight already solved (or outside the support, 0).
     """
     lp, lq = 2 * a + 3 * b, a + 2 * b  # root coordinates of (a, b)
-    top = inner((a + 1, b + 1), (a + 1, b + 1))
+    top = _inner(a + 1, b + 1, a + 1, b + 1)
     candidates = sorted(
-        (top - inner((x + 1, y + 1), (x + 1, y + 1)), x, y)
+        (top - _inner(x + 1, y + 1, x + 1, y + 1), x, y)
         for x in range(lp // 2 + 1)
         for y in range((lq - x) // 2 + 1)
         if 2 * x + 3 * y <= lp and x + 2 * y <= lq
@@ -344,7 +346,7 @@ def tensor(lam, mu) -> dict[Weight, int]:
     a, b = big.a + 1, big.b + 1  # big + rho
     out: dict[tuple[int, int], int] = {}
     for (na, nb), m in irreducible_character(small).items():
-        x, y, sign = dominant_chamber((a + na, b + nb))
+        x, y, sign = _chamber(a + na, b + nb)
         if x and y:  # a point on a wall has a stabiliser and cancels
             w = (x - 1, y - 1)
             out[w] = out.get(w, 0) + sign * m

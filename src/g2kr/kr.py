@@ -16,13 +16,14 @@ affine constraints, the affine (wt, gr) map and the shift vector, and
 the generating function's labels, terms, coefficients and class
 representatives (a ladder has no classes).  The region's points, both
 forms of the graded character and the equivalence classes are all read
-off it.  In (r, m) the region is a unimodular simplicial cone,
-whose rank + 1 generators `_generators` derives from the constraints:
-the points of region(m) are the sums of generators whose degrees add up
-to m, so |region(m)| is a coefficient of a product of geometric series
-(`_region_size`).  One generator, the slack, adds 1 to m and nothing to
-r, so region(m) is region(m - 1) and its face u = 0 (`_faces`).  The
-graded character never visits region points one by one in Python.
+off it.  In (r, m) the region is a unimodular simplicial cone: the
+table lists exactly its rank + 1 facets, and `_generators` inverts their
+matrix to give its generators.  The points of region(m) are the sums of
+generators whose degrees add up to m, so |region(m)| is a coefficient of
+a product of geometric series (`_region_size`).  One generator, the
+slack, adds 1 to m and nothing to r, so region(m) is region(m - 1) and
+its face u = 0 (`_faces`).  The graded character never visits region
+points one by one in Python.
 (wt, gr) is packed into one int key, linear in the point in m-free form,
 so a generator moves every key by one constant, and a face is a cascade
 of C-level maps over the other generators.  `_region_counts` sweeps m with
@@ -53,7 +54,7 @@ from collections import Counter, deque, namedtuple
 from collections.abc import Iterable, Iterator
 from enum import Enum
 from functools import cache
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from operator import add, mod, mul, sub
 
 from .weights import OMEGA1, OMEGA2, Weight, _as_weight, _weight
@@ -85,6 +86,7 @@ class Family(Enum):
 #:   family          U1, U2, T1 or T2;
 #:   constraints     (c, d) pairs; the region is {r in Z^rank : c.r + d*m
 #:                   >= 0 for each pair}, of rank 1 for a ladder, else 4;
+#:                   exactly rank + 1 facet rows, no implied one;
 #:   wt_gr           (c, d) rows of wt = (a, b) and gr: a = c.r + d*m, then
 #:                   b, then gr;
 #:   shift           wt and gr are constant along this vector; None for a
@@ -107,9 +109,6 @@ def _u1_representative(m: int, j: int, k: int, s: int) -> QuadIndex:
     return (r1, k + r4 - s, s, r4)
 
 
-_NONNEGATIVE = (((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0),
-                ((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0))
-
 #: A ladder's region in (n, m): 0 <= n <= m.
 _LADDER = (((1,), 0), ((-1,), 1))
 
@@ -119,7 +118,9 @@ _REGIONS = {
         # U1 sums over the region A1, T2 over A2.
         _Region(
             Family.U1,
-            _NONNEGATIVE + (((0, 1, 0, -1), 0), ((-2, -3, -3, 0), 1)),
+            # r1, r3, r4, r2 - r4 >= 0 and 2r1 + 3r2 + 3r3 <= m
+            (((1, 0, 0, 0), 0), ((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0),
+             ((0, 1, 0, -1), 0), ((-2, -3, -3, 0), 1)),
             (((-1, -3, -3, 0), 1), ((0, 1, 1, -1), 0), ((1, 1, 2, 2), 0)),
             (3, -1, 0, -1),
             lambda m, j, k: (
@@ -132,7 +133,9 @@ _REGIONS = {
         ),
         _Region(
             Family.T2,
-            _NONNEGATIVE + (((1, 0, -1, 0), 0), ((-1, -1, -1, -1), 1)),
+            # r2, r3, r4, r1 - r3 >= 0 and r1 + r2 + r3 + r4 <= m
+            (((0, 1, 0, 0), 0), ((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0),
+             ((1, 0, -1, 0), 0), ((-1, -1, -1, -1), 1)),
             (((1, 1, -1, 0), 0), ((-1, -1, 0, -1), 1), ((1, 2, 2, 3), 0)),
             (1, 0, 1, -1),
             lambda m, j, k: 1 + min(k, m - j - k),
@@ -299,40 +302,38 @@ def _det(rows) -> int:
 @cache
 def _generators(region: _Region) -> tuple[tuple[tuple, int], ...]:
     """The rank + 1 generators (r, d) of the region as a cone in (r, m), in
-    the order of their facet rows.  The points of region(m) are the sums of
+    the order of its facet rows.  The points of region(m) are the sums of
     generators, with repeats, whose degrees d add up to m: each point once.
 
-    rank + 1 constraints, as the rows (*c, d) of a matrix F on (r, m), give
-    them when det F = +-1 and every constraint is >= 0 at every column of
-    F^-1 = det F * adj F (no division): the cone is then unimodular and
+    The constraints, as the rows (*c, d) of a matrix F on (r, m), must be
+    exactly rank + 1 facets with det F = +-1.  Then F^-1 = det F * adj F
+    is an integer matrix (no division), and F * F^-1 = I puts each column
+    on all facets but one, at 1 on that one: the cone is unimodular and
     simplicial, and the columns are its generators.  One of them must be
     the slack (0, ..., 0, 1), one more m at the same r, and each must have
     degree d >= 1, or region(m) is infinite.  Any other table raises
     ValueError naming the reason.
     """
     name = region.family.value
-    size = len(region.constraints[0][0]) + 1
-    for facets in combinations([(*c, d) for c, d in region.constraints],
-                               size):
-        det = _det(facets)
-        if det not in (1, -1):
-            continue
-        # column j of det F * adj F: its entry i is det F * (-1)^(i + j)
-        # times the minor of F without row j and column i
-        generators = []
-        for j in range(size):
-            others = facets[:j] + facets[j + 1:]
-            *r, d = (det * (-1) ** (i + j)
-                     * _det([row[:i] + row[i + 1:] for row in others])
-                     for i in range(size))
-            generators.append((tuple(r), d))
-        if all(min(_affine(region.constraints, d, r)) >= 0
-               for r, d in generators):
-            break
-    else:
+    facets = [(*c, d) for c, d in region.constraints]
+    size = len(facets[0])
+    if len(facets) != size:
+        raise ValueError(f"the {name} region lists {len(facets)} "
+                         f"constraints, not its rank + 1 = {size} facets")
+    det = _det(facets)
+    if det not in (1, -1):
         raise ValueError(
             f"the {name} region is not a unimodular simplicial cone in (r, m)"
         )
+    # column j of det F * adj F: its entry i is det F * (-1)^(i + j) times
+    # the minor of F without row j and column i
+    generators = []
+    for j in range(size):
+        others = facets[:j] + facets[j + 1:]
+        *r, d = (det * (-1) ** (i + j)
+                 * _det([row[:i] + row[i + 1:] for row in others])
+                 for i in range(size))
+        generators.append((tuple(r), d))
     slack = ((0,) * (size - 1), 1)
     if slack not in generators:
         raise ValueError(f"the {name} region has no slack facet: no "

@@ -28,21 +28,21 @@ from functools import partial
 _tuple_new = tuple.__new__
 
 
-def _not_a_weight(a, b) -> ValueError:
-    return ValueError(f"a weight is two ints, got ({a!r}, {b!r})")
+def _pair(w, name: str = "a weight") -> tuple[int, int]:
+    """The coordinates (a, b) of w; ValueError naming it unless w is a
+    Weight, a tuple or a list of two ints (bool excluded): a set or a dict
+    would make its iteration order the coordinates."""
+    if not isinstance(w, (tuple, list)) or len(w) != 2:
+        raise ValueError(f"{name} must be a pair of ints, got {w!r}")
+    a, b = w
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"{name} must have int coordinates, got {w!r}")
+    return a, b
 
 
 def _as_weight(w, name: str) -> Weight:
-    """w as a Weight; ValueError naming it unless it is a pair of ints."""
-    if type(w) is Weight:
-        return w
-    try:
-        a, b = w
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a pair of ints, got {w!r}") from None
-    if type(a) is not int or type(b) is not int:
-        raise ValueError(f"{name} must have int coordinates, got {w!r}")
-    return Weight(a, b)
+    """w as a Weight; ValueError naming it as `_pair` does."""
+    return w if type(w) is Weight else _tuple_new(Weight, _pair(w, name))
 
 
 class Weight(namedtuple("Weight", "a b")):
@@ -53,7 +53,7 @@ class Weight(namedtuple("Weight", "a b")):
     def __new__(cls, a, b):
         if type(a) is int is type(b):
             return _tuple_new(cls, (a, b))
-        raise _not_a_weight(a, b)
+        raise ValueError(f"a weight is two ints, got ({a!r}, {b!r})")
 
     # `_replace` builds through `_make`, so both get the check too.
     @classmethod
@@ -118,10 +118,8 @@ ALL_ROOTS = tuple(r.weight for r in POSITIVE_ROOTS) + tuple(
 
 def to_root_coords(w: Weight) -> tuple[int, int]:
     """Coordinates (p, q) with w = p*alpha1 + q*alpha2, for any pair of
-    ints w; ValueError for other coordinates, as for `Weight`."""
-    a, b = w
-    if type(a) is not int or type(b) is not int:
-        raise _not_a_weight(a, b)
+    ints w; ValueError otherwise, as `_pair` says."""
+    a, b = _pair(w)
     return (2 * a + 3 * b, a + 2 * b)
 
 
@@ -144,26 +142,24 @@ def in_root_cone(w: Weight) -> bool:
 
 def is_dominant(w: Weight) -> bool:
     """True iff both coordinates of the pair of ints w are nonnegative."""
-    a, b = w
-    if type(a) is not int or type(b) is not int:
-        raise _not_a_weight(a, b)
+    a, b = _pair(w)
     return a >= 0 and b >= 0
 
 
 def inner(v: Weight, w: Weight) -> int:
     """Weyl-invariant form with (alpha1, alpha1) = 2, for any two pairs of
-    ints; ValueError for other coordinates, as for `Weight`."""
-    (va, vb), (wa, wb) = v, w
-    if type(va) is not int or type(vb) is not int:
-        raise _not_a_weight(va, vb)
-    if type(wa) is not int or type(wb) is not int:
-        raise _not_a_weight(wa, wb)
+    ints; ValueError otherwise, as `_pair` says."""
+    return _inner(*_pair(v), *_pair(w))
+
+
+def _inner(va: int, vb: int, wa: int, wb: int) -> int:
+    """`inner` of (va, vb) and (wa, wb), for ints, unchecked."""
     return 2 * va * wa + 3 * (va * wb + vb * wa) + 6 * vb * wb
 
 
 def simple_reflection(i: int, w: Weight) -> Weight:
     """Reflection in the hyperplane orthogonal to alpha_i, i in {1, 2}."""
-    a, b = w
+    a, b = _pair(w)
     if type(i) is int:
         if i == 1:
             return Weight(-a, a + b)
@@ -183,12 +179,10 @@ def weyl_orbit(w: Weight) -> frozenset[Weight]:
     The images of w = (a, b) under 1, s1, s2 s1, s1 s2 s1, s2 s1 s2 s1 and
     s1 s2 s1 s2 s1 are (a, b), (-a, a+b), (2a+3b, -a-b), (-2a-3b, a+2b),
     (a+3b, -a-2b) and (-a-3b, b); the orbit is those and their negatives
-    (the longest element is -1).  ValueError unless a and b are ints, as
-    for `Weight`.
+    (the longest element is -1).  ValueError unless w is a pair of ints,
+    as `_pair` says.
     """
-    a, b = w
-    if type(a) is not int or type(b) is not int:
-        raise _not_a_weight(a, b)
+    a, b = _pair(w)
     c = a + b
     d = c + b
     e = d + b
@@ -205,12 +199,14 @@ def dominant_chamber(w: Weight) -> tuple[int, int, int]:
 
     On a wall (a or b zero) x is not unique and the sign is that of the
     reflections taken.  At most 6 reflections are needed (the length of
-    the longest element).  ValueError unless a and b are ints, as for
-    `Weight`.
+    the longest element).  ValueError unless w is a pair of ints, as
+    `_pair` says.
     """
-    a, b = w
-    if type(a) is not int or type(b) is not int:
-        raise _not_a_weight(a, b)
+    return _chamber(*_pair(w))
+
+
+def _chamber(a: int, b: int) -> tuple[int, int, int]:
+    """`dominant_chamber` of (a, b), for ints, unchecked."""
     sign = 1
     while a < 0 or b < 0:
         # s1 or s2, as in `simple_reflection`
@@ -236,9 +232,10 @@ def coroot_coefficients(root: Weight) -> tuple[int, int]:
 
 def pairing(w: Weight, i: int) -> int:
     """Evaluation w(h_i) against the simple coroots, i in {1, 2}."""
+    a, b = _pair(w)
     if type(i) is int:
         if i == 1:
-            return w.a
+            return a
         if i == 2:
-            return w.b
+            return b
     raise ValueError(f"coroot index i must be 1 or 2, got {i!r}")

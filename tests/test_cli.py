@@ -768,6 +768,32 @@ def test_unwalkable_region_is_one_error_line(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "family, rows, count",
+    [
+        # r2 >= 0 back in U1, a row implied by r4 >= 0 and r2 - r4 >= 0
+        ("u1", lambda rows: (*rows, ((0, 1, 0, 0), 0)), 6),
+        # r4 >= 0 left out of T2
+        ("t2", lambda rows: tuple(r for r in rows if r != ((0, 0, 0, 1), 0)),
+         4),
+    ],
+    ids=["u1-implied-row", "t2-four-rows"],
+)
+def test_table_of_other_row_count_is_one_error_line(monkeypatch, capsys,
+                                                    family, rows, count):
+    # a table must list exactly the cone's rank + 1 facets
+    region = _REGIONS[Family(family)]
+    monkeypatch.setitem(_REGIONS, Family(family), region._replace(
+        constraints=rows(region.constraints)
+    ))
+    message = (f"error: the {family} region lists {count} constraints, not "
+               "its rank + 1 = 5 facets\n")
+    for argv in (("kr", "--family", family, "--m", "2"),
+                 ("verify", "conjecture", "--family", family),
+                 ("verify", "classes", "--family", family)):
+        assert run(capsys, *argv) == (2, "", message), argv
+
+
 # SHA-256 of stdout and the exit code of each command, as recorded before
 # the renderers were merged into one; every format of every command is
 # pinned, not only fragments of it.
@@ -951,7 +977,6 @@ OUTPUT_DIGESTS = [
 )
 def test_output_bytes_unchanged(monkeypatch, capsys, command, digest,
                                 exit_code):
-    monkeypatch.delenv("G2KR_WIDTH", raising=False)
     code, out, _ = run(capsys, *command.split())
     assert code == exit_code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import logging
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from g2kr import kr
 from g2kr.characters import Character, irreducible_character, tensor
-from g2kr.equivalence import shift_vector
+from g2kr.equivalence import shift_vector, verify_partition
 from g2kr.kr import (
     _REGIONS,
     Family,
@@ -372,12 +373,13 @@ def test_mutated_table_still_packs(monkeypatch, family, moved):
     assert [kr_graded_character(family, m) for m in range(13)] == oracles
 
 
-def _with_constraints(monkeypatch, family, moved):
-    # the family's table with constraint n replaced by moved[n] (appended
-    # past the end)
+def _with_constraints(monkeypatch, family, m_row=None, dropped=(), added=()):
+    # the family's table with its m row (the one with d != 0) replaced by
+    # m_row, the rows dropped left out and the rows added appended
     region = _REGIONS[family]
-    rows = {**dict(enumerate(region.constraints)), **moved}
-    mutated = region._replace(constraints=tuple(rows[n] for n in sorted(rows)))
+    rows = [m_row if d and m_row else (c, d)
+            for c, d in region.constraints if (c, d) not in dropped]
+    mutated = region._replace(constraints=(*rows, *added))
     monkeypatch.setitem(_REGIONS, family, mutated)
     return mutated
 
@@ -385,31 +387,41 @@ def _with_constraints(monkeypatch, family, moved):
 _NOT_A_CONE = "is not a unimodular simplicial cone in (r, m)"
 
 
+def _row_count(count):
+    return f"lists {count} constraints, not its rank + 1 = 5 facets"
+
+
 @pytest.mark.parametrize(
     "family, moved, reason",
     [
         # layers two points thick: the cone's lattice is not unimodular
-        (Family.T2, {5: ((-1, -1, -1, -1), 2)}, _NOT_A_CONE),
-        (Family.U1, {5: ((-2, -3, -3, 0), 2)}, _NOT_A_CONE),
+        (Family.T2, {"m_row": ((-1, -1, -1, -1), 2)}, _NOT_A_CONE),
+        (Family.U1, {"m_row": ((-2, -3, -3, 0), 2)}, _NOT_A_CONE),
         # 3r1 + 3r2 + 3r3 <= 2m
-        (Family.U1, {5: ((-3, -3, -3, 0), 2)}, _NOT_A_CONE),
-        # a sixth facet r3 >= 2r2 - m
-        (Family.T2, {6: ((0, -2, 1, 0), 1)}, _NOT_A_CONE),
+        (Family.U1, {"m_row": ((-3, -3, -3, 0), 2)}, _NOT_A_CONE),
+        # a sixth facet r3 >= 2r2 - m: six rows for five facets
+        (Family.T2, {"added": [((0, -2, 1, 0), 1)]}, _row_count(6)),
         # r1 + r2 + r3 + r4 <= -m: region(m) shrinks as m grows
-        (Family.T2, {5: ((-1, -1, -1, -1), -1)},
+        (Family.T2, {"m_row": ((-1, -1, -1, -1), -1)},
          "has no slack facet: no generator (0, 0, 0, 0, 1) of one more m"),
-        # r1 + r2 >= m: region(m) = {r1 + r2 = m, r3 = r4 = 0} moves with
-        # m, a cone of dimension 2
-        (Family.T2, {6: ((1, 1, 0, 0), -1)}, _NOT_A_CONE),
+        # r1 + r2 >= m in place of r1 >= r3: region(m) = {(m - t, t, 0, 0)
+        # : t >= 0} moves with m, a cone of dimension 2
+        (Family.T2, {"dropped": [((1, 0, -1, 0), 0)],
+                     "added": [((1, 1, 0, 0), -1)]}, _NOT_A_CONE),
         # r4 left out of the m row: every r4 >= 0 is in region(m)
-        (Family.T2, {5: ((-1, -1, -1, 0), 1)},
+        (Family.T2, {"m_row": ((-1, -1, -1, 0), 1)},
          "is infinite: its generator (0, 0, 0, 1, 0) has degree 0 < 1"),
+        # r2 >= 0 back in U1: implied by r4 >= 0 and r2 - r4 >= 0
+        (Family.U1, {"added": [((0, 1, 0, 0), 0)]}, _row_count(6)),
+        # r4 >= 0 left out of T2: four rows for five facets
+        (Family.T2, {"dropped": [((0, 0, 0, 1), 0)]}, _row_count(4)),
     ],
     ids=["t2-thick", "u1-thick", "u1-three-halves", "t2-r3-floor",
-         "t2-shrinking", "t2-moving", "t2-r4-free"],
+         "t2-shrinking", "t2-moving", "t2-r4-free", "u1-implied-row",
+         "t2-four-rows"],
 )
 def test_derivation_refuses_table(monkeypatch, family, moved, reason):
-    mutated = _with_constraints(monkeypatch, family, moved)
+    mutated = _with_constraints(monkeypatch, family, **moved)
     message = f"the {family.value} region {reason}"
     with pytest.raises(ValueError) as refused:
         kr._generators(mutated)
@@ -428,7 +440,7 @@ def test_derived_generators_count_another_cone(monkeypatch):
     # from the generators it gives, as the membership test filters a box
     family = Family.T2
     mutated = _with_constraints(monkeypatch, family,
-                                {5: ((-1, -1, -1, -2), 1)})
+                                m_row=((-1, -1, -1, -2), 1))
     assert kr._generators(mutated)[2] == ((0, 0, 0, 1), 2)
     for m in range(9):
         box = itertools.product(range(m + 1), repeat=4)
@@ -438,6 +450,64 @@ def test_derived_generators_count_another_cone(monkeypatch):
     oracles = [per_point(family, m) for m in range(9)]
     assert swept(family, 8) == oracles
     assert [kr_graded_character(family, m) for m in range(9)] == oracles
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_generators_invert_the_facet_matrix(family):
+    # F * G = I: each generator is 1 on its own facet and 0 on the others,
+    # so it lies in the region; `_generators` does not check that itself
+    region = _REGIONS[family]
+    generators = kr._generators(region)
+    size = len(generators)
+    assert [kr._affine(region.constraints, d, r) for r, d in generators] == [
+        [int(i == j) for i in range(size)] for j in range(size)
+    ]
+
+
+def _moved(value, delta):
+    """(path, copy) for each copy of the nested int tuple value with the
+    one int at path moved by delta."""
+    if type(value) is int:
+        yield (), value + delta
+        return
+    for n, item in enumerate(value):
+        for path, moved in _moved(item, delta):
+            yield (n, *path), (*value[:n], moved, *value[n + 1:])
+
+
+def _unit_faults(region):
+    """(name, table) for each table with one int of the region's
+    constraints, wt_gr or shift moved by +1 or -1: every such fault, read
+    off the table itself."""
+    for field in ("constraints", "wt_gr", "shift"):
+        value = getattr(region, field)
+        for delta in (1, -1) if value is not None else ():
+            for path, moved in _moved(value, delta):
+                yield (f"{field}{list(path)} {delta:+d}",
+                       region._replace(**{field: moved}))
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_every_unit_fault_of_the_table_fails_verify(monkeypatch, family):
+    # each fault is refused by `_generators`, or fails the compare of the
+    # two forms or the class check at some m <= 8; none passes
+    outcomes, passed = collections.Counter(), []
+    for name, faulty in _unit_faults(_REGIONS[family]):
+        monkeypatch.setitem(_REGIONS, family, faulty)
+        try:
+            kr._generators(faulty)
+        except ValueError:
+            outcomes["refused"] += 1
+            continue
+        if any(conjecture_differences(family, m, count)
+               for m, count in _region_counts(family, 8)) or (
+                   family.quad_indexed
+                   and any(verify_partition(family, m) for m in range(9))):
+            outcomes["fail"] += 1
+        else:
+            passed.append(name)
+    assert passed == []
+    assert outcomes["fail"] and outcomes["refused"], outcomes
 
 
 #: The generators (r, d) of ROADMAP item 2, checked by hand, with the

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from g2kr.characters import Character, irreducible_character, tensor, weyl_dim
+from g2kr.kr import GradedDecomposition
 from g2kr.weights import (
     ALL_ROOTS,
     ALPHA1,
@@ -180,12 +182,50 @@ def test_dominant_chamber_matches_reflection_oracle():
     ids=["float", "float-half", "bool", "bool-b", "str", "none"],
 )
 def test_weyl_helpers_reject_non_int_coordinates(w):
-    # checked once per call, as `Weight` checks them
+    # checked once per call, by the one pair check `weights._pair`
     for function in (weyl_orbit, dominant_chamber, to_root_coords, height,
                      in_root_cone, is_dominant, lambda v: inner(v, RHO),
-                     lambda v: inner(RHO, v)):
-        with pytest.raises(ValueError, match=r"a weight is two ints, got \("):
+                     lambda v: inner(RHO, v),
+                     lambda v: simple_reflection(1, v),
+                     lambda v: pairing(v, 2)):
+        with pytest.raises(ValueError, match=r"a weight must have int "
+                           r"coordinates, got \("):
             function(w)
+
+
+# the public entry points that take a weight, each on the bad argument
+_WEIGHT_ENTRY_POINTS = {
+    "Weight + w": lambda w: RHO + w, "w + Weight": lambda w: w + RHO,
+    "Weight - w": lambda w: RHO - w, "w - Weight": lambda w: w - RHO,
+    "to_root_coords": to_root_coords, "height": height,
+    "in_root_cone": in_root_cone, "is_dominant": is_dominant,
+    "inner(w, RHO)": lambda w: inner(w, RHO),
+    "inner(RHO, w)": lambda w: inner(RHO, w),
+    "simple_reflection": lambda w: simple_reflection(1, w),
+    "weyl_orbit": weyl_orbit, "dominant_chamber": dominant_chamber,
+    "dominant_representative": dominant_representative,
+    "pairing": lambda w: pairing(w, 1),
+    "coroot_coefficients": coroot_coefficients,
+    "Character": lambda w: Character([(w, 1)]),
+    "Character[w]": lambda w: Character()[w],
+    "irreducible_character": irreducible_character, "weyl_dim": weyl_dim,
+    "tensor(w, OMEGA1)": lambda w: tensor(w, OMEGA1),
+    "tensor(OMEGA1, w)": lambda w: tensor(OMEGA1, w),
+    "GradedDecomposition.add": lambda w: GradedDecomposition().add(0, w),
+}
+
+
+@pytest.mark.parametrize("entry", _WEIGHT_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "make",
+    [lambda: {1, 0}, lambda: {1: 0, 0: 1}, lambda: (x for x in (1, 0))],
+    ids=["set", "dict", "generator"],
+)
+def test_other_iterables_of_two_ints_are_not_weights(entry, make):
+    # iteration order is no coordinate order: {1, 0} iterates as (0, 1),
+    # so unpacked, weyl_dim({1, 0}) would be dim V(omega2) = 14, not 7
+    with pytest.raises(ValueError, match="must be a pair of ints, got "):
+        _WEIGHT_ENTRY_POINTS[entry](make())
 
 
 @given(weights)
