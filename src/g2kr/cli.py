@@ -9,22 +9,23 @@ as its rows are decoded, never held whole; every check runs before the
 first byte, so an error leaves no output.
 JSON output is canonical (fixed key order, integers only) and round-trips
 byte-identically through json.loads/json.dumps.  Nothing is read from
-the environment.
+the environment.  One table, `_COMMANDS`, holds the grammar: `_parse` reads
+a plain command line, and argparse, built from it, any other, writing all
+help and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 from itertools import chain, islice, repeat
 from operator import itemgetter, mul
+from types import SimpleNamespace
 
 from .weights import height
 
-#: The values of `kr.Family`, spelled out: the parser is built before any
-#: command runs, and a command that never uses `kr` does not load it.
+#: The values of `kr.Family`, spelled out: the command line is read before
+#: any command runs, and a command that never uses `kr` does not load it.
 FAMILIES = ("u1", "u2", "t1", "t2")
 
 
@@ -33,13 +34,17 @@ FAMILIES = ("u1", "u2", "t1", "t2")
 #: stdout still makes few writes.
 _CHUNK = 1024
 
-#: json.dumps writes this string as "\u0000"; no payload holds it.
-_FIELD = "\x00"
-_SLOT = json.dumps(_FIELD)
-
-# The % templates of the items of the one long list of a payload: each is
-# what json.dumps(payload, indent=2) writes for one item, with a %d for each
-# int field, but for the indent of its first line, which the list supplies.
+# The % templates of json.dumps(payload, indent=2) for char, tensor and kr:
+# a head is the text up to the "[" of the payload's one long list, an item
+# what it writes for one item, but for its first line's indent; a %d for
+# each int field, a %s for each fixed name (family, source, basis line).
+_CHAR_HEAD = '{\n  "weight": [\n    %d,\n    %d\n  ],\n  "dim": %d,\n  "terms": ['
+_TENSOR_HEAD = ('{\n  "factors": [\n    [\n      %d,\n      %d\n    ],\n'
+                '    [\n      %d,\n      %d\n    ]\n  ],\n  "dim": %d,\n'
+                '  "components": [')
+_KR_HEAD = ('{\n  "family": "%s",\n  "m": %d,\n  "source": "%s",\n'
+            '%s  "components": [')
+_KR_BASIS = {"irrep": "", "weight": '  "basis": "weight",\n'}
 _WEIGHT_MULT = ('"weight": [\n        %d,\n        %d\n      ],\n'
                 '      "mult": %d')
 _CHAR_TERM = "{\n      " + _WEIGHT_MULT + "\n    }"
@@ -59,27 +64,21 @@ def _chunks(before: str, separator: str, items, after: str):
     yield after
 
 
-def _json(head: dict, key: str | None = None, template: str = "",
-          rows=()):
+def _json(head: str, template: str, rows):
     """json.dumps(payload, indent=2) + "\n", byte for byte, in chunks.
 
-    payload is head, followed, if key is given, by key: a list with one
-    item per row (a tuple of ints) of the iterable rows, rendered by
-    template (`_CHAR_TERM`, ...).  json.dumps renders the head, the list's
-    brackets and the separators; each item is one % operation.
+    head is the payload's text up to the "[" of its one long list (a filled
+    `_CHAR_HEAD`, ...); the list has one item per row (a tuple of ints) of
+    the iterable rows, rendered by template (`_CHAR_TERM`, ...).
     """
     rows = iter(rows)
     first = next(rows, None)  # a peek for the empty list
     if first is None:
-        payload = head if key is None else {**head, key: []}
-        yield json.dumps(payload, indent=2) + "\n"
+        yield head + "]\n}\n"
         return
-    before, separator, after = json.dumps(
-        {**head, key: [_FIELD, _FIELD]}, indent=2
-    ).split(_SLOT)
-    yield from _chunks(before, separator,
+    yield from _chunks(head + "\n    ", ",\n    ",
                        map(template.__mod__, chain([first], rows)),
-                       after + "\n")
+                       "\n  ]\n}\n")
 
 
 def _render(fmt: str, payload, header, rows, table):
@@ -89,11 +88,11 @@ def _render(fmt: str, payload, header, rows, table):
     Each runner returns (payload, header, rows, table, exit code); payload,
     rows and table are thunks, and only the one that fmt asks for is called,
     here, before the first chunk: an error they raise leaves no output.
-    payload gives the arguments of `_json`; table gives the lines; csv's
-    lines are the header and each row (a tuple) through one % template.
+    payload gives the json chunks; table gives the lines; csv's lines are
+    the header and each row (a tuple) through one % template.
     """
     if fmt == "json":
-        return _json(*payload())
+        return payload()
     if fmt == "csv":
         # csv.writer (QUOTE_MINIMAL) would quote no field: each is an int, a
         # header or check name, a family or "", an m or "", or ok/fail, none
@@ -116,8 +115,7 @@ def _run_char(args):
                 strict=True)
 
     def payload():
-        head = {"weight": [args.a, args.b], "dim": dim}
-        return head, "terms", _CHAR_TERM, terms
+        return _json(_CHAR_HEAD % (args.a, args.b, dim), _CHAR_TERM, terms)
 
     def table():
         # Weights packed highest-first into lines of 80 columns; the sort is
@@ -149,8 +147,8 @@ def _run_tensor(args):
     dims = [(w, m, weyl_dim(w)) for w, m in ordered]
 
     def payload():
-        head = {"factors": [list(lam), list(mu)], "dim": dim_lam * dim_mu}
-        return head, "components", _TENSOR_COMPONENT, rows()
+        head = _TENSOR_HEAD % (*lam, *mu, dim_lam * dim_mu)
+        return _json(head, _TENSOR_COMPONENT, rows())
 
     def table():
         lines = [f"V({lam[0]},{lam[1]}) (x) V({mu[0]},{mu[1]})"]
@@ -196,12 +194,10 @@ def _run_kr(args):
         grades = _weight_basis(weights, grades)
 
     def payload():
-        head = {"family": family.value, "m": args.m, "source": source}
-        if weight_basis:
-            head["basis"] = "weight"
-        return head, "components", _KR_COMPONENT, chain.from_iterable(
+        head = _KR_HEAD % (family.value, args.m, source, _KR_BASIS[args.basis])
+        return _json(head, _KR_COMPONENT, chain.from_iterable(
             zip(repeat(grade), map(_A, ws), map(_B, ws), mults)
-            for grade, ws, mults in grades)
+            for grade, ws, mults in grades))
 
     def shares():
         # (grade, weights, mults, dims): a row's dim is its share of the
@@ -300,9 +296,12 @@ def _run_verify(args):
     ok = all(entry["ok"] for entry in checks)
 
     def payload():
-        return ({"target": args.target, "max_m": args.max_m,
-                 "family": args.family, "ok": ok,
-                 "negative_coefficients": negatives, "checks": checks},)
+        import json  # free text: the one payload json.dumps renders
+
+        return [json.dumps({"target": args.target, "max_m": args.max_m,
+                            "family": args.family, "ok": ok,
+                            "negative_coefficients": negatives,
+                            "checks": checks}, indent=2) + "\n"]
 
     def rows():
         return [(entry["check"], entry.get("family", ""), entry.get("m", ""),
@@ -337,45 +336,95 @@ def _run_verify(args):
     return payload, header, rows, table, 0 if ok else 1
 
 
-# --- parser -----------------------------------------------------------------
+# --- command line -----------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+_OUTPUT = {"--format": {"choices": ("table", "json", "csv"), "default": "table",
+                        "help": "output format (default: table)"},
+           "--out": {"metavar": "FILE", "help": "write output to FILE"}}
+
+#: The grammar: for each command its help and its arguments, each name with
+#: the keywords of its add_argument, in the order of the help text.
+_COMMANDS = {
+    "char": ("character of an irreducible module", {
+        "a": {"type": int, "help": "coefficient of omega1"},
+        "b": {"type": int, "help": "coefficient of omega2"},
+        **_OUTPUT}),
+    "tensor": ("tensor product decomposition", {
+        **{name: {"type": int} for name in ("a1", "b1", "a2", "b2")},
+        **_OUTPUT}),
+    "kr": ("graded Kirillov-Reshetikhin character", {
+        "--family": {"choices": FAMILIES, "required": True},
+        "--m": {"type": int, "required": True},
+        "--basis": {"choices": ("irrep", "weight"), "default": "irrep",
+                    "help": "list irreducible components or expanded weights"},
+        "--conjecture": {"action": "store_true", "default": False,
+                         "help": "render the generating-function form "
+                                 "instead of the closed form"},
+        **_OUTPUT}),
+    "verify": ("run the verification sweeps", {
+        "target": {"choices": ("conjecture", "classes", "chevalley", "all")},
+        "--family": {"choices": FAMILIES},
+        "--max-m": {"type": int, "default": 30},
+        **_OUTPUT}),
+}
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    """The parser of `_COMMANDS`, the one writer of help and usage errors."""
+    import argparse  # loaded only for a command line that `_parse` refuses
+
     parser = argparse.ArgumentParser(prog="g2kr", description=(
         "Exact G2 characters and graded Kirillov-Reshetikhin characters."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=("table", "json", "csv"),
-                       default="table", help="output format (default: table)")
-        p.add_argument("--out", metavar="FILE", help="write output to FILE")
-
-    p_char = sub.add_parser("char", help="character of an irreducible module")
-    p_char.add_argument("a", type=int, help="coefficient of omega1")
-    p_char.add_argument("b", type=int, help="coefficient of omega2")
-    add_common(p_char)
-
-    p_tensor = sub.add_parser("tensor", help="tensor product decomposition")
-    for name in ("a1", "b1", "a2", "b2"):
-        p_tensor.add_argument(name, type=int)
-    add_common(p_tensor)
-
-    p_kr = sub.add_parser("kr", help="graded Kirillov-Reshetikhin character")
-    p_kr.add_argument("--family", choices=FAMILIES, required=True)
-    p_kr.add_argument("--m", type=int, required=True)
-    p_kr.add_argument("--basis", choices=("irrep", "weight"), default="irrep",
-                      help="list irreducible components or expanded weights")
-    p_kr.add_argument("--conjecture", action="store_true", help="render the "
-                      "generating-function form instead of the closed form")
-    add_common(p_kr)
-
-    p_verify = sub.add_parser("verify", help="run the verification sweeps")
-    p_verify.add_argument("target", choices=("conjecture", "classes",
-                                             "chevalley", "all"))
-    p_verify.add_argument("--family", choices=FAMILIES)
-    p_verify.add_argument("--max-m", type=int, default=30)
-    add_common(p_verify)
-
+    for command, (text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, keywords in arguments.items():
+            p.add_argument(name, **keywords)
     return parser
+
+
+def _parse(argv):
+    """What build_parser().parse_args(argv) returns for a plain command line:
+    a command, its options spelled in full and at most once, its positionals,
+    no value starting with "-", each passing its type and choices, none
+    missing.  Else None (help, a usage error, an abbreviation, --opt=value,
+    a repeat, a negative value, --): argparse reads those."""
+    if not (isinstance(argv, (list, tuple)) and argv
+            and all(isinstance(token, str) for token in argv)
+            and argv[0] in _COMMANDS):
+        return None
+    arguments = _COMMANDS[argv[0]][1]
+    positionals = iter([name for name in arguments if name[0] != "-"])
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            name, value = next(positionals, None), token  # None: too many
+        elif token in given or token not in arguments:
+            return None
+        elif arguments[token].get("action") == "store_true":
+            name, value = token, True
+        else:
+            name, value = token, next(tokens, "-")  # "-": no value follows
+        if name is None or value is not True and value[:1] == "-":
+            return None
+        given[name] = value
+    namespace = {"command": argv[0]}
+    for name, keywords in arguments.items():
+        if name in given:
+            value = given[name]
+            if "type" in keywords:  # argparse's order: type, then choices
+                try:
+                    value = keywords["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+        elif name[0] != "-" or keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default")
+        namespace[name.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(**namespace)
 
 
 _RUNNERS = {"char": _run_char, "tensor": _run_tensor, "kr": _run_kr,
@@ -383,11 +432,12 @@ _RUNNERS = {"char": _run_char, "tensor": _run_tensor, "kr": _run_kr,
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         *view, code = _RUNNERS[args.command](args)
         chunks = _render(args.format, *view)

@@ -205,6 +205,13 @@ def _affine(rows, m: int, r) -> list[int]:
     return [sum(map(mul, c, r)) + d * m for c, d in rows]
 
 
+def _check_grade(grade) -> int:
+    """grade; ValueError unless it is an int (bool excluded)."""
+    if type(grade) is not int:
+        raise ValueError(f"grade must be an int, got {grade!r}")
+    return grade
+
+
 class GradedDecomposition:
     """Map grade -> {dominant weight -> multiplicity}, canonical sparse form.
 
@@ -229,8 +236,7 @@ class GradedDecomposition:
         """Add mult copies of V(weight) in grade.  ValueError naming the
         argument unless grade and mult are ints (bool excluded) and weight
         is a pair of ints."""
-        if type(grade) is not int:
-            raise ValueError(f"grade must be an int, got {grade!r}")
+        _check_grade(grade)
         if type(mult) is not int:
             raise ValueError(f"multiplicity must be an int, got {mult!r}")
         weight = _as_weight(weight, "weight")
@@ -249,10 +255,13 @@ class GradedDecomposition:
         return sorted(self._grades)
 
     def component(self, grade: int) -> dict[Weight, int]:
-        return dict(self._grades.get(grade, {}))
+        """{weight: multiplicity} of grade; ValueError as `add`."""
+        return dict(self._grades.get(_check_grade(grade), {}))
 
     def multiplicity(self, grade: int, weight: Weight) -> int:
-        return self._grades.get(grade, {}).get(weight, 0)
+        """The multiplicity of V(weight) in grade; ValueError as `add`."""
+        component = self._grades.get(_check_grade(grade), {})
+        return component.get(_as_weight(weight, "weight"), 0)
 
     def _by_grade(self) -> tuple:
         """(weights, grades) in the form of `_grades`: the distinct weights,

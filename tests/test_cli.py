@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import errno
 import hashlib
@@ -8,8 +9,11 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2kr import characters, cli, equivalence, kr
 from g2kr.characters import irreducible_character, tensor, weyl_dim
@@ -243,6 +247,128 @@ def test_missing_subcommand_is_usage_error(capsys):
     code = main([])
     capsys.readouterr()
     assert code == 2
+
+
+def _argparse_reads(argv):
+    """vars() of what build_parser().parse_args(argv) returns, or None where
+    argparse exits (help or a usage error) or raises."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except (SystemExit, TypeError):
+            return None
+
+
+def _check_parse(argv):
+    namespace = cli._parse(argv)
+    expected = _argparse_reads(argv)
+    if namespace is not None:
+        assert vars(namespace) == expected
+    if expected is None:
+        assert namespace is None
+    return namespace
+
+
+#: The argv shapes of the benchmark's workloads (benchmarks/workloads.py):
+#: each is a plain command line, which `_parse` reads without argparse.
+BENCHMARK_ARGVS = [
+    ["tensor", "6", "0", "3", "4", "--format", "json"],
+    ["char", "36", "17", "--format", "json"],
+    ["verify", "conjecture", "--family", "u2", "--max-m", "24",
+     "--format", "json"],
+    ["verify", "classes", "--max-m", "19", "--format", "json"],
+    ["verify", "all", "--family", "t1", "--max-m", "32", "--format", "json"],
+    ["kr", "--family", "u1", "--m", "40", "--conjecture", "--format", "csv"],
+    ["kr", "--family", "t1", "--m", "12", "--basis", "weight",
+     "--format", "table"],
+    ["kr", "--family", "u2", "--m", "4", "--conjecture", "--basis", "weight",
+     "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_ARGVS, ids=" ".join)
+def test_benchmark_command_lines_skip_argparse(argv):
+    assert _check_parse(argv) is not None
+    assert _check_parse(tuple(argv)) is not None
+
+
+#: Tokens that make a command line no longer plain, or wrong: abbreviations,
+#: = forms, help, --, negative numbers, bad ints and bad choices.
+_ODD_TOKENS = [
+    "--fam", "--f", "--ma", "--max", "--con", "--b", "--fo", "--o", "--he",
+    "--family=u1", "--m=2", "--format=json", "--max-m=3", "--out=x",
+    "--", "-h", "--help", "-", "-3", "-0", "--bogus", "-m",
+    "x", "", "U1", "xml", "3.0", "1_0", " 5", "+2", "٣", "10" * 3000,
+    "all", "kr", "char", "u1", "json", "weight", "3",
+    "--m", "--family", "--format", "--out", "--conjecture", "--basis",
+    "--max-m",
+]
+
+
+def _value(keywords):
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    if keywords.get("type") is int:
+        return st.integers(0, 40).map(str)
+    return st.just("out.txt")  # --out: parsed only, never written
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line of every command and format, positionals interleaved
+    with options in any order, then up to two tokens inserted, replaced or
+    deleted, as a list or a tuple."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    groups, positionals = [], []
+    for name, keywords in cli._COMMANDS[command][1].items():
+        if name[0] != "-":
+            positionals.append([draw(_value(keywords))])
+        elif keywords.get("required") or draw(st.booleans()):
+            groups.append([name] if keywords.get("action") else
+                          [name, draw(_value(keywords))])
+    groups = draw(st.permutations(groups))
+    at = -1
+    for group in positionals:  # in order, each at any place among options
+        at = draw(st.integers(at + 1, len(groups)))
+        groups.insert(at, group)
+    argv = [command, *chain.from_iterable(groups)]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit != "insert" and at == len(argv):
+            continue
+        if edit != "delete":
+            argv[at:at + (edit == "replace")] = [
+                draw(st.sampled_from(_ODD_TOKENS))]
+        else:
+            del argv[at]
+    return tuple(argv) if draw(st.booleans()) else argv
+
+
+@given(_command_lines())
+@settings(deadline=None, max_examples=300)
+def test_parse_agrees_with_argparse(argv):
+    _check_parse(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["kr", "--fam", "u1", "--m", "2"],
+    ["kr", "--family=u1", "--m=2"],
+    ["kr", "--family", "u1", "--m", "2", "--m", "3"],
+    ["kr", "--family", "u1", "--m", "-3"],
+    ["tensor", "1", "0", "0", "-2"],
+    ["char", "--", "1", "0"],
+    ["char", "1", "0", "--out", "-"],
+    ["char", "1", "0", "--help"], ["-h"], ["--help"], [],
+    ["char", "x", "0"], ["char", "1"], ["char", "1", "0", "2"],
+    ["verify", "bogus"], ["kr", "--m", "1"], ["nope"],
+    ["char", 1, 0], "char 1 0", ("char", "1", b"0"),
+], ids=repr)
+def test_parse_leaves_other_command_lines_to_argparse(argv):
+    # abbreviations, = forms, repeats, negative values, --, help, usage
+    # errors and non-str argvs
+    assert _check_parse(argv) is None
 
 
 def test_verify_conjecture(capsys):
@@ -557,16 +683,20 @@ def test_optimized_run_matches_plain_run(command, child_env):
         assert payload["ok"] is True
 
 
-#: The g2kr modules each command loads in a fresh process, with csv and
-#: logging if it loads them, sorted: characters where a character or a
-#: dimension is computed, kr for kr and the KR checks, chevalley for verify
-#: chevalley|all, equivalence for the class checks, and logging only when a
-#: coefficient is negative.  No command loads csv: --format csv writes its
-#: lines through a % template.
+#: The g2kr modules each command loads in a fresh process, with argparse,
+#: csv, gettext, json and logging if it loads them, sorted: characters where
+#: a character or a dimension is computed, kr for kr and the KR checks,
+#: chevalley for verify chevalley|all, equivalence for the class checks, and
+#: logging only when a coefficient is negative.  No command loads csv:
+#: --format csv writes its lines through a % template.  A plain command line
+#: loads neither argparse nor its gettext, which come only for help and
+#: other spellings; json comes only for verify's free-text payload.
 _LOADS = [
     (["char", "1", "0"], "characters weights"),
     (["char", "1", "0", "--format", "csv"], "characters weights"),
+    (["char", "1", "0", "--format", "json"], "characters weights"),
     (["tensor", "1", "0", "1", "0"], "characters weights"),
+    (["tensor", "1", "0", "1", "0", "--format", "json"], "characters weights"),
     (["kr", "--family", "u1", "--m", "2", "--format", "json"], "kr weights"),
     (["kr", "--family", "t2", "--m", "3", "--basis", "weight",
       "--format", "json"], "characters kr weights"),
@@ -574,13 +704,16 @@ _LOADS = [
      "characters kr weights"),
     (["kr", "--family", "u1", "--m", "2", "--conjecture"],
      "characters kr weights"),
+    (["kr", "--help"], "argparse gettext weights"),
+    (["kr", "--fam", "u1", "--m", "2"],
+     "argparse characters gettext kr weights"),
     (["verify", "conjecture", "--max-m", "1"], "kr weights"),
     (["verify", "classes", "--max-m", "1"], "equivalence kr weights"),
     (["verify", "chevalley"], "characters chevalley weights"),
     (["verify", "chevalley", "--format", "csv"],
      "characters chevalley weights"),
     (["verify", "all", "--max-m", "1", "--format", "json"],
-     "characters chevalley equivalence kr weights"),
+     "characters chevalley equivalence json kr weights"),
 ]
 
 
@@ -596,15 +729,30 @@ def test_each_command_loads_only_what_it_runs(argv, loads, child_env):
         "                     alter_sys=True)\n"
         "finally:\n"
         "    print(*sorted(m.removeprefix('g2kr.') for m in sys.modules\n"
-        "                  if m.startswith('g2kr.')\n"
-        "                  or m in ('csv', 'logging')))\n"
+        "                  if m.startswith('g2kr.') or m in ('argparse',\n"
+        "                  'csv', 'gettext', 'json', 'logging')))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script, *argv, "--out", os.devnull],
         capture_output=True, text=True, env=child_env, check=False,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == loads + "\n"
+    # the last line: help goes to stdout, not to --out
+    assert result.stdout.splitlines()[-1] == loads
+
+
+@pytest.mark.parametrize("argv, plain", [
+    ("kr --fam u1 --m 2", "kr --family u1 --m 2"),
+    ("kr --family=u1 --m=2", "kr --family u1 --m 2"),
+    ("kr --family t1 --m 2 --family u1", "kr --family u1 --m 2"),
+    ("kr --m 2 --fam u1 --format=json", "kr --family u1 --m 2 --format json"),
+    ("char 3 --for csv 2", "char 3 2 --format csv"),
+])
+def test_other_spellings_write_the_plain_bytes(capsys, argv, plain):
+    # argparse reads the other spelling, `_parse` the plain one
+    assert cli._parse(argv.split()) is None
+    assert cli._parse(plain.split()) is not None
+    assert run(capsys, *argv.split()) == run(capsys, *plain.split())
 
 
 def test_cli_import_loads_neither_kr_nor_characters(child_env):
@@ -724,13 +872,26 @@ def test_json_writer_matches_json_dumps(capsys, command, payload):
     assert out == json.dumps(payload(), indent=2) + "\n"
 
 
-# each item template, its key in the payload, and the item of a row
-ITEM_TEMPLATES = [
-    (cli._CHAR_TERM, "terms", lambda a, b, m: {"weight": [a, b], "mult": m}),
-    (cli._TENSOR_COMPONENT, "components",
+# each head template filled in, with negative and >64-bit ints, the head
+# of the payload that it renders, and the payload's list: its key, its item
+# template and the item of a row
+_KR_ITEM = (cli._KR_COMPONENT,
+            lambda g, a, b, m: {"grade": g, "weight": [a, b], "mult": m})
+JSON_HEADS = [
+    (cli._CHAR_HEAD % (-1, 2**64, 10**40),
+     {"weight": [-1, 2**64], "dim": 10**40}, "terms", cli._CHAR_TERM,
+     lambda a, b, m: {"weight": [a, b], "mult": m}),
+    (cli._TENSOR_HEAD % (0, -2, 2**64, 7, -(10**40)),
+     {"factors": [[0, -2], [2**64, 7]], "dim": -(10**40)}, "components",
+     cli._TENSOR_COMPONENT,
      lambda a, b, m, d: {"weight": [a, b], "mult": m, "dim": d}),
-    (cli._KR_COMPONENT, "components",
-     lambda g, a, b, m: {"grade": g, "weight": [a, b], "mult": m}),
+    *((cli._KR_HEAD % (family.value, m, source, cli._KR_BASIS[basis]),
+       {"family": family.value, "m": m, "source": source,
+        **({"basis": "weight"} if basis == "weight" else {})},
+       "components", *_KR_ITEM)
+      for family, m in zip(Family, (0, -5, 2**64, 40))
+      for source in ("theorem", "conjecture")
+      for basis in ("irrep", "weight")),
 ]
 
 
@@ -744,14 +905,11 @@ ITEM_TEMPLATES = [
     ids=["empty", "one", "negative-and-large"],
 )
 def test_json_writer_edge_cases(rows):
-    head = {"family": "u1", "m": -5, "basis": "100%",
-            "nested": {"a": [1, [2, []]], "b": None, "c": {}}}
-    for template, key, item in ITEM_TEMPLATES:
+    for head, payload, key, template, item in JSON_HEADS:
         fields = [row[:item.__code__.co_argcount] for row in rows]
         items = [item(*row) for row in fields]
-        expected = json.dumps({**head, key: items}, indent=2) + "\n"
-        assert "".join(cli._json(head, key, template, fields)) == expected
-    assert "".join(cli._json(head)) == json.dumps(head, indent=2) + "\n"
+        expected = json.dumps({**payload, key: items}, indent=2) + "\n"
+        assert "".join(cli._json(head, template, fields)) == expected
 
 
 def test_unwalkable_region_is_one_error_line(monkeypatch, capsys):

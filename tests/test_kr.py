@@ -182,6 +182,44 @@ def test_graded_decomposition_add_checks_its_arguments(grade, weight, mult,
     assert not g
 
 
+@pytest.mark.parametrize(
+    "grade, weight, message",
+    [
+        (0.5, OMEGA1, "grade must be an int, got 0.5"),
+        ("x", OMEGA1, "grade must be an int, got 'x'"),
+        (True, OMEGA1, "grade must be an int, got True"),
+        (None, OMEGA1, "grade must be an int, got None"),
+        (0, {0, 1}, "weight must be a pair of ints, got {0, 1}"),
+        (0, {0: 1, 1: 0}, "weight must be a pair of ints, got {0: 1, 1: 0}"),
+        (0, (x for x in (0, 1)), "weight must be a pair of ints"),
+        (0, 0.5, "weight must be a pair of ints, got 0.5"),
+        (0, "ab", "weight must be a pair of ints, got 'ab'"),
+        (0, (1.0, 0), "weight must have int coordinates, got (1.0, 0)"),
+    ],
+    ids=["float-grade", "str-grade", "bool-grade", "none-grade", "set-weight",
+         "dict-weight", "generator-weight", "float-weight", "str-weight",
+         "float-coordinate"],
+)
+def test_graded_decomposition_lookups_check_their_arguments(grade, weight,
+                                                            message):
+    # the checks of `add`: a lookup that names no grade or weight raises
+    g = GradedDecomposition()
+    g.add(0, OMEGA2, 3)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        g.multiplicity(grade, weight)
+    if weight is OMEGA1:  # a bad grade
+        with pytest.raises(ValueError, match=re.escape(message)):
+            g.component(grade)
+
+
+def test_graded_decomposition_lookups_take_a_list_as_a_tuple():
+    g = GradedDecomposition()
+    g.add(0, [0, 1], 3)
+    assert g.multiplicity(0, [0, 1]) == g.multiplicity(0, (0, 1)) == 3
+    assert g.multiplicity(0, [1, 0]) == g.multiplicity(1, (0, 1)) == 0
+    assert g.component(0) == {OMEGA2: 3}
+
+
 def test_kr_fixtures():
     g = kr_graded_character(Family.U1, 2)
     assert g.component(0) == {Weight(2, 0): 1}
