@@ -12,6 +12,12 @@ byte-identically through json.loads/json.dumps.  Nothing is read from
 the environment.  One table, `_COMMANDS`, holds the grammar: `_parse` reads
 a plain command line, and argparse, built from it, any other, writing all
 help and usage errors.
+
+`main()` is the in-process entry: it returns the exit code.  `run()` is the
+process entry (`python -m g2kr.cli`, the `g2kr` script): it calls `main()`,
+flushes stdout and stderr and ends the process with `os._exit`, skipping
+the interpreter's teardown and any `atexit` handler, so `coverage run -m
+g2kr.cli` records nothing.
 """
 
 from __future__ import annotations
@@ -435,7 +441,11 @@ def main(argv=None) -> int:
     args = _parse(sys.argv[1:] if argv is None else argv)
     if args is None:
         try:
-            args = build_parser().parse_args(argv)
+            parser = build_parser()
+            for token in argv or ():
+                if not isinstance(token, str):
+                    parser.error(f"argument {token!r} is not a str")
+            args = parser.parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -448,14 +458,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
         else:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
     except OSError as exc:  # a full disk or a closed pipe
-        if not args.out:
+        if args.out is None:
             # the interpreter flushes stdout at exit: let that write succeed
             with open(os.devnull, "w") as null:
                 os.dup2(null.fileno(), sys.stdout.fileno())
@@ -466,5 +476,26 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> None:
+    """Run main() on sys.argv and end the process with its exit code once
+    stdout and stderr are flushed, without the interpreter's teardown.
+
+    The `--out` file is closed by then, and `g2kr.kr` logs to stderr.  A
+    closed pipe at the flush is quiet, as in main; any other failed flush
+    is left to the interpreter's exit, which reports it."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        pass  # the reader stopped reading; os._exit flushes nothing more
+    except OSError:
+        sys.exit(code)
+    try:
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

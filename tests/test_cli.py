@@ -651,6 +651,27 @@ def test_out_file_unwritable_is_usage_error(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("argv", [["--out", ""], ["--out="]],
+                         ids=["plain", "argparse"])
+def test_out_file_empty_path_is_usage_error(capsys, argv):
+    # an empty path is a file that cannot be opened, not stdout
+    assert run(capsys, "char", "1", "0", *argv) == (
+        2, "", "error: [Errno %d] %s: ''\n" % (errno.ENOENT,
+                                               os.strerror(errno.ENOENT)))
+
+
+@pytest.mark.parametrize("argv", [["char", 1, 0], ["kr", "--m", 2],
+                                  ["char", "1", "0", "--out", None]],
+                         ids=["positional", "option", "none"])
+def test_argument_not_a_str_is_usage_error(capsys, argv):
+    # argparse, the one writer of usage errors, reports it
+    code, out, err = run(capsys, *argv)
+    bad = next(token for token in argv if not isinstance(token, str))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: g2kr ")
+    assert err.endswith(f"g2kr: error: argument {bad!r} is not a str\n")
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -721,16 +742,18 @@ _LOADS = [
                          ids=[" ".join(argv) for argv, _ in _LOADS])
 def test_each_command_loads_only_what_it_runs(argv, loads, child_env):
     # a fresh process per command, run as `python -m g2kr.cli` runs it: in a
-    # shared process the modules of one command would hide the next one's
+    # shared process the modules of one command would hide the next one's.
+    # cli.run ends the process with os._exit, which skips finally blocks:
+    # the child's os._exit prints the modules first
     script = (
-        "import runpy, sys\n"
-        "try:\n"
-        "    runpy.run_module('g2kr.cli', run_name='__main__',\n"
-        "                     alter_sys=True)\n"
-        "finally:\n"
+        "import os, runpy, sys\n"
+        "def _exit(code, _exit=os._exit):\n"
         "    print(*sorted(m.removeprefix('g2kr.') for m in sys.modules\n"
         "                  if m.startswith('g2kr.') or m in ('argparse',\n"
-        "                  'csv', 'gettext', 'json', 'logging')))\n"
+        "                  'csv', 'gettext', 'json', 'logging')), flush=True)\n"
+        "    _exit(code)\n"
+        "os._exit = _exit\n"
+        "runpy.run_module('g2kr.cli', run_name='__main__', alter_sys=True)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script, *argv, "--out", os.devnull],
@@ -1231,15 +1254,20 @@ def test_failed_write_is_one_error_line(monkeypatch, capsys, tmp_path, argv,
         (["char", "0", "0"], "full", ""),
         (["char", "40", "40", "--format", "json"], "pipe", ""),
         (["char", "40", "40", "--format", "json"], "pipe", "1"),
+        (["--help"], "pipe", ""),
+        (["--help"], "pipe", "1"),
+        (["kr", "--help"], "pipe", ""),
     ],
     ids=["full-unbuffered", "full-buffered", "full-small", "closed-pipe",
-         "closed-pipe-unbuffered"],
+         "closed-pipe-unbuffered", "help-closed-pipe",
+         "help-closed-pipe-unbuffered", "kr-help-closed-pipe"],
 )
 def test_failed_write_in_a_process_exits_two(child_env, argv, target,
                                              unbuffered):
     # the whole path: a full disk is one error line and exit 2, a closed
-    # pipe no line and exit 0, and the exit flush is quiet, also when the
-    # whole output waits in stdout's buffer until that flush
+    # pipe no line and exit 0, and the final flush is quiet, also when the
+    # whole output waits in stdout's buffer until that flush (argparse's
+    # help text does)
     if target == "full":
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full on this system")
@@ -1258,6 +1286,72 @@ def test_failed_write_in_a_process_exits_two(child_env, argv, target,
     assert (result.returncode, result.stderr) == (
         (2, "error: [Errno %d] %s\n" % _FULL) if target == "full" else (0, "")
     )
+
+
+#: A child that seeds `_u1_coefficient_fault`'s table fault, then runs its
+#: command line through cli.run, as `python -m g2kr.cli` does.
+_FAULTED_RUN = (
+    "from g2kr import cli, kr\n"
+    "region = kr._REGIONS[kr.Family.U1]\n"
+    "def coefficient(m, j, k):\n"
+    "    if (m, j, k) == (8, 2, 0):\n"
+    "        return -1\n"
+    "    return region.coefficient(m, j, k) + ((j, k) == (0, 0))\n"
+    "kr._REGIONS[kr.Family.U1] = region._replace(coefficient=coefficient)\n"
+    "cli.run()\n"
+)
+
+
+def _process(child_env, *argv, script=None):
+    """(exit code, stdout, stderr) of argv run by cli.run in a fresh
+    process, with stdout buffered: what os._exit would drop unflushed."""
+    entry = ["-c", script] if script else ["-m", "g2kr.cli"]
+    result = subprocess.run([sys.executable, *entry, *argv],
+                            capture_output=True, text=True, check=False,
+                            env={**child_env, "PYTHONUNBUFFERED": "",
+                                 "COLUMNS": "80"})
+    return result.returncode, result.stdout, result.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["char", "1", "0"], 0),
+    (["kr", "--family", "t2", "--m", "40", "--format", "csv"], 0),
+    (["kr", "--help"], 0),
+    (["kr", "--family", "x", "--m", "1"], 2),
+    (["tensor", "1", "0", "0", "-2"], 2),
+], ids=["ok", "ok-many-chunks", "help", "usage-error", "domain-error"])
+def test_process_writes_what_main_writes(monkeypatch, capsys, child_env,
+                                         argv, code):
+    # argparse's help waits in stdout's buffer until cli.run flushes it
+    monkeypatch.setenv("COLUMNS", "80")  # the help's width, as in _process
+    expected = run(capsys, *argv)
+    assert expected[0] == code
+    assert _process(child_env, *argv) == expected
+
+
+def test_failed_verify_process_writes_what_main_writes(monkeypatch, capsys,
+                                                        child_env):
+    argv = ["verify", "conjecture", "--family", "u1", "--max-m", "8",
+            "--format", "json"]
+    code, out, err = _process(child_env, *argv, script=_FAULTED_RUN)
+    _u1_coefficient_fault(monkeypatch)
+    assert (code, out) == run(capsys, *argv)[:2]
+    assert code == 1 and json.loads(out)["negative_coefficients"]
+    # the warning logged on the way reaches stderr before the process ends
+    assert err == ("negative pre-clamp coefficient -1 for u1 at m=8, j=2, "
+                   "k=0\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["char", "1", "0", "--format", "json"],
+    ["kr", "--family", "t2", "--m", "40", "--format", "table"],
+], ids=["one-chunk", "many-chunks"])
+def test_process_out_file_equals_stdout(child_env, tmp_path, argv):
+    target = tmp_path / "out.txt"
+    assert _process(child_env, *argv, "--out", str(target)) == (0, "", "")
+    code, out, err = _process(child_env, *argv)
+    assert (code, err) == (0, "")
+    assert target.read_text(encoding="utf-8") == out
 
 
 def _no_dimension(weight):
