@@ -279,8 +279,25 @@ def cartan(i: int) -> tuple[int, ...]:
     return basis_vector(H1 if i == 1 else H2)
 
 
+def _vector(x, name: str):
+    """x; ValueError naming it unless x is a tuple or a list of DIM ints
+    (bool excluded): a set or a dict would make its iteration order the
+    coordinates, and a short one would be zero-padded."""
+    if (not isinstance(x, (tuple, list)) or len(x) != DIM
+            or any(type(c) is not int for c in x)):
+        raise ValueError(
+            f"{name} must be a tuple or a list of {DIM} ints, got {x!r}"
+        )
+    return x
+
+
 def bracket(x, y) -> tuple[int, ...]:
     """Lie bracket of two elements given by basis coefficients."""
+    return _bracket(_vector(x, "x"), _vector(y, "y"))
+
+
+def _bracket(x, y) -> tuple[int, ...]:
+    """`bracket` of two vectors already checked."""
     rows = build_bracket_table().rows
     acc = [0] * DIM
     for i, xi in enumerate(x):
@@ -294,6 +311,7 @@ def bracket(x, y) -> tuple[int, ...]:
 
 def killing_form(x, y) -> int:
     """Trace form tr(ad x . ad y); exact integer."""
+    x, y = _vector(x, "x"), _vector(y, "y")
     killing = build_bracket_table().killing
     return sum(
         xi * yj * killing[i][j]
@@ -405,11 +423,15 @@ def kr1_highest_vector() -> KElement:
 
 def kr1_action(x, power: int, v: KElement) -> KElement:
     """(x (x) t^power) applied to (y, a); zero for power >= 2."""
+    _vector(x, "x")
     if type(power) is not int or power < 0:
         raise ValueError(f"power must be a nonnegative int, got {power!r}")
-    y, _ = v
+    if not (isinstance(v, (tuple, list)) and len(v) == 2
+            and type(v[1]) is int):
+        raise ValueError(f"v must be a pair (vector, int), got {v!r}")
+    y = _vector(v[0], "the vector of v")
     if power == 0:
-        return (bracket(x, y), 0)
+        return (_bracket(x, y), 0)
     if power == 1:
         return (ZERO14, killing_form(x, y))
     return K_ZERO
@@ -440,7 +462,7 @@ def verify_kr1_relations() -> list[str]:
         fresh = []
         for y in frontier:
             for i in range(DIM):
-                z = bracket(basis_vector(i), y)
+                z = _bracket(basis_vector(i), y)
                 if any(z) and _reduce_into(z, pivots):
                     fresh.append(z)
         frontier = fresh

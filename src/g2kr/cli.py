@@ -3,20 +3,21 @@ and the verification sweeps, with table / json / csv output.
 
 Exit codes: 0 success, 1 verification failure (or an exactness check that
 fails while computing, as one `error:` line), 2 usage or domain error, or a
-failed write of the output (a full disk); a closed pipe on stdout ends the
-output quietly, with the command's own code.  Output is written in chunks
-as its rows are decoded, never held whole; every check runs before the
-first byte, so an error leaves no output.
+failed write of the output or of help (a full disk); a closed pipe on
+stdout ends the output quietly, with the command's own code.  Output is
+written in chunks as its rows are decoded, never held whole; every check
+runs before the first byte, so an error leaves no output.
 JSON output is canonical (fixed key order, integers only) and round-trips
-byte-identically through json.loads/json.dumps.  Nothing is read from
-the environment.  One table, `_COMMANDS`, holds the grammar: `_parse` reads
-a plain command line, and argparse, built from it, any other, writing all
-help and usage errors.
+byte-identically through json.loads/json.dumps.  Nothing is read from the
+environment but the width of argparse's help (`COLUMNS`).  One table,
+`_COMMANDS`, holds the grammar: `_parse` reads a plain command line, and
+argparse, built from it, any other, writing all help and usage errors.
 
-`main()` is the in-process entry: it returns the exit code.  `run()` is the
+`main()` is the in-process entry: it returns the exit code, with stdout
+flushed or, after a failed write, pointing at os.devnull.  `run()` is the
 process entry (`python -m g2kr.cli`, the `g2kr` script): it calls `main()`,
-flushes stdout and stderr and ends the process with `os._exit`, skipping
-the interpreter's teardown and any `atexit` handler, so `coverage run -m
+flushes stderr and ends the process with `os._exit`, skipping the
+interpreter's teardown and any `atexit` handler, so `coverage run -m
 g2kr.cli` records nothing.
 """
 
@@ -379,7 +380,12 @@ def build_parser() -> "argparse.ArgumentParser":
     """The parser of `_COMMANDS`, the one writer of help and usage errors."""
     import argparse  # loaded only for a command line that `_parse` refuses
 
-    parser = argparse.ArgumentParser(prog="g2kr", description=(
+    class Parser(argparse.ArgumentParser):  # its subparsers are Parsers too
+        def print_help(self, file=None):
+            # argparse's own drops an OSError; main reports it
+            (sys.stdout if file is None else file).write(self.format_help())
+
+    parser = Parser(prog="g2kr", description=(
         "Exact G2 characters and graded Kirillov-Reshetikhin characters."))
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, arguments) in _COMMANDS.items():
@@ -438,35 +444,38 @@ _RUNNERS = {"char": _run_char, "tensor": _run_tensor, "kr": _run_kr,
 
 
 def main(argv=None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else argv)
-    if args is None:
+    """Parse, run, render and write the command line argv (default:
+    sys.argv[1:]); return its exit code.  On return, what it wrote to
+    stdout, help included, is flushed, or stdout points at os.devnull."""
+    argv = sys.argv[1:] if argv is None else list(argv)  # an iterator, once
+    args, code, chunks = _parse(argv), 0, ()  # 0: help's code
+    try:
         try:
-            parser = build_parser()
-            for token in argv or ():
-                if not isinstance(token, str):
-                    parser.error(f"argument {token!r} is not a str")
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 2
-    try:
-        *view, code = _RUNNERS[args.command](args)
-        chunks = _render(args.format, *view)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:  # an exactness check failed
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        if args.out is not None:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.writelines(chunks)
-        else:
+            if args is None:
+                parser = build_parser()
+                for token in argv:
+                    if not isinstance(token, str):
+                        parser.error(f"argument {token!r} is not a str")
+                args = parser.parse_args(argv)
+            *view, code = _RUNNERS[args.command](args)
+            chunks = _render(args.format, *view)
+        except SystemExit as exc:  # argparse wrote help, or usage to stderr
+            code = exc.code if isinstance(exc.code, int) else 2
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ArithmeticError as exc:  # an exactness check failed
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        if getattr(args, "out", None) is None:  # also after help
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
     except OSError as exc:  # a full disk or a closed pipe
-        if args.out is None:
-            # the interpreter flushes stdout at exit: let that write succeed
+        if getattr(args, "out", None) is None:
+            # what waits in stdout's buffer goes there at the next flush
             with open(os.devnull, "w") as null:
                 os.dup2(null.fileno(), sys.stdout.fileno())
             if isinstance(exc, BrokenPipeError):
@@ -477,23 +486,11 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """Run main() on sys.argv and end the process with its exit code once
-    stdout and stderr are flushed, without the interpreter's teardown.
-
-    The `--out` file is closed by then, and `g2kr.kr` logs to stderr.  A
-    closed pipe at the flush is quiet, as in main; any other failed flush
-    is left to the interpreter's exit, which reports it."""
+    """Run main() on sys.argv and end the process with its exit code,
+    without the interpreter's teardown: main leaves stdout flushed and the
+    `--out` file closed; stderr, where `g2kr.kr` logs, is flushed here."""
     code = main()
-    try:
-        sys.stdout.flush()
-    except BrokenPipeError:
-        pass  # the reader stopped reading; os._exit flushes nothing more
-    except OSError:
-        sys.exit(code)
-    try:
-        sys.stderr.flush()
-    except OSError:
-        sys.exit(code)
+    sys.stderr.flush()
     os._exit(code)
 
 

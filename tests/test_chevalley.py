@@ -874,3 +874,51 @@ def test_helpers_reject_bad_indices(call, message):
     # IndexError or bool passed off as 1 or 0
     with pytest.raises(ValueError, match=message):
         call()
+
+
+_ONE = basis_vector(0)
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [_ONE[:13], _ONE + (0,), (0.5,) + _ONE[1:], (True,) + _ONE[1:],
+     set(range(DIM)), "0" * DIM, dict.fromkeys(range(DIM), 0), iter(_ONE),
+     None],
+    ids=["short", "long", "float", "bool", "set", "str", "dict", "iterator",
+         "none"],
+)
+def test_vectors_are_checked(vector):
+    # no zero-padding, IndexError, float result, bool as 1 or iteration
+    # order of a set: a ValueError that names the argument
+    for call, name in [
+        (lambda: bracket(vector, _ONE), "x"),
+        (lambda: bracket(_ONE, vector), "y"),
+        (lambda: killing_form(vector, _ONE), "x"),
+        (lambda: killing_form(_ONE, vector), "y"),
+        (lambda: kr1_action(vector, 0, K_ZERO), "x"),
+        (lambda: kr1_action(_ONE, 2, (vector, 0)), "the vector of v"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be a tuple or a "
+                                             f"list of 14 ints, got "):
+            call()
+
+
+@pytest.mark.parametrize(
+    "v",
+    [_ONE, (_ONE,), (_ONE, 0, 0), (_ONE, True), (_ONE, 0.0), (_ONE, None),
+     {_ONE: 0}, None],
+    ids=["vector", "one", "three", "bool", "float", "none", "dict",
+         "not-a-pair"],
+)
+def test_kr1_action_checks_its_module_element(v):
+    for power in (0, 1, 2):
+        with pytest.raises(ValueError,
+                           match=r"^v must be a pair \(vector, int\), got "):
+            kr1_action(_ONE, power, v)
+
+
+def test_vectors_may_be_lists():
+    x, y = x_plus(0), x_minus(0)
+    assert bracket(list(x), list(y)) == bracket(x, y) == cartan(1)
+    assert killing_form(list(x), list(y)) == killing_form(x, y)
+    assert kr1_action(list(x), 0, [list(y), 3]) == (cartan(1), 0)

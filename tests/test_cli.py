@@ -672,6 +672,19 @@ def test_argument_not_a_str_is_usage_error(capsys, argv):
     assert err.endswith(f"g2kr: error: argument {bad!r} is not a str\n")
 
 
+@pytest.mark.parametrize("wrap", [iter, lambda argv: (t for t in argv)],
+                         ids=["iterator", "generator"])
+@pytest.mark.parametrize("argv", [["char", "1", "0"],
+                                  ["kr", "--fam", "t2", "--m", "3"]],
+                         ids=["plain", "argparse"])
+def test_argv_is_read_once(capsys, wrap, argv):
+    # an iterator or a generator runs like the same list
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    code = main(wrap(argv))
+    assert (code, *capsys.readouterr()) == expected
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -1178,16 +1191,16 @@ def test_output_bytes_unchanged_in_small_chunks(monkeypatch, capsys, command,
 
 
 class _Stdout(io.StringIO):
-    """A stdout that records each write, and raises `error` on the
-    second one; its descriptor is `fd`."""
+    """A stdout that records each write, and raises `error` on write
+    number `at`; its descriptor is `fd`."""
 
-    def __init__(self, fd=None, error=None):
+    def __init__(self, fd=None, error=None, at=2):
         super().__init__()
-        self.fd, self.error, self.writes = fd, error, []
+        self.fd, self.error, self.at, self.writes = fd, error, at, []
 
     def write(self, text):
         self.writes.append(text)
-        if self.error is not None and len(self.writes) == 2:
+        if self.error is not None and len(self.writes) == self.at:
             raise self.error
         return super().write(text)
 
@@ -1218,28 +1231,35 @@ _FAILED_VERIFY = ["verify", "conjecture", "--family", "u1", "--max-m", "1"]
 
 
 @pytest.mark.parametrize(
-    "argv, error, expected",
+    "argv, error, expected, at",
     [
-        (_CHAR, OSError(*_FULL), (2, "error: [Errno %d] %s\n" % _FULL)),
+        (_CHAR, OSError(*_FULL), (2, "error: [Errno %d] %s\n" % _FULL), 2),
         # the reader stopped reading: the output ends quietly, with the
         # command's own exit code, 1 for a failed verification
-        (_CHAR, BrokenPipeError(*_CLOSED), (0, "")),
-        (_FAILED_VERIFY, BrokenPipeError(*_CLOSED), (1, "")),
+        (_CHAR, BrokenPipeError(*_CLOSED), (0, ""), 2),
+        (_FAILED_VERIFY, BrokenPipeError(*_CLOSED), (1, ""), 2),
+        # help is one write, under the same rule
+        (["--help"], OSError(*_FULL), (2, "error: [Errno %d] %s\n" % _FULL),
+         1),
+        (["--help"], BrokenPipeError(*_CLOSED), (0, ""), 1),
+        (["kr", "--help"], OSError(*_FULL),
+         (2, "error: [Errno %d] %s\n" % _FULL), 1),
     ],
-    ids=["full-disk", "closed-pipe", "closed-pipe-failed-verify"],
+    ids=["full-disk", "closed-pipe", "closed-pipe-failed-verify",
+         "help-full-disk", "help-closed-pipe", "kr-help-full-disk"],
 )
 def test_failed_write_is_one_error_line(monkeypatch, capsys, tmp_path, argv,
-                                        error, expected):
+                                        error, expected, at):
     _u1_coefficient_fault(monkeypatch)
     monkeypatch.setattr(cli, "_CHUNK", 1)  # a table of many writes
     fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
     try:
-        stdout = _Stdout(fd, error)
+        stdout = _Stdout(fd, error, at)
         with monkeypatch.context() as patch:
             patch.setattr(sys, "stdout", stdout)
             code = main(argv)
         assert (code, capsys.readouterr().err) == expected
-        assert len(stdout.writes) == 2  # no write after the failed one
+        assert len(stdout.writes) == at  # no write after the failed one
         # the descriptor now discards what the interpreter flushes at exit
         assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
     finally:
@@ -1257,17 +1277,22 @@ def test_failed_write_is_one_error_line(monkeypatch, capsys, tmp_path, argv,
         (["--help"], "pipe", ""),
         (["--help"], "pipe", "1"),
         (["kr", "--help"], "pipe", ""),
+        (["--help"], "full", ""),
+        (["--help"], "full", "1"),
+        (["kr", "--help"], "full", ""),
+        (["kr", "--help"], "full", "1"),
     ],
     ids=["full-unbuffered", "full-buffered", "full-small", "closed-pipe",
          "closed-pipe-unbuffered", "help-closed-pipe",
-         "help-closed-pipe-unbuffered", "kr-help-closed-pipe"],
+         "help-closed-pipe-unbuffered", "kr-help-closed-pipe",
+         "help-full-buffered", "help-full-unbuffered",
+         "kr-help-full-buffered", "kr-help-full-unbuffered"],
 )
 def test_failed_write_in_a_process_exits_two(child_env, argv, target,
                                              unbuffered):
     # the whole path: a full disk is one error line and exit 2, a closed
-    # pipe no line and exit 0, and the final flush is quiet, also when the
-    # whole output waits in stdout's buffer until that flush (argparse's
-    # help text does)
+    # pipe no line and exit 0, also for help, whose one write fails at once
+    # (unbuffered) or waits in stdout's buffer until main flushes it
     if target == "full":
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full on this system")
@@ -1322,7 +1347,7 @@ def _process(child_env, *argv, script=None):
 ], ids=["ok", "ok-many-chunks", "help", "usage-error", "domain-error"])
 def test_process_writes_what_main_writes(monkeypatch, capsys, child_env,
                                          argv, code):
-    # argparse's help waits in stdout's buffer until cli.run flushes it
+    # argparse's help waits in stdout's buffer until main flushes it
     monkeypatch.setenv("COLUMNS", "80")  # the help's width, as in _process
     expected = run(capsys, *argv)
     assert expected[0] == code
