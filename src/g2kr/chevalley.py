@@ -311,7 +311,11 @@ def _bracket(x, y) -> tuple[int, ...]:
 
 def killing_form(x, y) -> int:
     """Trace form tr(ad x . ad y); exact integer."""
-    x, y = _vector(x, "x"), _vector(y, "y")
+    return _killing_form(_vector(x, "x"), _vector(y, "y"))
+
+
+def _killing_form(x, y) -> int:
+    """`killing_form` of two vectors already checked."""
     killing = build_bracket_table().killing
     return sum(
         xi * yj * killing[i][j]
@@ -433,7 +437,7 @@ def kr1_action(x, power: int, v: KElement) -> KElement:
     if power == 0:
         return (_bracket(x, y), 0)
     if power == 1:
-        return (ZERO14, killing_form(x, y))
+        return (ZERO14, _killing_form(x, y))
     return K_ZERO
 
 

@@ -11,7 +11,7 @@ JSON output is canonical (fixed key order, integers only) and round-trips
 byte-identically through json.loads/json.dumps.  Nothing is read from the
 environment but the width of argparse's help (`COLUMNS`).  One table,
 `_COMMANDS`, holds the grammar: `_parse` reads a plain command line, and
-argparse, built from it, any other, writing all help and usage errors.
+argparse, built from it, any other, writing usage errors; its help is output.
 
 `main()` is the in-process entry: it returns the exit code, with stdout
 flushed or, after a failed write, pointing at os.devnull.  `run()` is the
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import sys
+from io import StringIO
 from itertools import chain, islice, repeat
 from operator import itemgetter, mul
 from types import SimpleNamespace
@@ -380,12 +381,7 @@ def build_parser() -> "argparse.ArgumentParser":
     """The parser of `_COMMANDS`, the one writer of help and usage errors."""
     import argparse  # loaded only for a command line that `_parse` refuses
 
-    class Parser(argparse.ArgumentParser):  # its subparsers are Parsers too
-        def print_help(self, file=None):
-            # argparse's own drops an OSError; main reports it
-            (sys.stdout if file is None else file).write(self.format_help())
-
-    parser = Parser(prog="g2kr", description=(
+    parser = argparse.ArgumentParser(prog="g2kr", description=(
         "Exact G2 characters and graded Kirillov-Reshetikhin characters."))
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, arguments) in _COMMANDS.items():
@@ -448,33 +444,39 @@ def main(argv=None) -> int:
     sys.argv[1:]); return its exit code.  On return, what it wrote to
     stdout, help included, is flushed, or stdout points at os.devnull."""
     argv = sys.argv[1:] if argv is None else list(argv)  # an iterator, once
-    args, code, chunks = _parse(argv), 0, ()  # 0: help's code
+    args = _parse(argv)
     try:
-        try:
-            if args is None:
-                parser = build_parser()
-                for token in argv:
-                    if not isinstance(token, str):
-                        parser.error(f"argument {token!r} is not a str")
+        if args is None:  # help, a usage error or another spelling
+            from contextlib import redirect_stdout
+            parser, shown = build_parser(), StringIO()
+            for token in argv:
+                if not isinstance(token, str):
+                    parser.error(f"argument {token!r} is not a str")
+            with redirect_stdout(shown):  # help: written below
                 args = parser.parse_args(argv)
-            *view, code = _RUNNERS[args.command](args)
-            chunks = _render(args.format, *view)
-        except SystemExit as exc:  # argparse wrote help, or usage to stderr
-            code = exc.code if isinstance(exc.code, int) else 2
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ArithmeticError as exc:  # an exactness check failed
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if getattr(args, "out", None) is None:  # also after help
+        *view, code = _RUNNERS[args.command](args)
+        chunks = _render(args.format, *view)
+    except SystemExit as exc:  # argparse's help, or its usage error on stderr
+        code = exc.code if isinstance(exc.code, int) else 2
+        chunks = [shown.getvalue()]
+        if not chunks[0]:  # a usage error: stdout is left alone
+            return code
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:  # an exactness check failed
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    out = getattr(args, "out", None)  # args is None after help
+    try:
+        if out is None:
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
         else:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
     except OSError as exc:  # a full disk or a closed pipe
-        if getattr(args, "out", None) is None:
+        if out is None:
             # what waits in stdout's buffer goes there at the next flush
             with open(os.devnull, "w") as null:
                 os.dup2(null.fileno(), sys.stdout.fileno())

@@ -1347,7 +1347,7 @@ def _process(child_env, *argv, script=None):
 ], ids=["ok", "ok-many-chunks", "help", "usage-error", "domain-error"])
 def test_process_writes_what_main_writes(monkeypatch, capsys, child_env,
                                          argv, code):
-    # argparse's help waits in stdout's buffer until main flushes it
+    # main writes argparse's help, as any output, and flushes it
     monkeypatch.setenv("COLUMNS", "80")  # the help's width, as in _process
     expected = run(capsys, *argv)
     assert expected[0] == code
@@ -1400,6 +1400,36 @@ def test_error_in_rows_leaves_no_output(monkeypatch, capsys, tmp_path, fmt):
     # json lists no dims, so it never asks
     code, out, _ = run(capsys, *argv[:5], "--format", "json", *argv[7:])
     assert code == 0 and json.loads(out)["family"] == "t2"
+
+
+class _ClosedStderr(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(*_CLOSED)
+
+
+@pytest.mark.parametrize("argv, fault", [
+    (["char", "1", "-3"], None),
+    (["kr", "--family", "t2", "--m", "5", "--format", "csv"], _no_dimension),
+], ids=["domain-error", "exactness-check"])
+def test_error_line_on_a_closed_stderr_is_never_success(monkeypatch, argv,
+                                                        fault):
+    # the write rule is stdout's: an error line that cannot be written
+    # escapes main, and the process does not exit 0
+    if fault is not None:
+        monkeypatch.setattr(characters, "weyl_dim", fault)
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    monkeypatch.setattr(sys, "stderr", _ClosedStderr())
+    with pytest.raises(BrokenPipeError):
+        main(argv)
+    assert sys.stdout.getvalue() == ""
+
+
+def test_usage_error_leaves_stdout_alone(monkeypatch, capsys):
+    # a usage error writes nothing to stdout, nor flushes it: with stdout
+    # closed at startup (sys.stdout is None) it is still exit 2
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["kr", "--family", "x", "--m", "1"]) == 2
+    assert "invalid choice: 'x'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("family", ["u1", "u2", "t1", "t2"])
